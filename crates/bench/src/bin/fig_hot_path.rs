@@ -1,6 +1,6 @@
 //! Hot-path pass: per-frame dispatch wall-clock for the flattened
-//! pipeline (CSR rank tables + scratch arenas + batched distance
-//! kernels + warm starts) against the cold pipelines it replaced.
+//! pipeline (carried candidate rows + keyed deferred acceptance +
+//! batched distance kernels) against the cold pipelines it replaced.
 //!
 //! Replays rolling frame sequences (fixed fleet, churned locations and
 //! request turnover) at the paper's thresholds and measures each frame's
@@ -12,8 +12,8 @@
 //! * **sparse_cold** — threshold-pruned candidates, fresh grid, cold
 //!   deferred acceptance every frame;
 //! * **hot** — threshold-pruned candidates over the batched distance
-//!   kernel, delta-synced grid, carried candidate rows, warm-started
-//!   deferred acceptance through the reusable dispatch scratch arena.
+//!   kernel, delta-synced grid, carried candidate rows, keyed deferred
+//!   acceptance on the flat candidate buffer (no rank tables).
 //!
 //! Every frame of every row first asserts all three schedules **equal**
 //! — the speedup is exact, not approximate. Two further sections isolate
@@ -107,8 +107,8 @@ fn run_cold(
         .collect()
 }
 
-/// Runs the hot arm (delta-synced grid, carried rows, warm starts,
-/// scratch arena) over the sequence; per-frame times into `samples`.
+/// Runs the hot arm (delta-synced grid, carried rows, keyed deferred
+/// acceptance) over the sequence; per-frame times into `samples`.
 fn run_hot(
     d: &NonSharingDispatcher<Euclidean>,
     seq: &[Frame],
@@ -293,9 +293,8 @@ fn main() {
             std::hint::black_box(inst.propose());
             propose_ms.push(t.elapsed().as_secs_f64() * 1e3);
             let t = Instant::now();
-            let warm = inst.propose_with(&mut scratch);
+            std::hint::black_box(inst.propose_with(&mut scratch));
             arena_ms.push(t.elapsed().as_secs_f64() * 1e3);
-            scratch.recycle(warm);
         }
         let (_, build_med) = summarize(&mut build_ms);
         let (_, propose_med) = summarize(&mut propose_ms);

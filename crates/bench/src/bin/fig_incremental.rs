@@ -11,8 +11,8 @@
 //!   across frames (stale origins swept past a capacity bound), the grid
 //!   is delta-synced, unchanged requests patch their candidate rows from
 //!   the previous frame instead of re-querying grid and metric, and
-//!   deferred acceptance is warm-started from the previous frame's
-//!   matching.
+//!   keyed deferred acceptance runs on those rows directly (no rank
+//!   tables).
 //!
 //! Every frame of every row first asserts the warm schedule **equal** to
 //! the cold one — the speedup is exact, not approximate. Reported per
@@ -119,7 +119,7 @@ fn run_cold(
 }
 
 /// The incremental pipeline: persistent swept cache, delta-synced grid,
-/// carried candidate rows, warm-started DA. Returns the schedules, the
+/// carried candidate rows, keyed DA. Returns the schedules, the
 /// final cache hit rate, and the total metric queries issued (the carry
 /// answers unchanged pairs from the previous frame's rows without
 /// touching the cache at all, so the query count — not just the hit rate

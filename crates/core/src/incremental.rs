@@ -1,157 +1,78 @@
 //! Cross-frame incremental dispatch for the NSTD algorithms.
 //!
-//! A rolling frame loop re-solves almost the same stable-matching
-//! instance every tick: most idle taxis did not move and most pending
-//! requests carried over, so the previous frame's stable matching is an
-//! excellent predictor of the next one. [`IncrementalState`] carries the
-//! previous matching across frames as *stable identities*
-//! (`RequestId`/`TaxiId`); each frame it is re-expressed in the current
-//! frame's indices and handed to
-//! [`StableInstance::propose_seeded`](o2o_matching::StableInstance::propose_seeded)
-//! as a warm-start seed.
+//! A rolling frame loop re-solves almost the same frame every tick: most
+//! idle taxis did not move and most pending requests carried over, so most
+//! of a frame's candidate pairs — and their pick-up distances and driver
+//! scores — are the previous frame's. [`IncrementalState`] carries the
+//! previous frame's sparse candidate rows ([`crate::CandidateCarry`]): a
+//! request unchanged between frames patches its row from the carry —
+//! dropping moved taxis, merging in moved-in ones — instead of
+//! re-querying the grid and the metric for every stationary taxi. The
+//! rows then feed keyed deferred acceptance
+//! ([`o2o_matching::KeyedMatch`]) directly, so a warm frame builds no
+//! rank table and no [`o2o_matching::StableInstance`].
 //!
-//! Exactness does not depend on the carried pairs still being valid: the
-//! seeded proposal path prunes the seed against the **current** frame's
-//! preference lists (mutual acceptability, prefix justification,
-//! acyclicity) before resuming deferred acceptance, so a stale pair —
-//! a taxi that moved, a request whose candidates changed, anything — is
-//! simply dropped and re-proposed cold. Warm and cold schedules are
-//! bit-identical for every frame delta; the property suite in
-//! `tests/warm_equivalence.rs` pins this the same way
-//! `tests/sparse_equivalence.rs` pins sparse == dense.
+//! The state carries no matching. A warm-start seed from the previous
+//! frame's matching never applied in a dispatch loop: every matched taxi
+//! is dispatched and leaves the idle set, so no carried pair survives into
+//! the next frame.
 //!
-//! The state also carries the previous frame's sparse candidate rows
-//! ([`crate::CandidateCarry`]): a request unchanged between frames patches
-//! its row from the carry — dropping moved taxis, admitting moved-in ones
-//! — instead of re-querying the grid and the metric for every stationary
-//! taxi. The carry stores exact metric distances, so one
-//! [`IncrementalState`] must stay with one dispatcher (one metric); the
-//! params are revalidated per frame, and any id/position change falls back
-//! to the fresh path.
+//! The carry stores exact metric distances, so one [`IncrementalState`]
+//! must stay with one dispatcher (one metric); the params are revalidated
+//! per frame, and any id/position/seat change falls back to the fresh
+//! path. Warm and cold schedules are bit-identical for every frame delta;
+//! the property suite in `tests/warm_equivalence.rs` pins this the same
+//! way `tests/sparse_equivalence.rs` pins sparse == dense.
 
-use o2o_matching::{MatchScratch, Matching};
-use o2o_trace::{Request, RequestId, Taxi, TaxiId};
-use std::collections::HashMap;
+use o2o_matching::KeyedMatch;
 
-/// Reusable per-frame working memory for the dispatch hot path.
-///
-/// Lives inside [`IncrementalState`] so it rides the same `&mut` channel
-/// the warm-start seed already uses: the engine and the policies thread
-/// one state per dispatcher across frames, and with it this arena. Once
-/// its buffers have grown to the steady-state frame shape, the warm
-/// dispatch path performs no heap allocation — the deferred-acceptance
-/// buffers (proposal queues, partner arrays, matching pool) come from
-/// `matcher`, the seed re-indexing tables from the maps here, and the
-/// sparse candidate rows from [`IncrementalState`]'s carry.
-///
-/// Purely a memory-placement concern: every result is bit-identical to
-/// the allocating paths, pinned by `tests/warm_equivalence.rs`.
-#[derive(Debug, Clone, Default)]
-pub struct DispatchScratch {
-    /// Pooled deferred-acceptance working memory (see
-    /// [`o2o_matching::MatchScratch`]).
-    pub(crate) matcher: MatchScratch,
-    /// The current frame's warm seed, re-expressed in frame indices
-    /// (refreshed by [`IncrementalState::refresh_seed`]).
-    pub(crate) seed: Vec<(usize, usize)>,
-    /// Taxi id → current frame index (seed re-expression).
-    taxi_at: HashMap<TaxiId, usize>,
-    /// Request id → current frame index (seed re-expression).
-    request_at: HashMap<RequestId, usize>,
-}
-
-/// Whether an NSTD dispatch warm-starts from the previous frame.
+/// Whether an NSTD dispatch reuses the previous frame's candidate rows.
 ///
 /// Both modes produce **bit-identical schedules**; they differ only in
-/// how much proposal work is redone per frame. `Cold` exists for A/B
-/// benchmarking and as the escape hatch if warm-start overhead ever
-/// exceeds its savings on a workload.
+/// how much candidate generation is redone per frame and in the matching
+/// engine (keyed deferred acceptance warm, rank-table instances cold).
+/// `Cold` exists for A/B benchmarking, for the sharded path, and as the
+/// escape hatch if the carry ever costs more than it saves on a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IncrementalMode {
-    /// Seed deferred acceptance from the previous frame's matching (the
-    /// default).
+    /// Patch the previous frame's candidate rows and run keyed deferred
+    /// acceptance (the default).
     #[default]
     Warm,
     /// Re-run every frame from scratch.
     Cold,
 }
 
-/// Carries the previous frame's stable matching across frames as a
-/// warm-start seed, keyed by stable identities so index churn between
-/// frames (taxis leaving/entering the idle set, requests being served or
-/// arriving) never mis-seeds a pair.
+/// The warm NSTD path's cross-frame state: the previous frame's candidate
+/// rows, keyed by stable identities so index churn between frames (taxis
+/// leaving/entering the idle set, requests being served or arriving)
+/// never mis-maps an entry, and the keyed solver's working memory.
 ///
-/// Also carries the previous frame's sparse candidate rows; because those
-/// store exact metric distances, a state must only ever be fed to **one**
-/// dispatcher (one metric). The seed pairs alone would tolerate a metric
-/// change (they are revalidated), the rows would not.
+/// Because the rows store exact metric distances, a state must only ever
+/// be fed to **one** dispatcher (one metric). Once its buffers have grown
+/// to the steady-state frame shape, the warm path allocates only the
+/// schedule it returns.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalState {
-    prev: Vec<(RequestId, TaxiId)>,
     /// Previous frame's sparse candidate rows (see
-    /// [`crate::prefs::CandidateCarry`]): unchanged requests patch their
-    /// candidate row from here instead of re-querying the grid and the
-    /// metric for every stationary taxi.
+    /// [`crate::prefs::CandidateCarry`]).
     pub(crate) rows: crate::prefs::CandidateCarry,
-    /// Reusable hot-path working memory (see [`DispatchScratch`]). Not
-    /// cleared by [`IncrementalState::clear`]: it carries no matching
-    /// *content*, only buffer capacity.
-    pub(crate) scratch: DispatchScratch,
+    /// Keyed deferred-acceptance working memory. Not cleared by
+    /// [`IncrementalState::clear`]: it carries no frame content, only
+    /// buffer capacity.
+    pub(crate) solver: KeyedMatch,
 }
 
 impl IncrementalState {
-    /// An empty state (the first frame runs cold).
+    /// An empty state (the first frame takes the fresh path).
     #[must_use]
     pub fn new() -> Self {
         IncrementalState::default()
     }
 
-    /// Forgets the carried matching and candidate rows (the next frame
-    /// runs cold).
+    /// Forgets the carried candidate rows (the next frame takes the fresh
+    /// path).
     pub fn clear(&mut self) {
-        self.prev.clear();
         self.rows.clear();
-    }
-
-    /// The carried `(request, taxi)` pairs from the previous frame.
-    #[must_use]
-    pub fn carried_pairs(&self) -> &[(RequestId, TaxiId)] {
-        &self.prev
-    }
-
-    /// Re-expresses the carried matching in the current frame's indices,
-    /// into the scratch arena's seed buffer (`self.scratch.seed`). Pairs
-    /// whose request or taxi is no longer in the frame are dropped here;
-    /// pairs whose *preferences* changed are dropped later by the seeded
-    /// proposal path's own validation. All working memory (the id → index
-    /// maps and the seed itself) is reused across frames.
-    pub(crate) fn refresh_seed(&mut self, taxis: &[Taxi], requests: &[Request]) {
-        let DispatchScratch {
-            seed,
-            taxi_at,
-            request_at,
-            ..
-        } = &mut self.scratch;
-        seed.clear();
-        if self.prev.is_empty() {
-            return;
-        }
-        taxi_at.clear();
-        taxi_at.extend(taxis.iter().enumerate().map(|(i, t)| (t.id, i)));
-        request_at.clear();
-        request_at.extend(requests.iter().enumerate().map(|(j, r)| (r.id, j)));
-        seed.extend(self.prev.iter().filter_map(|&(rid, tid)| {
-            match (request_at.get(&rid), taxi_at.get(&tid)) {
-                (Some(&j), Some(&i)) => Some((j, i)),
-                _ => None,
-            }
-        }));
-    }
-
-    /// Stores this frame's matching (in frame indices) for the next frame.
-    pub(crate) fn record(&mut self, taxis: &[Taxi], requests: &[Request], m: &Matching) {
-        self.prev.clear();
-        self.prev
-            .extend(m.pairs().map(|(j, i)| (requests[j].id, taxis[i].id)));
     }
 }

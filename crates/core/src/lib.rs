@@ -49,7 +49,7 @@ mod std_sharing;
 
 pub use company::{fare_revenue, CompanyObjective, FareModel};
 pub use degrade::{DegradeReason, Degraded, DispatchTier};
-pub use incremental::{DispatchScratch, IncrementalMode, IncrementalState};
+pub use incremental::{IncrementalMode, IncrementalState};
 pub use nstd::{AnytimeOutcome, CandidateMode, NonSharingDispatcher};
 pub use o2o_matching::{TimeBudget, TimeBudgetSpec};
 pub use params::PreferenceParams;

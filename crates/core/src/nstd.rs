@@ -2,11 +2,14 @@
 
 use crate::company::CompanyObjective;
 use crate::degrade::{DegradeReason, Degraded, DispatchTier};
-use crate::prefs::{PickupDistances, PreferenceModel, SparsePreferenceModel};
+use crate::prefs::{
+    build_taxi_grid, CandidateCarry, PickupDistances, PreferenceModel, SparsePickupDistances,
+    SparsePreferenceModel,
+};
 use crate::shard::{ShardMode, ShardPlan, ShardSpec, ShardStats};
 use crate::{PreferenceParams, Schedule};
 use o2o_geo::{GridIndex, Metric};
-use o2o_matching::{MatchScratch, Matching, StableInstance, TimeBudget};
+use o2o_matching::{KeyedMatch, MatchScratch, Matching, Proposing, StableInstance, TimeBudget};
 use o2o_obs as obs;
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -191,8 +194,9 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid), the cold
     /// budgeted paths) and on
     /// [`greedy_nearest`](Self::greedy_nearest); dense-matrix and
-    /// warm-incremental calls ignore it (the warm path's carried seed
-    /// already plays the role the shard seed would).
+    /// warm-incremental calls ignore it (the warm path runs keyed deferred
+    /// acceptance on its carried candidate rows, which has no rank-table
+    /// instance to shard).
     #[must_use]
     pub fn with_shard_mode(mut self, shard: ShardMode) -> Self {
         self.shard = shard;
@@ -250,32 +254,57 @@ impl<M: Metric> NonSharingDispatcher<M> {
         )
     }
 
-    /// [`frame_model`](Self::frame_model) for the `*_incremental` paths:
-    /// on the sparse path, unchanged requests patch their candidate rows
-    /// from the carry in `state` instead of re-querying grid and metric
-    /// (bit-identical; see
-    /// [`crate::SparsePickupDistances::compute_incremental`]). Dense mode
-    /// ignores the carry.
-    fn frame_model_incremental(
+    /// The warm path's candidate rows: this frame's mutually acceptable
+    /// pairs, patched from `carry` (see
+    /// [`SparsePickupDistances::compute_incremental`]) under the
+    /// `preference_build` span, which also covers building a taxi grid
+    /// when none is shared.
+    fn warm_candidates<'c>(
+        &self,
+        taxis: &[Taxi],
+        requests: &[Request],
+        taxi_grid: Option<&GridIndex<usize>>,
+        carry: &'c mut CandidateCarry,
+    ) -> &'c SparsePickupDistances {
+        let _span = obs::span("preference_build");
+        let owned;
+        let grid = match taxi_grid {
+            Some(g) => g,
+            None => {
+                owned = build_taxi_grid(taxis);
+                &owned
+            }
+        };
+        SparsePickupDistances::compute_incremental(
+            &self.metric,
+            &self.params,
+            taxis,
+            requests,
+            grid,
+            self.par,
+            carry,
+        )
+    }
+
+    /// One warm frame: patched candidate rows, then keyed deferred
+    /// acceptance with `proposing` proposing. Dense mode has no candidate
+    /// rows to carry and runs the cold dense path instead.
+    fn warm(
         &self,
         taxis: &[Taxi],
         requests: &[Request],
         taxi_grid: Option<&GridIndex<usize>>,
         state: &mut crate::IncrementalState,
-    ) -> FrameModel {
+        proposing: Proposing,
+    ) -> Schedule {
         if self.mode == CandidateMode::Dense {
-            FrameModel::Dense(self.preferences_with(taxis, requests, None))
-        } else {
-            FrameModel::Sparse(SparsePreferenceModel::build_incremental(
-                &self.metric,
-                &self.params,
-                taxis,
-                requests,
-                self.par,
-                taxi_grid,
-                &mut state.rows,
-            ))
+            return match proposing {
+                Proposing::Rows => self.passenger_optimal_with_grid(taxis, requests, taxi_grid),
+                Proposing::Columns => self.taxi_optimal_with_grid(taxis, requests, taxi_grid),
+            };
         }
+        let spd = self.warm_candidates(taxis, requests, taxi_grid, &mut state.rows);
+        keyed_schedule(taxis, requests, spd, &mut state.solver, proposing)
     }
 
     /// Builds the frame model in the configured [`CandidateMode`].
@@ -332,25 +361,20 @@ impl<M: Metric> NonSharingDispatcher<M> {
         taxi_grid: Option<&GridIndex<usize>>,
     ) -> Schedule {
         let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let m = match (self.shard, &model) {
-            (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
-                self.sharded_match(taxis, requests, &model, &spec, false).0
-            }
-            _ => model.instance().propose(),
-        };
+        let m = self.cold_match(taxis, requests, &model, Proposing::Rows);
         self.to_schedule(taxis, requests, &model, &m)
     }
 
-    /// [`passenger_optimal`](Self::passenger_optimal), warm-started from
-    /// the previous frame's matching carried in `state` (and recording
-    /// this frame's matching back into it for the next call).
+    /// [`passenger_optimal`](Self::passenger_optimal) on the warm path:
+    /// candidate rows patched from the previous frame's carry in `state`,
+    /// then keyed deferred acceptance on them (requests propose) — no
+    /// rank table or [`StableInstance`] is built.
     ///
     /// Bit-identical to the cold
     /// [`passenger_optimal_with_grid`](Self::passenger_optimal_with_grid)
-    /// for **every** frame delta: the seed is revalidated against the
-    /// current frame's preference lists before deferred acceptance
-    /// resumes, so stale pairs are pruned rather than trusted (see
-    /// [`crate::IncrementalState`]). Property-tested in
+    /// for **every** frame delta: the patched rows equal fresh ones, and
+    /// keyed deferred acceptance compares the same keys the rank lists are
+    /// sorted by (see [`o2o_matching::KeyedMatch`]). Property-tested in
     /// `tests/warm_equivalence.rs`.
     #[must_use]
     pub fn passenger_optimal_incremental(
@@ -360,15 +384,7 @@ impl<M: Metric> NonSharingDispatcher<M> {
         taxi_grid: Option<&GridIndex<usize>>,
         state: &mut crate::IncrementalState,
     ) -> Schedule {
-        let model = self.frame_model_incremental(taxis, requests, taxi_grid, state);
-        state.refresh_seed(taxis, requests);
-        let m = model
-            .instance()
-            .propose_seeded_with(&state.scratch.seed, &mut state.scratch.matcher);
-        state.record(taxis, requests, &m);
-        let schedule = self.to_schedule(taxis, requests, &model, &m);
-        state.scratch.matcher.recycle(m);
-        schedule
+        self.warm(taxis, requests, taxi_grid, state, Proposing::Rows)
     }
 
     /// **NSTD-T**: the taxi-optimal stable schedule.
@@ -405,21 +421,16 @@ impl<M: Metric> NonSharingDispatcher<M> {
         taxi_grid: Option<&GridIndex<usize>>,
     ) -> Schedule {
         let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let m = match (self.shard, &model) {
-            (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
-                self.sharded_match(taxis, requests, &model, &spec, true).0
-            }
-            _ => model.instance().reviewer_optimal(),
-        };
+        let m = self.cold_match(taxis, requests, &model, Proposing::Columns);
         self.to_schedule(taxis, requests, &model, &m)
     }
 
-    /// [`taxi_optimal`](Self::taxi_optimal), warm-started from the
-    /// previous frame's matching carried in `state`. Bit-identical to the
-    /// cold [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid) for
-    /// every frame delta (see
-    /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental);
-    /// the seed validation happens on the role-swapped instance).
+    /// [`taxi_optimal`](Self::taxi_optimal) on the warm path: patched
+    /// candidate rows, then keyed deferred acceptance with taxis proposing.
+    /// Bit-identical to the cold
+    /// [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid) for every
+    /// frame delta (see
+    /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental)).
     #[must_use]
     pub fn taxi_optimal_incremental(
         &self,
@@ -428,15 +439,28 @@ impl<M: Metric> NonSharingDispatcher<M> {
         taxi_grid: Option<&GridIndex<usize>>,
         state: &mut crate::IncrementalState,
     ) -> Schedule {
-        let model = self.frame_model_incremental(taxis, requests, taxi_grid, state);
-        state.refresh_seed(taxis, requests);
-        let m = model
-            .instance()
-            .reviewer_optimal_seeded_with(&state.scratch.seed, &mut state.scratch.matcher);
-        state.record(taxis, requests, &m);
-        let schedule = self.to_schedule(taxis, requests, &model, &m);
-        state.scratch.matcher.recycle(m);
-        schedule
+        self.warm(taxis, requests, taxi_grid, state, Proposing::Columns)
+    }
+
+    /// Deferred acceptance on a cold frame model with `proposing`
+    /// proposing: through the sharded pipeline when the dispatcher is
+    /// sharded and the model sparse, else one global pass.
+    fn cold_match(
+        &self,
+        taxis: &[Taxi],
+        requests: &[Request],
+        model: &FrameModel,
+        proposing: Proposing,
+    ) -> Matching {
+        let taxi_side = proposing == Proposing::Columns;
+        match (self.shard, model) {
+            (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
+                self.sharded_match(taxis, requests, model, &spec, taxi_side)
+                    .0
+            }
+            _ if taxi_side => model.instance().reviewer_optimal(),
+            _ => model.instance().propose(),
+        }
     }
 
     /// Per-request trip distances under the dispatch metric, computed in
@@ -759,11 +783,12 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// cost, so it is the one thing an exhausted frame must not start.
     ///
     /// `state` selects the warm incremental path (as in
-    /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental));
-    /// on a greedy fallback the carried state is cleared, because the
-    /// greedy schedule is not a stable matching and must not seed the
-    /// next frame. With an unlimited budget the result is bit-identical
-    /// to the corresponding unbudgeted call.
+    /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental)).
+    /// A greedy fallback leaves the carry as it is: it holds exact
+    /// candidate rows keyed by identity and position, not a matching, so
+    /// the next warm frame stays bit-identical to a cold one. With an
+    /// unlimited budget the result is bit-identical to the corresponding
+    /// unbudgeted call.
     #[must_use]
     pub fn passenger_optimal_budgeted(
         &self,
@@ -775,9 +800,6 @@ impl<M: Metric> NonSharingDispatcher<M> {
         budget: &TimeBudget,
     ) -> (Schedule, Option<Degraded>) {
         if budget.exhausted() {
-            if let Some(state) = state {
-                state.clear();
-            }
             let degraded = Degraded {
                 from: DispatchTier::NstdP,
                 to: DispatchTier::GreedyNearest,
@@ -788,25 +810,10 @@ impl<M: Metric> NonSharingDispatcher<M> {
             return (self.greedy_nearest(taxis, requests), Some(degraded));
         }
         let schedule = match state {
-            Some(state) => {
-                let model = self.frame_model_incremental(taxis, requests, taxi_grid, state);
-                state.refresh_seed(taxis, requests);
-                let m = model
-                    .instance()
-                    .propose_seeded_with(&state.scratch.seed, &mut state.scratch.matcher);
-                state.record(taxis, requests, &m);
-                let schedule = self.to_schedule(taxis, requests, &model, &m);
-                state.scratch.matcher.recycle(m);
-                schedule
-            }
+            Some(state) => self.warm(taxis, requests, taxi_grid, state, Proposing::Rows),
             None => {
                 let model = self.frame_model(taxis, requests, pickup_distances, taxi_grid);
-                let m = match (self.shard, &model) {
-                    (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
-                        self.sharded_match(taxis, requests, &model, &spec, false).0
-                    }
-                    _ => model.instance().propose(),
-                };
+                let m = self.cold_match(taxis, requests, &model, Proposing::Rows);
                 self.to_schedule(taxis, requests, &model, &m)
             }
         };
@@ -815,7 +822,8 @@ impl<M: Metric> NonSharingDispatcher<M> {
 
     /// [`taxi_optimal`](Self::taxi_optimal) under a per-frame
     /// [`TimeBudget`] — the full ladder. Deadline already passed at
-    /// entry: greedy-nearest (carried state cleared). Deadline passed
+    /// entry: greedy-nearest (the carry is kept, as in
+    /// [`passenger_optimal_budgeted`](Self::passenger_optimal_budgeted)). Deadline passed
     /// after preference construction: NSTD-P on the just-built model —
     /// the passenger-optimal matching is one deferred-acceptance pass,
     /// the cheapest stable answer the model affords. Otherwise: NSTD-T.
@@ -833,9 +841,6 @@ impl<M: Metric> NonSharingDispatcher<M> {
         budget: &TimeBudget,
     ) -> (Schedule, Option<Degraded>) {
         if budget.exhausted() {
-            if let Some(state) = state {
-                state.clear();
-            }
             let degraded = Degraded {
                 from: DispatchTier::NstdT,
                 to: DispatchTier::GreedyNearest,
@@ -845,60 +850,33 @@ impl<M: Metric> NonSharingDispatcher<M> {
             };
             return (self.greedy_nearest(taxis, requests), Some(degraded));
         }
-        match state {
+        // Past the deadline once the candidates exist, NSTD-P on them.
+        let rung = |budget: &TimeBudget| {
+            if !budget.exhausted() {
+                return (Proposing::Columns, None);
+            }
+            let degraded = Degraded {
+                from: DispatchTier::NstdT,
+                to: DispatchTier::NstdP,
+                reason: DegradeReason::DeadlineExceeded {
+                    stage: "after preference construction",
+                },
+            };
+            (Proposing::Rows, Some(degraded))
+        };
+        // Dense mode carries nothing and takes the stateless rungs.
+        match state.filter(|_| self.mode == CandidateMode::Sparse) {
             Some(state) => {
-                let model = self.frame_model_incremental(taxis, requests, taxi_grid, state);
-                state.refresh_seed(taxis, requests);
-                if budget.exhausted() {
-                    let m = model
-                        .instance()
-                        .propose_seeded_with(&state.scratch.seed, &mut state.scratch.matcher);
-                    state.record(taxis, requests, &m);
-                    let degraded = Degraded {
-                        from: DispatchTier::NstdT,
-                        to: DispatchTier::NstdP,
-                        reason: DegradeReason::DeadlineExceeded {
-                            stage: "after preference construction",
-                        },
-                    };
-                    let schedule = self.to_schedule(taxis, requests, &model, &m);
-                    state.scratch.matcher.recycle(m);
-                    (schedule, Some(degraded))
-                } else {
-                    let m = model.instance().reviewer_optimal_seeded_with(
-                        &state.scratch.seed,
-                        &mut state.scratch.matcher,
-                    );
-                    state.record(taxis, requests, &m);
-                    let schedule = self.to_schedule(taxis, requests, &model, &m);
-                    state.scratch.matcher.recycle(m);
-                    (schedule, None)
-                }
+                let spd = self.warm_candidates(taxis, requests, taxi_grid, &mut state.rows);
+                let (proposing, degraded) = rung(budget);
+                let schedule = keyed_schedule(taxis, requests, spd, &mut state.solver, proposing);
+                (schedule, degraded)
             }
             None => {
                 let model = self.frame_model(taxis, requests, pickup_distances, taxi_grid);
-                if budget.exhausted() {
-                    let m = model.instance().propose();
-                    let degraded = Degraded {
-                        from: DispatchTier::NstdT,
-                        to: DispatchTier::NstdP,
-                        reason: DegradeReason::DeadlineExceeded {
-                            stage: "after preference construction",
-                        },
-                    };
-                    (
-                        self.to_schedule(taxis, requests, &model, &m),
-                        Some(degraded),
-                    )
-                } else {
-                    let m = match (self.shard, &model) {
-                        (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
-                            self.sharded_match(taxis, requests, &model, &spec, true).0
-                        }
-                        _ => model.instance().reviewer_optimal(),
-                    };
-                    (self.to_schedule(taxis, requests, &model, &m), None)
-                }
+                let (proposing, degraded) = rung(budget);
+                let m = self.cold_match(taxis, requests, &model, proposing);
+                (self.to_schedule(taxis, requests, &model, &m), degraded)
             }
         }
     }
@@ -1149,6 +1127,35 @@ impl<M: Metric> NonSharingDispatcher<M> {
             taxi_cost,
         )
     }
+}
+
+/// Runs keyed deferred acceptance on a frame's candidate rows and reads
+/// the schedule's costs straight off the matched entries: the pick-up
+/// distance for the passenger, the score for the driver — the same floats
+/// the rank-table paths report.
+fn keyed_schedule(
+    taxis: &[Taxi],
+    requests: &[Request],
+    spd: &SparsePickupDistances,
+    solver: &mut KeyedMatch,
+    proposing: Proposing,
+) -> Schedule {
+    let pairs = spd.pairs();
+    solver.solve(pairs, proposing);
+    let matched = |j: usize| solver.row_entry(j).map(|e| pairs.entry(e));
+    Schedule::from_parts(
+        requests.iter().map(|r| r.id).collect(),
+        taxis.iter().map(|t| t.id).collect(),
+        (0..requests.len())
+            .map(|j| matched(j).map(|e| e.col as usize))
+            .collect(),
+        (0..requests.len())
+            .map(|j| matched(j).map(|e| e.row_key))
+            .collect(),
+        (0..taxis.len())
+            .map(|i| solver.col_entry(i).map(|e| pairs.entry(e).col_key))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -1435,7 +1442,7 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_degrades_to_greedy_and_clears_warm_state() {
+    fn expired_deadline_degrades_to_greedy_and_keeps_warm_path_exact() {
         use o2o_matching::TimeBudgetSpec;
         let mut rng = StdRng::seed_from_u64(0xDE6);
         let (taxis, requests) = random_frame(&mut rng, 4, 5);
@@ -1443,20 +1450,38 @@ mod tests {
         let expired = TimeBudgetSpec::unlimited()
             .with_deadline(std::time::Duration::ZERO)
             .start();
-        // Warm up a state, then hit it with an expired budget.
-        let mut state = crate::IncrementalState::new();
-        let _ = d.passenger_optimal_incremental(&taxis, &requests, None, &mut state);
-        assert!(!state.carried_pairs().is_empty());
-        let (s, degraded) =
-            d.passenger_optimal_budgeted(&taxis, &requests, None, None, Some(&mut state), &expired);
-        assert_eq!(s, d.greedy_nearest(&taxis, &requests));
-        let degraded = degraded.expect("expired budget must degrade");
-        assert_eq!(degraded.from, DispatchTier::NstdP);
-        assert_eq!(degraded.to, DispatchTier::GreedyNearest);
-        assert!(state.carried_pairs().is_empty(), "greedy must clear state");
-        let (s, degraded) = d.taxi_optimal_budgeted(&taxis, &requests, None, None, None, &expired);
-        assert_eq!(s, d.greedy_nearest(&taxis, &requests));
-        assert_eq!(degraded.unwrap().from, DispatchTier::NstdT);
+        let unlimited = o2o_matching::TimeBudget::unlimited();
+        for (taxi_side, tier) in [(false, DispatchTier::NstdP), (true, DispatchTier::NstdT)] {
+            let budgeted = |state: Option<&mut crate::IncrementalState>, budget| {
+                if taxi_side {
+                    d.taxi_optimal_budgeted(&taxis, &requests, None, None, state, budget)
+                } else {
+                    d.passenger_optimal_budgeted(&taxis, &requests, None, None, state, budget)
+                }
+            };
+            // Warm up a state, then hit it with an expired budget: the
+            // frame degrades to greedy, stateful or not.
+            let mut state = crate::IncrementalState::new();
+            let (warm, none) = budgeted(Some(&mut state), &unlimited);
+            assert_eq!(none, None);
+            let (s, degraded) = budgeted(Some(&mut state), &expired);
+            assert_eq!(s, d.greedy_nearest(&taxis, &requests));
+            let degraded = degraded.expect("expired budget must degrade");
+            assert_eq!(degraded.from, tier);
+            assert_eq!(degraded.to, DispatchTier::GreedyNearest);
+            assert_eq!(budgeted(None, &expired).0, s);
+            // The greedy frame leaves the carried rows usable: the next
+            // warm frame is still the exact stable schedule.
+            let (after, none) = budgeted(Some(&mut state), &unlimited);
+            assert_eq!(none, None);
+            assert_eq!(after, warm);
+            let cold = if taxi_side {
+                d.taxi_optimal(&taxis, &requests)
+            } else {
+                d.passenger_optimal(&taxis, &requests)
+            };
+            assert_eq!(after, cold);
+        }
     }
 
     #[test]

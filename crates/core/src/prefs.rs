@@ -15,7 +15,7 @@
 
 use crate::PreferenceParams;
 use o2o_geo::{heuristic_cell_size, BBox, GridIndex, Metric, Point};
-use o2o_matching::StableInstance;
+use o2o_matching::{KeyedCandidates, KeyedEntry, StableInstance};
 use o2o_obs as obs;
 use o2o_par::{par_map, try_par_map, Parallelism, WorkerPanic};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -331,34 +331,41 @@ pub fn build_taxi_grid(taxis: &[Taxi]) -> GridIndex<usize> {
     )
 }
 
-/// Sparse per-request pick-up distances: for each request, only the taxis
-/// a grid prefilter admits as possibly mutually acceptable.
+/// Sparse per-request candidate rows: for each request, only the taxis it
+/// is **mutually acceptable** with, in one flat request-major buffer.
 ///
 /// A pair `(t_i, r_j)` can appear in any preference list only when both
-/// sides accept it: `D(t_i, r_j^s) ≤ θ_p` (passenger) **and**
-/// `D(t_i, r_j^s) − α·trip_j ≤ θ_t` (driver) — entries failing either test
-/// are no-ops in every stable-matching algorithm (a proposal to a reviewer
-/// that does not rank you back is skipped, and vice versa), so dropping
-/// them changes nothing. Both tests bound the pick-up distance by
-/// `min(θ_p, θ_t + α·trip_j)`, which a taxi grid answers in `O(candidates)`
-/// instead of `O(|T|)` per request.
+/// sides accept it: the party fits (`seats ≥ passengers`),
+/// `D(t_i, r_j^s) ≤ θ_p` (passenger) **and** `D(t_i, r_j^s) − α·trip_j ≤ θ_t`
+/// (driver) — entries failing any test are no-ops in every stable-matching
+/// algorithm (a proposal to a reviewer that does not rank you back is
+/// skipped, and vice versa), so dropping them changes nothing. Both
+/// distance tests bound the pick-up distance by `min(θ_p, θ_t + α·trip_j)`,
+/// which a taxi grid answers in `O(candidates)` instead of `O(|T|)` per
+/// request.
 ///
 /// The grid measures Euclidean distance, which must lower-bound the
 /// dispatch metric (true for [`o2o_geo::Manhattan`] and for road networks
 /// whose edge weights are at least the segment lengths — the same contract
 /// [`GridIndex`] documents for the baselines). The query radius is inflated
-/// by a relative `1e-9` slack so the float rounding of `d − α·trip` can
-/// never exclude a taxi the dense filter `d − α·trip ≤ θ_t` would admit;
-/// candidates then pass through exactly the dense filters on the true
-/// metric distances, keeping the surviving set — and every cost — bit-for-
-/// bit identical to the dense path.
-#[derive(Debug, Clone, PartialEq)]
+/// by a relative `1e-9` slack (see [`candidate_radius`]) so the float
+/// rounding of `d − α·trip` can never exclude a taxi the dense filter would
+/// admit; candidates then pass exactly the dense filters on the true metric
+/// distances, keeping the surviving set — and every cost — bit-for-bit
+/// identical to the dense path.
+///
+/// Each entry carries both preference keys — the pick-up distance (the
+/// passenger's key) and the driver score `d − α·trip` (the driver's key) —
+/// and each row is sorted by `(distance, taxi index)`, the passenger list
+/// order. That is exactly the input of keyed deferred acceptance
+/// ([`o2o_matching::KeyedMatch`]); building the buffer also performs the
+/// range and duplicate checks a [`StableInstance`] constructor would.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparsePickupDistances {
-    n_requests: usize,
-    n_taxis: usize,
-    /// `rows[j]` = `(taxi index, D(t_i, r_j^s))` for every prefiltered
-    /// candidate, sorted by `(distance, taxi index)`.
-    rows: Vec<Vec<(usize, f64)>>,
+    /// Row `j`: `(taxi i, D(t_i, r_j^s), driver score)` for every mutually
+    /// acceptable taxi, sorted by `(distance, taxi index)`; one column per
+    /// taxi of the frame.
+    pairs: KeyedCandidates,
     /// `trips[j]` = `D(r_j^s, r_j^d)`.
     trips: Vec<f64>,
 }
@@ -388,30 +395,29 @@ impl SparsePickupDistances {
             taxis.len(),
             "taxi grid does not match the taxi slice"
         );
-        let n_r = requests.len();
-        let n_t = taxis.len();
-        let rows_trips: Vec<(Vec<(usize, f64)>, f64)> = par_map(par, (0..n_r).collect(), |j| {
-            Self::fresh_row(metric, params, taxis, &requests[j], grid)
-        });
-        let mut rows = Vec::with_capacity(n_r);
-        let mut trips = Vec::with_capacity(n_r);
-        for (row, trip) in rows_trips {
-            rows.push(row);
-            trips.push(trip);
-        }
-        SparsePickupDistances {
-            n_requests: n_r,
-            n_taxis: n_t,
-            rows,
-            trips,
-        }
+        let mut out = SparsePickupDistances::default();
+        out.fill(
+            requests.len(),
+            taxis.len(),
+            par,
+            &mut RowScratch::default(),
+            |j, s, pairs| fresh_row(metric, params, taxis, &requests[j], grid, s, pairs),
+        );
+        out
     }
 
-    /// Candidate `(taxi, D(t_i, r_j^s))` pairs for request `j`, sorted by
-    /// `(distance, taxi index)`.
+    /// Candidate entries of request `j` — taxi (`col`), pick-up distance
+    /// (`row_key`) and driver score (`col_key`) — sorted by `(distance,
+    /// taxi index)`.
     #[must_use]
-    pub fn row(&self, request: usize) -> &[(usize, f64)] {
-        &self.rows[request]
+    pub fn row(&self, request: usize) -> &[KeyedEntry] {
+        self.pairs.row(request)
+    }
+
+    /// The whole request-major pair set (the keyed solver's input).
+    #[must_use]
+    pub fn pairs(&self) -> &KeyedCandidates {
+        &self.pairs
     }
 
     /// `D(r_j^s, r_j^d)` for request `j`.
@@ -423,211 +429,364 @@ impl SparsePickupDistances {
     /// `(requests, taxis)` dimensions of the (virtual) matrix.
     #[must_use]
     pub fn shape(&self) -> (usize, usize) {
-        (self.n_requests, self.n_taxis)
+        (self.pairs.rows(), self.pairs.cols())
     }
 
-    /// Total number of stored candidate pairs — the sparse analogue of
+    /// Total number of mutually acceptable pairs — the sparse analogue of
     /// `|R|·|T|`; benchmark reports use the ratio as the pruning factor.
     #[must_use]
     pub fn candidate_count(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
+        self.pairs.len()
+    }
+
+    /// Rebuilds `self` for `n_r` requests over `n_t` taxis, row `j` written
+    /// by `row(j, scratch, pairs)` (which returns the request's trip).
+    /// Sequential runs write straight into the buffer with the caller's
+    /// scratch; parallel runs build contiguous row blocks and join them in
+    /// order, so the result is identical for every thread count.
+    fn fill<F>(
+        &mut self,
+        n_r: usize,
+        n_t: usize,
+        par: Parallelism,
+        scratch: &mut RowScratch,
+        row: F,
+    ) where
+        F: Fn(usize, &mut RowScratch, &mut KeyedCandidates) -> f64 + Sync,
+    {
+        self.pairs.reset(n_t);
+        self.trips.clear();
+        if par.is_sequential() {
+            for j in 0..n_r {
+                self.trips.push(row(j, scratch, &mut self.pairs));
+            }
+            return;
+        }
+        // Enough blocks for every worker to get several (see par_map's
+        // per-thread minimum).
+        let block = n_r.div_ceil(par.threads() * 16).max(1);
+        let starts: Vec<usize> = (0..n_r).step_by(block).collect();
+        let blocks = par_map(par, starts, |start| {
+            let mut pairs = KeyedCandidates::new();
+            pairs.reset(n_t);
+            let mut s = RowScratch::default();
+            let trips: Vec<f64> = (start..(start + block).min(n_r))
+                .map(|j| row(j, &mut s, &mut pairs))
+                .collect();
+            (pairs, trips)
+        });
+        for (pairs, trips) in blocks {
+            self.pairs.append(&pairs);
+            self.trips.extend(trips);
+        }
     }
 
     /// [`compute`](Self::compute), patching the previous frame's candidate
     /// rows instead of re-querying the grid and the metric for pairs that
-    /// cannot have changed.
+    /// cannot have changed. Returns this frame's rows, which now live in
+    /// `carry` (moved there, not copied) for the next call.
     ///
-    /// A candidate row is a pure function of `(pickup, radius, taxi
-    /// positions)`: membership is the grid's inclusive Euclidean test
-    /// `‖t_i − r_j^s‖ ≤ radius`, costs are exact metric distances, and the
-    /// order is the `(distance, index)` sort. So for a request carried
-    /// unchanged from the previous frame (same id, bit-identical pickup
-    /// and drop-off — hence the same trip and radius), the new row is the
-    /// old row with
+    /// A candidate row is a pure function of `(pickup, drop-off, party,
+    /// params, taxi positions and seats)`: membership is the grid's
+    /// inclusive Euclidean test `‖t_i − r_j^s‖ ≤ radius` followed by the
+    /// mutual filter on exact metric distances, and the order is the
+    /// `(distance, index)` sort. So for a request carried unchanged from
+    /// the previous frame (same id, bit-identical pickup and drop-off, same
+    /// party — hence the same trip and radius), the new row is the old row
+    /// with
     ///
-    /// 1. entries of departed or moved taxis dropped (their stored
-    ///    distance belongs to a position no longer in the frame), and
-    /// 2. every moved-or-new taxi re-tested against the same inclusive
-    ///    Euclidean predicate, its metric distance computed fresh on
-    ///    admission,
+    /// 1. entries of departed, moved or re-seated taxis dropped, the rest
+    ///    re-indexed (same distance, same score), and
+    /// 2. every such changed or new taxi re-tested against the same radius
+    ///    and filter, its metric distance computed fresh on admission,
+    ///    merged in by `(distance, index)`.
     ///
-    /// then re-sorted with the same comparator — bit-identical to a fresh
+    /// The merge needs the re-indexed carried entries to stay sorted, which
+    /// holds whenever the frame lists its surviving taxis in the previous
+    /// frame's relative order (the engine keeps idle taxis in fleet order);
+    /// a linear check catches any other order and sorts the row instead.
+    /// Either way the row is bit-identical to a fresh
     /// [`compute`](Self::compute), at the cost of the *changed* taxis
     /// rather than the whole candidate set. Requests that are new, moved,
     /// or carried under different [`PreferenceParams`] fall back to the
-    /// fresh grid path, as does the entire frame when either frame's taxi
-    /// ids are ambiguous (duplicates). `carry` is updated with this
-    /// frame's rows for the next call; exactness requires only that the
-    /// carry is always fed through the **same metric** (it revalidates
-    /// params itself).
+    /// fresh grid path, as does the entire frame when a taxi id is
+    /// ambiguous (repeated in the carry, or claimed twice). Exactness
+    /// requires only that the carry is always fed through the **same
+    /// metric** (it revalidates params itself).
     ///
     /// # Panics
     ///
     /// Panics if `params` fail [`PreferenceParams::validate`]. Debug
     /// builds assert that `grid` holds one entry per taxi.
-    #[must_use]
-    pub fn compute_incremental<M: Metric>(
+    pub fn compute_incremental<'c, M: Metric>(
         metric: &M,
         params: &PreferenceParams,
         taxis: &[Taxi],
         requests: &[Request],
         grid: &GridIndex<usize>,
         par: Parallelism,
-        carry: &mut CandidateCarry,
-    ) -> Self {
+        carry: &'c mut CandidateCarry,
+    ) -> &'c SparsePickupDistances {
         params.validate().expect("invalid preference parameters");
         debug_assert_eq!(
             grid.len(),
             taxis.len(),
             "taxi grid does not match the taxi slice"
         );
-        let n_r = requests.len();
-        let n_t = taxis.len();
+        let CandidateCarry {
+            params: carried_params,
+            taxis: old_taxis,
+            requests: old_requests,
+            current,
+            spare,
+            taxi_at,
+            request_at,
+            stable_new,
+            changed,
+            scratch,
+        } = carry;
 
         // Map the carried frame onto this one. `stable_new[old]` is the
-        // current index of an old taxi still at the bit-identical
-        // position; `changed` lists current taxis that are new or moved.
-        // Ambiguous (duplicate) taxi ids on either side disable reuse for
-        // the whole frame — a duplicate id could map one old row entry to
-        // the wrong taxi.
-        let mut old_taxi_at: HashMap<TaxiId, usize> = HashMap::with_capacity(carry.taxis.len());
-        let mut unambiguous = carry.params == Some(*params);
-        for (i, &(id, _)) in carry.taxis.iter().enumerate() {
-            if old_taxi_at.insert(id, i).is_some() {
+        // current index of an old taxi still at the bit-identical position
+        // with the same seats; `changed` lists current taxis that are new,
+        // moved or re-seated. An id repeated in the carry, or claimed by
+        // two current taxis, disables reuse for the whole frame — it could
+        // map one old row entry to the wrong taxi.
+        let mut unambiguous = *carried_params == Some(*params);
+        taxi_at.clear();
+        for (i, &(id, _, _)) in old_taxis.iter().enumerate() {
+            if taxi_at.insert(id, i).is_some() {
                 unambiguous = false;
             }
         }
-        let mut stable_new: Vec<Option<usize>> = vec![None; carry.taxis.len()];
-        let mut changed: Vec<(usize, Point)> = Vec::new();
-        let mut seen_new: HashMap<TaxiId, ()> = HashMap::with_capacity(n_t);
+        stable_new.clear();
+        stable_new.resize(old_taxis.len(), NO_TAXI);
+        changed.clear();
         for (i, t) in taxis.iter().enumerate() {
-            if seen_new.insert(t.id, ()).is_some() {
-                unambiguous = false;
-            }
-            match old_taxi_at.get(&t.id) {
-                Some(&j) if same_bits(carry.taxis[j].1, t.location) => stable_new[j] = Some(i),
+            match taxi_at.get(&t.id) {
+                Some(&oi)
+                    if same_bits(old_taxis[oi].1, t.location) && old_taxis[oi].2 == t.seats =>
+                {
+                    unambiguous &= stable_new[oi] == NO_TAXI;
+                    stable_new[oi] = i;
+                }
                 _ => changed.push((i, t.location)),
             }
         }
         // Duplicate *request* ids are harmless: the carried row is keyed
-        // by bit-identical pickup/drop-off, and any old request passing
-        // that check carries the right row for this pickup.
-        let old_req_at: HashMap<RequestId, usize> = carry
-            .requests
-            .iter()
-            .enumerate()
-            .map(|(j, &(id, _, _))| (id, j))
-            .collect();
+        // by bit-identical pickup/drop-off/party, and any old request
+        // passing that check carries the right row for this request.
+        request_at.clear();
+        request_at.extend(
+            old_requests
+                .iter()
+                .enumerate()
+                .map(|(j, &(id, ..))| (id, j)),
+        );
 
-        let carry_ref = &*carry;
-        let stable_new = &stable_new;
-        let changed = &changed;
-        let old_req_at = &old_req_at;
-        let rows_trips: Vec<(Vec<(usize, f64)>, f64)> = par_map(par, (0..n_r).collect(), |j| {
+        let prev = &*current;
+        let (stable_new, changed, request_at, carried_requests) =
+            (&*stable_new, &*changed, &*request_at, &*old_requests);
+        spare.fill(requests.len(), taxis.len(), par, scratch, |j, s, pairs| {
             let r = &requests[j];
             if unambiguous {
-                if let Some(&oj) = old_req_at.get(&r.id) {
-                    let (_, op, od) = carry_ref.requests[oj];
-                    if same_bits(op, r.pickup) && same_bits(od, r.dropoff) {
-                        let trip = carry_ref.trips[oj];
-                        let radius = candidate_radius(params, trip);
-                        let mut row: Vec<(usize, f64)> = if radius.is_nan() || radius < 0.0 {
-                            Vec::new()
-                        } else {
-                            let mut row: Vec<(usize, f64)> = carry_ref.rows[oj]
-                                .iter()
-                                .filter_map(|&(oi, d)| stable_new[oi].map(|ni| (ni, d)))
-                                .collect();
-                            // The grid's inclusive membership test, then
-                            // the batched one-to-many kernel with the same
-                            // pickup-as-origin orientation as the fresh
-                            // row, so patched and fresh entries stay
-                            // bit-identical.
-                            let survivors: Vec<(usize, Point)> = changed
-                                .iter()
-                                .filter(|&&(_, pos)| pos.euclidean(r.pickup) <= radius)
-                                .copied()
-                                .collect();
-                            let locations: Vec<Point> =
-                                survivors.iter().map(|&(_, pos)| pos).collect();
-                            let mut dists = vec![0.0f64; locations.len()];
-                            metric.distances_into(r.pickup, &locations, &mut dists);
-                            row.extend(survivors.iter().zip(&dists).map(|(&(ni, _), &d)| (ni, d)));
-                            row
-                        };
-                        row.sort_by(|a, b| {
-                            a.1.partial_cmp(&b.1)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.0.cmp(&b.0))
-                        });
-                        return (row, trip);
+                if let Some(&oj) = request_at.get(&r.id) {
+                    let (_, pickup, dropoff, party) = carried_requests[oj];
+                    if same_bits(pickup, r.pickup)
+                        && same_bits(dropoff, r.dropoff)
+                        && party == r.passengers
+                    {
+                        let trip = prev.trips[oj];
+                        let carried = prev.pairs.row(oj);
+                        patched_row(
+                            metric, params, taxis, r, trip, carried, stable_new, changed, s, pairs,
+                        );
+                        return trip;
                     }
                 }
             }
-            Self::fresh_row(metric, params, taxis, r, grid)
+            fresh_row(metric, params, taxis, r, grid, s, pairs)
         });
-
-        let mut rows = Vec::with_capacity(n_r);
-        let mut trips = Vec::with_capacity(n_r);
-        for (row, trip) in rows_trips {
-            rows.push(row);
-            trips.push(trip);
-        }
-        carry.params = Some(*params);
-        carry.taxis = taxis.iter().map(|t| (t.id, t.location)).collect();
-        carry.requests = requests
-            .iter()
-            .map(|r| (r.id, r.pickup, r.dropoff))
-            .collect();
-        carry.rows = rows.clone();
-        carry.trips = trips.clone();
-        SparsePickupDistances {
-            n_requests: n_r,
-            n_taxis: n_t,
-            rows,
-            trips,
-        }
+        std::mem::swap(current, spare);
+        *carried_params = Some(*params);
+        old_taxis.clear();
+        old_taxis.extend(taxis.iter().map(|t| (t.id, t.location, t.seats)));
+        old_requests.clear();
+        old_requests.extend(
+            requests
+                .iter()
+                .map(|r| (r.id, r.pickup, r.dropoff, r.passengers)),
+        );
+        current
     }
+}
 
-    /// One request's fresh candidate row: grid prefilter, exact metric
-    /// distances, `(distance, index)` sort. Shared by [`Self::compute`]
-    /// and the fallback path of [`Self::compute_incremental`].
-    fn fresh_row<M: Metric>(
+/// "Not in this frame" in [`CandidateCarry`]'s old → new taxi map.
+const NO_TAXI: usize = usize::MAX;
+
+/// Per-thread working memory for building candidate rows.
+#[derive(Debug, Clone, Default)]
+struct RowScratch {
+    /// Taxi indices to measure (grid hits or changed taxis in range).
+    hits: Vec<usize>,
+    /// Their locations, contiguous for the batched metric kernel.
+    locations: Vec<Point>,
+    /// Their metric pick-up distances.
+    dists: Vec<f64>,
+    /// Admitted `(distance, taxi)` pairs, sorted before they are written.
+    admitted: Vec<(f64, usize)>,
+    /// A carried row being patched: survivors merged with `admitted`.
+    row: Vec<(f64, usize)>,
+}
+
+impl RowScratch {
+    /// Measures every hit with the batched one-to-many kernel (the pickup
+    /// as the shared origin; see [`PickupDistances::compute`]) and keeps
+    /// the mutually acceptable ones in `admitted`, sorted by `(distance,
+    /// taxi index)` — the dense row order.
+    fn measure_and_admit<M: Metric>(
+        &mut self,
         metric: &M,
         params: &PreferenceParams,
         taxis: &[Taxi],
         r: &Request,
-        grid: &GridIndex<usize>,
-    ) -> (Vec<(usize, f64)>, f64) {
-        let trip = r.trip_distance(metric);
-        // Inflate to absorb the rounding of `d − α·trip` vs
-        // `θ_t + α·trip`; exact filters run on metric distances later.
-        let radius = candidate_radius(params, trip);
-        let mut row: Vec<(usize, f64)> = if radius.is_nan() || radius < 0.0 {
-            Vec::new()
-        } else {
-            // Grid radius query, then the batched one-to-many kernel over
-            // the surviving candidates (pickup as the shared origin; see
-            // PickupDistances::compute).
-            let neighbors = grid.within(r.pickup, radius);
-            let locations: Vec<Point> = neighbors.iter().map(|n| taxis[n.item].location).collect();
-            let mut dists = vec![0.0f64; locations.len()];
-            metric.distances_into(r.pickup, &locations, &mut dists);
-            neighbors
-                .iter()
-                .zip(&dists)
-                .map(|(n, &d)| (n.item, d))
-                .collect()
-        };
-        // Same total order as the dense row sort: metric distance,
-        // then taxi index.
-        row.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        (row, trip)
+        trip: f64,
+    ) {
+        self.dists.clear();
+        self.dists.resize(self.locations.len(), 0.0);
+        metric.distances_into(r.pickup, &self.locations, &mut self.dists);
+        self.admitted.clear();
+        for (&i, &d) in self.hits.iter().zip(&self.dists) {
+            if mutually_acceptable(params, &taxis[i], r, d, trip) {
+                self.admitted.push((d, i));
+            }
+        }
+        self.admitted.sort_unstable_by(row_order);
     }
+}
+
+/// The passenger-list order of `(distance, taxi)` entries: distance, ties
+/// by taxi index — the dense row sort's comparator.
+fn row_order(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    a.0.partial_cmp(&b.0)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.1.cmp(&b.1))
+}
+
+/// Writes `(distance, taxi)` entries, in order, as one finished row of
+/// `pairs`, each with its driver score `d − α·trip`.
+fn push_row(
+    pairs: &mut KeyedCandidates,
+    params: &PreferenceParams,
+    trip: f64,
+    entries: impl IntoIterator<Item = (f64, usize)>,
+) {
+    for (d, i) in entries {
+        pairs.push(i, d, d - params.alpha * trip);
+    }
+    pairs.finish_row();
+}
+
+/// The dense path's acceptance filters for one pair: the party fits, the
+/// passenger accepts the pick-up distance and the driver the score.
+fn mutually_acceptable(
+    params: &PreferenceParams,
+    t: &Taxi,
+    r: &Request,
+    d: f64,
+    trip: f64,
+) -> bool {
+    t.seats >= r.passengers
+        && d <= params.passenger_threshold
+        && d - params.alpha * trip <= params.taxi_threshold
+}
+
+/// Writes one request's fresh candidate row into `pairs` — grid walk,
+/// exact metric distances, mutual filter, `(distance, index)` sort — and
+/// returns its trip. Shared by [`SparsePickupDistances::compute`] and the
+/// fallback path of [`SparsePickupDistances::compute_incremental`].
+fn fresh_row<M: Metric>(
+    metric: &M,
+    params: &PreferenceParams,
+    taxis: &[Taxi],
+    r: &Request,
+    grid: &GridIndex<usize>,
+    s: &mut RowScratch,
+    pairs: &mut KeyedCandidates,
+) -> f64 {
+    let trip = r.trip_distance(metric);
+    // Inflated to absorb the rounding of `d − α·trip` vs `θ_t + α·trip`;
+    // the exact filters run on metric distances below. The grid walks no
+    // cell for a negative or NaN radius.
+    let radius = candidate_radius(params, trip);
+    s.hits.clear();
+    s.locations.clear();
+    grid.visit_within(r.pickup, radius, |&i, _| {
+        s.hits.push(i);
+        s.locations.push(taxis[i].location);
+    });
+    s.measure_and_admit(metric, params, taxis, r, trip);
+    push_row(pairs, params, trip, s.admitted.iter().copied());
+    trip
+}
+
+/// Writes a carried request's row into `pairs`: its previous row minus
+/// departed/changed taxis, re-indexed, merged with the changed taxis the
+/// radius and filter admit (see
+/// [`SparsePickupDistances::compute_incremental`]).
+#[allow(clippy::too_many_arguments)]
+fn patched_row<M: Metric>(
+    metric: &M,
+    params: &PreferenceParams,
+    taxis: &[Taxi],
+    r: &Request,
+    trip: f64,
+    carried: &[KeyedEntry],
+    stable_new: &[usize],
+    changed: &[(usize, Point)],
+    s: &mut RowScratch,
+    pairs: &mut KeyedCandidates,
+) {
+    let radius = candidate_radius(params, trip);
+    // The grid's inclusive membership test on the changed taxis.
+    s.hits.clear();
+    s.locations.clear();
+    if radius >= 0.0 {
+        for &(i, pos) in changed {
+            if pos.within(r.pickup, radius) {
+                s.hits.push(i);
+                s.locations.push(pos);
+            }
+        }
+    }
+    s.measure_and_admit(metric, params, taxis, r, trip);
+    // Surviving entries keep their distance (and so their score); once
+    // re-indexed they stay in row order when the survivors kept their
+    // relative order, and the admitted changed taxis merge in.
+    let survivors = carried.iter().filter_map(|e| {
+        let i = stable_new[e.col as usize];
+        (i != NO_TAXI).then_some((e.row_key, i))
+    });
+    let in_order = survivors
+        .clone()
+        .zip(survivors.clone().skip(1))
+        .all(|(a, b)| row_order(&a, &b).is_lt());
+    s.row.clear();
+    if in_order {
+        let mut fresh = s.admitted.iter().copied().peekable();
+        for old in survivors {
+            while let Some(new) = fresh.next_if(|new| row_order(new, &old).is_lt()) {
+                s.row.push(new);
+            }
+            s.row.push(old);
+        }
+        s.row.extend(fresh);
+    } else {
+        s.row.extend(survivors);
+        s.row.extend_from_slice(&s.admitted);
+        s.row.sort_unstable_by(row_order);
+    }
+    push_row(pairs, params, trip, s.row.iter().copied());
 }
 
 /// `true` when two points are bit-identical on both coordinates — the
@@ -638,9 +797,10 @@ fn same_bits(a: Point, b: Point) -> bool {
 }
 
 /// Cross-frame carry of sparse candidate rows for
-/// [`SparsePickupDistances::compute_incremental`]: the previous frame's
-/// taxis, requests, rows and trip distances, keyed by stable identities so
-/// index churn between frames never mis-maps an entry.
+/// [`SparsePickupDistances::compute_incremental`]: the last frame's
+/// taxis, requests and flat candidate buffer, keyed by stable identities
+/// so index churn between frames never mis-maps an entry, plus the
+/// working memory the patch reuses every frame.
 ///
 /// Owned by [`crate::IncrementalState`]; an empty carry (or one recorded
 /// under different [`PreferenceParams`]) simply makes every request take
@@ -648,14 +808,25 @@ fn same_bits(a: Point, b: Point) -> bool {
 #[derive(Debug, Clone, Default)]
 pub struct CandidateCarry {
     params: Option<PreferenceParams>,
-    /// Previous frame's `(id, location)` per taxi index.
-    taxis: Vec<(TaxiId, Point)>,
-    /// Previous frame's `(id, pickup, dropoff)` per request index.
-    requests: Vec<(RequestId, Point, Point)>,
-    /// Previous frame's candidate rows (old taxi indices).
-    rows: Vec<Vec<(usize, f64)>>,
-    /// Previous frame's trip distances.
-    trips: Vec<f64>,
+    /// Last frame's `(id, location, seats)` per taxi index.
+    taxis: Vec<(TaxiId, Point, u8)>,
+    /// Last frame's `(id, pickup, dropoff, party)` per request index.
+    requests: Vec<(RequestId, Point, Point, u8)>,
+    /// Last frame's candidate rows (its taxi indices).
+    current: SparsePickupDistances,
+    /// The buffer the next frame is built into (then swapped with
+    /// `current`), so steady-state frames reuse two allocations.
+    spare: SparsePickupDistances,
+    /// Old taxi id → old index.
+    taxi_at: HashMap<TaxiId, usize>,
+    /// Old request id → old index.
+    request_at: HashMap<RequestId, usize>,
+    /// Old taxi index → current index, or [`NO_TAXI`].
+    stable_new: Vec<usize>,
+    /// Current taxis that are new, moved or re-seated.
+    changed: Vec<(usize, Point)>,
+    /// Row-building scratch of the sequential path.
+    scratch: RowScratch,
 }
 
 impl CandidateCarry {
@@ -666,8 +837,11 @@ impl CandidateCarry {
     }
 
     /// Forgets the carried rows (the next frame takes the fresh path).
+    /// Buffer capacity is kept.
     pub fn clear(&mut self) {
-        *self = CandidateCarry::default();
+        self.params = None;
+        self.taxis.clear();
+        self.requests.clear();
     }
 }
 
@@ -679,9 +853,14 @@ impl CandidateCarry {
 /// reported cost is the same float, as the dense model (property-tested in
 /// `tests/sparse_equivalence.rs`). Costs are stored per list entry rather
 /// than as `|R|×|T|` matrices.
+///
+/// The warm dispatch path does not build this model: it runs keyed
+/// deferred acceptance on the [`SparsePickupDistances`] buffer directly.
+/// The rank-table instance serves the cold, sharded, anytime and
+/// enumeration paths.
 #[derive(Debug, Clone)]
 pub struct SparsePreferenceModel {
-    /// The stable-marriage instance (requests propose), with hashmap ranks.
+    /// The stable-marriage instance (requests propose), with CSR ranks.
     pub instance: StableInstance,
     /// `pickup_costs[j][k]` = `D(t_i, r_j^s)` for `i` = `k`-th entry of
     /// request `j`'s list.
@@ -749,40 +928,6 @@ impl SparsePreferenceModel {
         Self::from_sparse_distances(params, taxis, requests, par, &spd)
     }
 
-    /// [`build_with`](Self::build_with), patching the previous frame's
-    /// candidate rows via `carry` (see
-    /// [`SparsePickupDistances::compute_incremental`]). Bit-identical to a
-    /// carry-less build for every frame delta.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fail [`PreferenceParams::validate`].
-    #[must_use]
-    pub fn build_incremental<M: Metric>(
-        metric: &M,
-        params: &PreferenceParams,
-        taxis: &[Taxi],
-        requests: &[Request],
-        par: Parallelism,
-        taxi_grid: Option<&GridIndex<usize>>,
-        carry: &mut CandidateCarry,
-    ) -> Self {
-        let _span = obs::span("preference_build");
-        params.validate().expect("invalid preference parameters");
-        let owned;
-        let grid = match taxi_grid {
-            Some(g) => g,
-            None => {
-                owned = build_taxi_grid(taxis);
-                &owned
-            }
-        };
-        let spd = SparsePickupDistances::compute_incremental(
-            metric, params, taxis, requests, grid, par, carry,
-        );
-        Self::from_sparse_distances(params, taxis, requests, par, &spd)
-    }
-
     /// Builds the model from precomputed sparse distances.
     ///
     /// # Panics
@@ -806,44 +951,23 @@ impl SparsePreferenceModel {
             "sparse pickup-distance shape mismatch"
         );
 
-        // Passenger side: apply the exact (dense-identical) filters to the
-        // prefiltered candidates. Rows are already in (distance, index)
-        // order, the dense list order restricted to a subset.
-        type Row = (Vec<usize>, Vec<f64>, Vec<f64>);
-        let rows: Vec<Row> = par_map(par, (0..n_r).collect(), |j| {
-            let r = &requests[j];
-            let trip = spd.trip(j);
-            let mut list = Vec::new();
-            let mut costs = Vec::new();
-            let mut scores = Vec::new();
-            for &(i, d) in spd.row(j) {
-                let score = d - params.alpha * trip;
-                if taxis[i].seats >= r.passengers
-                    && d <= params.passenger_threshold
-                    && score <= params.taxi_threshold
-                {
-                    list.push(i);
-                    costs.push(d);
-                    scores.push(score);
-                }
-            }
-            (list, costs, scores)
-        });
-
-        // Driver side: scatter each accepted (request, score) pair into
-        // its taxi's bucket in request order, then sort per taxi by
-        // (score, request index) — a stable sort with the dense
-        // comparator, so each taxi list is the dense list restricted to
-        // mutual pairs, in the same order.
+        // Passenger side: the rows are already the mutually acceptable
+        // candidates in (distance, index) order — the dense list order
+        // restricted to a subset. Driver side: scatter each (request,
+        // score) pair into its taxi's bucket in request order, then sort
+        // per taxi by (score, request index) — the dense comparator, so
+        // each taxi list is the dense list restricted to mutual pairs, in
+        // the same order.
         let mut request_lists = Vec::with_capacity(n_r);
         let mut pickup_costs = Vec::with_capacity(n_r);
         let mut buckets: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_t];
-        for (j, (list, costs, scores)) in rows.into_iter().enumerate() {
-            for (&i, &score) in list.iter().zip(&scores) {
-                buckets[i].push((j, score));
+        for j in 0..n_r {
+            let row = spd.row(j);
+            for e in row {
+                buckets[e.col as usize].push((j, e.col_key));
             }
-            request_lists.push(list);
-            pickup_costs.push(costs);
+            request_lists.push(row.iter().map(|e| e.col as usize).collect());
+            pickup_costs.push(row.iter().map(|e| e.row_key).collect());
         }
         let cols: Vec<(Vec<usize>, Vec<f64>)> = par_map(par, buckets, |mut bucket| {
             bucket.sort_by(|a, b| {
@@ -1188,12 +1312,21 @@ mod tests {
                 Parallelism::sequential(),
                 &mut carry,
             );
-            assert_eq!(patched, fresh, "frame {frame} diverged");
+            assert_eq!(patched, &fresh, "frame {frame} diverged");
 
-            // Mutate for the next frame: move one taxi, drop one, add one,
-            // replace one request.
+            // Mutate for the next frame: move one taxi, re-seat one, drop
+            // one, add one, replace one request; every third frame also
+            // reverses the fleet order, so re-indexed carried rows fall
+            // out of order and take the sorting fallback.
             let k = frame % taxis.len();
             taxis[k].location = Point::new(frame as f64 - 2.0, 1.5 - frame as f64 * 0.5);
+            let k2 = (frame + 5) % taxis.len();
+            taxis[k2].seats = 1 + (taxis[k2].seats % 4);
+            let jp = (frame + 1) % requests.len();
+            requests[jp].passengers = 1 + (frame % 3) as u8;
+            if frame % 3 == 2 {
+                taxis.reverse();
+            }
             taxis.remove((frame + 3) % taxis.len());
             taxis.push(taxi(
                 14 + frame as u64,
@@ -1249,7 +1382,105 @@ mod tests {
             &grid,
             Parallelism::sequential(),
         );
-        assert_eq!(patched, fresh);
+        assert_eq!(patched, &fresh);
+    }
+
+    #[test]
+    fn incremental_rows_reorder_tied_taxis_when_the_fleet_order_changes() {
+        // Four taxis at exactly the same distance from the pickup: their
+        // row order is by index alone. Reversing the fleet re-indexes the
+        // carried entries out of order, so the patch must sort, not merge.
+        let params = PreferenceParams::unbounded();
+        let mut taxis = vec![
+            taxi(0, 1.0, 0.0),
+            taxi(1, 0.0, 1.0),
+            taxi(2, -1.0, 0.0),
+            taxi(3, 0.0, -1.0),
+        ];
+        let requests = vec![request(0, 0.0, 0.0, 3.0, 4.0)];
+        let mut carry = CandidateCarry::new();
+        for frame in 0..3 {
+            let grid = build_taxi_grid(&taxis);
+            let fresh = SparsePickupDistances::compute(
+                &Euclidean,
+                &params,
+                &taxis,
+                &requests,
+                &grid,
+                Parallelism::sequential(),
+            );
+            let patched = SparsePickupDistances::compute_incremental(
+                &Euclidean,
+                &params,
+                &taxis,
+                &requests,
+                &grid,
+                Parallelism::sequential(),
+                &mut carry,
+            );
+            assert_eq!(patched, &fresh, "frame {frame}");
+            let order: Vec<u32> = patched.row(0).iter().map(|e| e.col).collect();
+            assert_eq!(order, vec![0, 1, 2, 3], "ties keep index order");
+            taxis.reverse();
+        }
+    }
+
+    #[test]
+    fn incremental_rows_hold_only_mutually_acceptable_pairs_in_order() {
+        // Stationary taxis under a tight taxi threshold, re-seated every
+        // frame: the carried rows are the filtered ones, never the raw
+        // grid hits, a seat change re-tests the taxi, and rows stay sorted.
+        let params = PreferenceParams::paper()
+            .with_passenger_threshold(3.0)
+            .with_taxi_threshold(0.5);
+        let mut taxis: Vec<Taxi> = (0..9).map(|i| taxi(i, i as f64 * 0.7 - 3.0, 0.2)).collect();
+        taxis[4].seats = 2;
+        let requests: Vec<Request> = (0..6)
+            .map(|j| {
+                let mut r = request(j, j as f64 - 2.5, 0.0, j as f64 * 0.5, 1.0);
+                r.passengers = 1 + (j % 4) as u8;
+                r
+            })
+            .collect();
+        let grid = build_taxi_grid(&taxis);
+        let mut carry = CandidateCarry::new();
+        for frame in 0..4 {
+            let spd = SparsePickupDistances::compute_incremental(
+                &Euclidean,
+                &params,
+                &taxis,
+                &requests,
+                &grid,
+                Parallelism::sequential(),
+                &mut carry,
+            );
+            let fresh = SparsePickupDistances::compute(
+                &Euclidean,
+                &params,
+                &taxis,
+                &requests,
+                &grid,
+                Parallelism::sequential(),
+            );
+            assert_eq!(spd, &fresh, "frame {frame}");
+            for (j, r) in requests.iter().enumerate() {
+                let trip = spd.trip(j);
+                for e in spd.row(j) {
+                    let t = &taxis[e.col as usize];
+                    assert!(t.seats >= r.passengers);
+                    assert!(e.row_key <= params.passenger_threshold);
+                    assert_eq!(e.col_key, e.row_key - params.alpha * trip);
+                    assert!(e.col_key <= params.taxi_threshold);
+                }
+                assert!(spd
+                    .row(j)
+                    .windows(2)
+                    .all(|w| (w[0].row_key, w[0].col) < (w[1].row_key, w[1].col)));
+            }
+            for t in &mut taxis {
+                t.seats = if t.seats == 4 { 2 } else { 4 };
+            }
+        }
     }
 
     #[test]

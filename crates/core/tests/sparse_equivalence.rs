@@ -13,7 +13,8 @@
 //! threshold setting.
 
 use o2o_core::{
-    build_taxi_grid, CandidateMode, NonSharingDispatcher, PreferenceParams, SparsePreferenceModel,
+    build_taxi_grid, CandidateMode, IncrementalState, NonSharingDispatcher, PreferenceParams,
+    SparsePreferenceModel,
 };
 use o2o_geo::{Euclidean, Point};
 use o2o_par::Parallelism;
@@ -65,6 +66,41 @@ fn param_grid() -> Vec<PreferenceParams> {
 }
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
+
+/// A churned frame sequence from `random_frame`: between frames some
+/// taxis move or leave, a fresh taxi may join, some requests leave and
+/// new ones arrive — taxis stay in id order, as the engine keeps them.
+fn churned_frames(seed: u64, frames: usize) -> Vec<(Vec<Taxi>, Vec<Request>)> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x00C4_0A2D);
+    let nt = rng.gen_range(1..14);
+    let nr = rng.gen_range(1..16);
+    let (mut taxis, mut requests) = random_frame(seed, nt, nr, 8.0);
+    let (mut next_taxi, mut next_request) = (nt as u64, nr as u64);
+    let mut out = Vec::with_capacity(frames);
+    for _ in 0..frames {
+        out.push((taxis.clone(), requests.clone()));
+        taxis.retain(|_| !rng.gen_bool(0.15));
+        for t in &mut taxis {
+            if rng.gen_bool(0.2) {
+                t.location = Point::new(rng.gen_range(-8.0..8.0), rng.gen_range(-8.0..8.0));
+            }
+        }
+        if rng.gen_bool(0.5) {
+            let (mut joined, _) = random_frame(rng.gen(), 1, 0, 8.0);
+            joined[0].id = TaxiId(next_taxi);
+            next_taxi += 1;
+            taxis.extend(joined);
+        }
+        requests.retain(|_| !rng.gen_bool(0.25));
+        let (_, mut arrivals) = random_frame(rng.gen(), 0, rng.gen_range(0..4), 8.0);
+        for r in &mut arrivals {
+            r.id = RequestId(next_request);
+            next_request += 1;
+        }
+        requests.extend(arrivals);
+    }
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -135,6 +171,39 @@ proptest! {
                 &sparse.median(&taxis, &requests, None),
                 &dense.median(&taxis, &requests, None)
             );
+        }
+    }
+
+    /// The production warm path — candidate rows patched across frames,
+    /// keyed deferred acceptance, a shared per-frame taxi grid — agrees
+    /// with the dense cold reference over churned frame sequences, for
+    /// NSTD-P and NSTD-T, across thresholds and thread counts.
+    #[test]
+    fn warm_path_matches_dense_over_churned_frames(seed in any::<u64>()) {
+        let frames = churned_frames(seed, 6);
+        for params in param_grid() {
+            let dense = NonSharingDispatcher::new(Euclidean, params)
+                .with_candidate_mode(CandidateMode::Dense);
+            let parallelisms = std::iter::once(Parallelism::sequential())
+                .chain(THREAD_COUNTS.iter().map(|&t| Parallelism::fixed(t)));
+            for par in parallelisms {
+                let warm = NonSharingDispatcher::new(Euclidean, params).with_parallelism(par);
+                let mut p_state = IncrementalState::new();
+                let mut t_state = IncrementalState::new();
+                for (taxis, requests) in &frames {
+                    let grid = build_taxi_grid(taxis);
+                    prop_assert_eq!(
+                        &warm.passenger_optimal_incremental(
+                            taxis, requests, Some(&grid), &mut p_state
+                        ),
+                        &dense.passenger_optimal(taxis, requests)
+                    );
+                    prop_assert_eq!(
+                        &warm.taxi_optimal_incremental(taxis, requests, Some(&grid), &mut t_state),
+                        &dense.taxi_optimal(taxis, requests)
+                    );
+                }
+            }
         }
     }
 

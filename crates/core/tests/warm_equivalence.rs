@@ -1,22 +1,26 @@
 //! Warm ≡ cold: incremental dispatch must not change a single bit.
 //!
-//! The incremental NSTD path seeds deferred acceptance from the previous
-//! frame's stable matching (carried across frames by `IncrementalState`).
-//! Correctness never rests on the carried pairs still being valid: the
-//! seeded proposal path revalidates the seed against the **current**
-//! frame's preference lists (mutual acceptability, prefix justification,
-//! acyclicity) and prunes whatever fails, so any frame delta — taxis
-//! moving, leaving or joining the idle set, requests served, expired or
-//! newly arrived — yields schedules bit-identical to a cold start, at
-//! every threshold setting and thread count.
+//! The incremental NSTD path patches the previous frame's candidate rows
+//! (carried across frames by `IncrementalState`) and runs keyed deferred
+//! acceptance on them instead of building rank tables. Correctness never
+//! rests on the carry being current: a row is reused only for a request
+//! whose id, pickup, drop-off and party are unchanged, entries of taxis
+//! that moved, left or changed seats are dropped and re-tested, and keyed
+//! deferred acceptance compares the same keys the rank lists are sorted
+//! by. So any frame delta — taxis moving, leaving or joining the idle set,
+//! requests served, expired or newly arrived — yields schedules, and
+//! proposal counts, bit-identical to a cold start, at every threshold
+//! setting and thread count.
 
 use o2o_core::{CandidateMode, IncrementalState, NonSharingDispatcher, PreferenceParams};
-use o2o_geo::{Euclidean, Point};
+use o2o_geo::{Euclidean, Metric, Point};
+use o2o_obs as obs;
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One rolling run: a sequence of frames where each frame is a random
 /// delta of the previous one (taxi moves/leaves/joins, request
@@ -98,12 +102,29 @@ fn param_grid() -> Vec<PreferenceParams> {
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
 
+/// Runs `f` on a scoped recorder and returns its result with the
+/// `(match.proposals, match.rejections)` it recorded.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let rec = obs::Recorder::new();
+    let out = {
+        let _scope = obs::scope(&rec);
+        f()
+    };
+    (
+        out,
+        (
+            rec.counter("match.proposals"),
+            rec.counter("match.rejections"),
+        ),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// NSTD-P and NSTD-T warm-started across randomized frame deltas are
-    /// bit-identical to cold starts, for every threshold setting and
-    /// thread count.
+    /// NSTD-P and NSTD-T on the warm path across randomized frame deltas
+    /// are bit-identical to cold starts — schedules and proposal counts —
+    /// for every threshold setting and thread count.
     #[test]
     fn warm_dispatch_matches_cold_across_frame_deltas(
         seed in any::<u64>(), churn_pct in 0u32..=60,
@@ -117,76 +138,104 @@ proptest! {
                 let mut p_state = IncrementalState::new();
                 let mut t_state = IncrementalState::new();
                 for (taxis, requests) in &frames {
-                    let warm_p =
-                        d.passenger_optimal_incremental(taxis, requests, None, &mut p_state);
-                    prop_assert_eq!(
-                        &warm_p, &d.passenger_optimal_with_grid(taxis, requests, None)
-                    );
-                    let warm_t = d.taxi_optimal_incremental(taxis, requests, None, &mut t_state);
-                    prop_assert_eq!(&warm_t, &d.taxi_optimal_with_grid(taxis, requests, None));
+                    let (warm_p, warm_p_counts) = counted(|| {
+                        d.passenger_optimal_incremental(taxis, requests, None, &mut p_state)
+                    });
+                    let (cold_p, cold_p_counts) =
+                        counted(|| d.passenger_optimal_with_grid(taxis, requests, None));
+                    prop_assert_eq!(&warm_p, &cold_p);
+                    prop_assert_eq!(warm_p_counts, cold_p_counts);
+                    let (warm_t, warm_t_counts) = counted(|| {
+                        d.taxi_optimal_incremental(taxis, requests, None, &mut t_state)
+                    });
+                    let (cold_t, cold_t_counts) =
+                        counted(|| d.taxi_optimal_with_grid(taxis, requests, None));
+                    prop_assert_eq!(&warm_t, &cold_t);
+                    prop_assert_eq!(warm_t_counts, cold_t_counts);
                 }
             }
         }
     }
 
-    /// The carried state matches the schedule it was recorded from, and
-    /// clearing it (a cold restart mid-run) changes nothing.
+    /// The carry holds candidate rows, not a matching: one state may
+    /// serve both proposing sides in turn, and clearing it mid-run (a
+    /// cold restart) changes nothing.
     #[test]
-    fn state_tracks_schedule_and_clear_is_harmless(seed in any::<u64>()) {
+    fn carry_serves_both_sides_and_clear_is_harmless(seed in any::<u64>()) {
         let frames = rolling_frames(seed, 5, 8.0, 0.3);
         let d = NonSharingDispatcher::new(Euclidean, PreferenceParams::paper());
         let mut state = IncrementalState::new();
         for (k, (taxis, requests)) in frames.iter().enumerate() {
             if k == 2 {
                 state.clear();
-                prop_assert!(state.carried_pairs().is_empty());
             }
-            let s = d.passenger_optimal_incremental(taxis, requests, None, &mut state);
-            prop_assert_eq!(&s, &d.passenger_optimal_with_grid(taxis, requests, None));
-            let mut expected: Vec<(RequestId, TaxiId)> = requests
-                .iter()
-                .filter_map(|r| s.assignment_of(r.id).taxi().map(|t| (r.id, t)))
-                .collect();
-            expected.sort();
-            let mut carried: Vec<(RequestId, TaxiId)> = state.carried_pairs().to_vec();
-            carried.sort();
-            prop_assert_eq!(carried, expected);
+            let s = if k % 2 == 0 {
+                d.passenger_optimal_incremental(taxis, requests, None, &mut state)
+            } else {
+                d.taxi_optimal_incremental(taxis, requests, None, &mut state)
+            };
+            let cold = if k % 2 == 0 {
+                d.passenger_optimal_with_grid(taxis, requests, None)
+            } else {
+                d.taxi_optimal_with_grid(taxis, requests, None)
+            };
+            prop_assert_eq!(&s, &cold);
         }
     }
 
-    /// Dense mode as the cross-check: the warm sparse path agrees with a
-    /// dense cold dispatcher frame by frame.
+    /// Dense mode as the cross-check: the warm sparse path (NSTD-P and
+    /// NSTD-T) agrees with a dense cold dispatcher frame by frame, for
+    /// every threshold setting.
     #[test]
-    fn warm_sparse_matches_dense_cold(seed in any::<u64>()) {
-        let frames = rolling_frames(seed, 5, 8.0, 0.2);
-        let params = PreferenceParams::paper();
-        let sparse = NonSharingDispatcher::new(Euclidean, params);
-        let dense = NonSharingDispatcher::new(Euclidean, params)
-            .with_candidate_mode(CandidateMode::Dense);
-        let mut state = IncrementalState::new();
-        for (taxis, requests) in &frames {
-            prop_assert_eq!(
-                &sparse.passenger_optimal_incremental(taxis, requests, None, &mut state),
-                &dense.passenger_optimal(taxis, requests)
-            );
+    fn warm_sparse_matches_dense_cold(seed in any::<u64>(), churn_pct in 0u32..=40) {
+        let frames = rolling_frames(seed, 6, 8.0, f64::from(churn_pct) / 100.0);
+        for params in param_grid() {
+            let sparse = NonSharingDispatcher::new(Euclidean, params);
+            let dense = NonSharingDispatcher::new(Euclidean, params)
+                .with_candidate_mode(CandidateMode::Dense);
+            let mut p_state = IncrementalState::new();
+            let mut t_state = IncrementalState::new();
+            for (taxis, requests) in &frames {
+                prop_assert_eq!(
+                    &sparse.passenger_optimal_incremental(taxis, requests, None, &mut p_state),
+                    &dense.passenger_optimal(taxis, requests)
+                );
+                prop_assert_eq!(
+                    &sparse.taxi_optimal_incremental(taxis, requests, None, &mut t_state),
+                    &dense.taxi_optimal(taxis, requests)
+                );
+            }
         }
     }
 }
 
-/// A stationary fleet re-seeds its full matching: the point of the warm
-/// start. With no frame delta at all, every carried pair survives
-/// validation, so the second frame's seed is the entire matching.
+/// A metric that counts its evaluations.
+#[derive(Debug, Default)]
+struct Counting(AtomicUsize);
+
+impl Metric for Counting {
+    fn distance(&self, a: Point, b: Point) -> f64 {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Euclidean.distance(a, b)
+    }
+}
+
+/// A stationary frame reuses every candidate row: the point of the carry.
+/// With no frame delta at all, the second frame queries the metric not
+/// once (carried rows keep their distances and trips) and dispatches the
+/// same schedule.
 #[test]
-fn stationary_frames_carry_the_full_matching() {
+fn stationary_frames_reuse_every_row() {
     let (taxis, requests) = {
         let frames = rolling_frames(0xF1F0, 1, 8.0, 0.0);
         frames.into_iter().next().unwrap()
     };
-    let d = NonSharingDispatcher::new(Euclidean, PreferenceParams::paper());
+    let d = NonSharingDispatcher::new(Counting::default(), PreferenceParams::paper());
     let mut state = IncrementalState::new();
-    let first = d.passenger_optimal_incremental(&taxis, &requests, None, &mut state);
-    let carried_before = state.carried_pairs().to_vec();
-    let second = d.passenger_optimal_incremental(&taxis, &requests, None, &mut state);
+    let first = d.taxi_optimal_incremental(&taxis, &requests, None, &mut state);
+    assert!(d.metric().0.load(Ordering::Relaxed) > 0);
+    d.metric().0.store(0, Ordering::Relaxed);
+    let second = d.taxi_optimal_incremental(&taxis, &requests, None, &mut state);
     assert_eq!(first, second);
-    assert_eq!(state.carried_pairs(), &carried_before[..]);
+    assert_eq!(d.metric().0.load(Ordering::Relaxed), 0);
 }

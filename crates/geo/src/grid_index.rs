@@ -184,8 +184,13 @@ impl<T: Clone + PartialEq> GridIndex<T> {
     /// Shared edges/corners give a bound of exactly `0`, never a spurious
     /// positive value that could prune a touching cell.
     fn cell_lower_bound(&self, query: Point, col: usize, row: usize) -> f64 {
-        self.cell_bbox(col, row)
-            .distance_to_point(self.bbox.clamp(query))
+        self.clamped_lower_bound(self.bbox.clamp(query), col, row)
+    }
+
+    /// [`Self::cell_lower_bound`] for a query already clamped onto the
+    /// covered bbox (hoisted out of per-cell loops).
+    fn clamped_lower_bound(&self, clamped: Point, col: usize, row: usize) -> f64 {
+        self.cell_bbox(col, row).distance_to_point(clamped)
     }
 
     /// Inserts `item` at `location`. Duplicate items are allowed; `remove`
@@ -309,14 +314,14 @@ impl<T: Clone + PartialEq> GridIndex<T> {
                     break;
                 }
             }
-            for (c, r) in self.ring(qc, qr, ring) {
+            self.for_each_ring_cell(qc, qr, ring, |c, r| {
                 // Exact per-cell prune: anything stored here is at least
                 // the cell-bbox lower bound away, so a full result set
                 // whose worst entry beats that bound cannot change. The
                 // strict `>` keeps cells whose bound ties the worst, so
                 // tie-breaking by discovery order is unchanged.
                 if best.len() == k && self.cell_lower_bound(query, c, r) > best[k - 1].distance {
-                    continue;
+                    return;
                 }
                 for (item, loc) in &self.cells[r * self.cols + c] {
                     let d = loc.euclidean(query);
@@ -335,21 +340,46 @@ impl<T: Clone + PartialEq> GridIndex<T> {
                         best.truncate(k);
                     }
                 }
-            }
+            });
         }
         best
     }
 
     /// All stored items within `radius` kilometres of `query` (inclusive:
-    /// points at exactly `radius` are returned), closest first.
+    /// points at exactly `radius` are returned), closest first: the
+    /// unsorted [`visit_within`](Self::visit_within) walk, then a stable
+    /// sort by distance.
     ///
     /// Ties in distance keep discovery order (the sort is stable), so the
     /// result order is fully deterministic. An infinite radius returns
     /// every stored item.
     #[must_use]
     pub fn within(&self, query: Point, radius: f64) -> Vec<Neighbor<T>> {
+        let mut out = Vec::new();
+        self.visit_within(query, radius, |item, loc| {
+            out.push(Neighbor {
+                item: item.clone(),
+                distance: loc.euclidean(query),
+            });
+        });
+        out.sort_by(|a, b| {
+            a.distance
+                .partial_cmp(&b.distance)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        out
+    }
+
+    /// Calls `visit(item, location)` for every stored item within
+    /// `radius` of `query` (inclusive: `location.euclidean(query) ≤
+    /// radius`, decided by [`Point::within`]), **unsorted**, in discovery
+    /// order: rings outward from the query's cell, a ring's cells in a
+    /// fixed order, a cell's items in insertion order. Allocates nothing;
+    /// callers that re-rank hits by another metric (the sparse candidate
+    /// builder) skip [`within`](Self::within)'s Euclidean sort.
+    pub fn visit_within(&self, query: Point, radius: f64, mut visit: impl FnMut(&T, Point)) {
         if radius < 0.0 || radius.is_nan() || self.len == 0 {
-            return Vec::new();
+            return;
         }
         let (qc, qr) = self.cell_of(query);
         // `radius / cell_size` can overflow usize for huge or infinite
@@ -362,32 +392,23 @@ impl<T: Clone + PartialEq> GridIndex<T> {
         } else {
             usize::MAX
         };
-        let mut out = Vec::new();
+        let clamped = self.bbox.clamp(query);
         for ring in 0..=max_ring.min(self.cols.max(self.rows)) {
-            for (c, r) in self.ring(qc, qr, ring) {
-                // Skip cells provably outside the disk. Strict `>` keeps
-                // cells touching the radius exactly (membership below is
-                // inclusive: `d ≤ radius`).
-                if self.cell_lower_bound(query, c, r) > radius {
-                    continue;
+            self.for_each_ring_cell(qc, qr, ring, |c, r| {
+                let cell = &self.cells[r * self.cols + c];
+                // Skip empty cells, then cells provably outside the disk.
+                // Strict `>` keeps cells touching the radius exactly
+                // (membership below is inclusive: `d ≤ radius`).
+                if cell.is_empty() || self.clamped_lower_bound(clamped, c, r) > radius {
+                    return;
                 }
-                for (item, loc) in &self.cells[r * self.cols + c] {
-                    let d = loc.euclidean(query);
-                    if d <= radius {
-                        out.push(Neighbor {
-                            item: item.clone(),
-                            distance: d,
-                        });
+                for (item, loc) in cell {
+                    if loc.within(query, radius) {
+                        visit(item, *loc);
                     }
                 }
-            }
+            });
         }
-        out.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        out
     }
 
     /// Iterates over all stored `(item, location)` pairs in unspecified
@@ -398,36 +419,39 @@ impl<T: Clone + PartialEq> GridIndex<T> {
             .flat_map(|cell| cell.iter().map(|(i, p)| (i, *p)))
     }
 
-    fn ring(&self, col: usize, row: usize, ring: usize) -> Vec<(usize, usize)> {
-        let mut cells = Vec::new();
-        let c0 = col as isize - ring as isize;
-        let c1 = col as isize + ring as isize;
-        let r0 = row as isize - ring as isize;
-        let r1 = row as isize + ring as isize;
-        let valid = |c: isize, r: isize| {
-            c >= 0 && r >= 0 && (c as usize) < self.cols && (r as usize) < self.rows
-        };
+    /// Calls `f(col, row)` for each in-grid cell of the square ring at
+    /// Chebyshev distance `ring` around `(col, row)`: the top and bottom
+    /// rows column by column, then the side columns row by row.
+    fn for_each_ring_cell(
+        &self,
+        col: usize,
+        row: usize,
+        ring: usize,
+        mut f: impl FnMut(usize, usize),
+    ) {
         if ring == 0 {
-            if valid(col as isize, row as isize) {
-                cells.push((col, row));
-            }
-            return cells;
+            f(col, row);
+            return;
         }
-        for c in c0..=c1 {
+        let (c0, c1) = (col as isize - ring as isize, col as isize + ring as isize);
+        let (r0, r1) = (row as isize - ring as isize, row as isize + ring as isize);
+        let (cols, rows) = (self.cols as isize, self.rows as isize);
+        let row_ok = |r: isize| r >= 0 && r < rows;
+        let col_ok = |c: isize| c >= 0 && c < cols;
+        for c in c0.max(0)..=c1.min(cols - 1) {
             for r in [r0, r1] {
-                if valid(c, r) {
-                    cells.push((c as usize, r as usize));
+                if row_ok(r) {
+                    f(c as usize, r as usize);
                 }
             }
         }
-        for r in (r0 + 1)..r1 {
+        for r in (r0 + 1).max(0)..r1.min(rows) {
             for c in [c0, c1] {
-                if valid(c, r) {
-                    cells.push((c as usize, r as usize));
+                if col_ok(c) {
+                    f(c as usize, r as usize);
                 }
             }
         }
-        cells
     }
 }
 

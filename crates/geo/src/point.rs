@@ -59,6 +59,28 @@ impl Point {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
+    /// Exactly `self.euclidean(other) <= radius`, decided from the squared
+    /// distance — no `hypot` — unless it lies within a relative `1e-9`
+    /// band of `radius²`, where the rounding of either computation could
+    /// matter and `hypot` decides. Radius queries (the grid's candidate
+    /// walk) ask this for every point they visit.
+    #[must_use]
+    pub fn within(self, other: Point, radius: f64) -> bool {
+        let r2 = radius * radius;
+        // Outside this range the squared terms can under- or overflow (or
+        // the radius is negative or NaN): fall back to the exact test.
+        if radius >= 0.0 && (1e-200..=f64::MAX).contains(&r2) {
+            let sq = self.euclidean_sq(other);
+            if sq < r2 * (1.0 - 1e-9) {
+                return true;
+            }
+            if sq > r2 * (1.0 + 1e-9) {
+                return false;
+            }
+        }
+        self.euclidean(other) <= radius
+    }
+
     /// Squared Euclidean distance; cheaper than [`Point::euclidean`] when
     /// only comparisons are needed.
     #[must_use]
@@ -183,6 +205,27 @@ mod tests {
         let a = Point::new(1.0, 1.0);
         let b = Point::new(-2.0, 5.0);
         assert!(a.manhattan(b) >= a.euclidean(b));
+    }
+
+    #[test]
+    fn within_agrees_with_euclidean_comparison() {
+        let origin = Point::new(0.3, -0.7);
+        let mut radii = vec![0.0, 1e-300, 1e-150, 0.5, 1.0, 3.0, 1e150, 1e200];
+        radii.extend([f64::INFINITY, f64::NAN, -1.0, f64::MAX]);
+        for k in 0..2000 {
+            let t = k as f64 * 0.618_033_988_749_895;
+            let scale = 10f64.powi(k % 9 - 4);
+            let p = Point::new(origin.x + scale * t.cos(), origin.y + scale * t.sin());
+            let d = origin.euclidean(p);
+            // Probe each radius, and radii a few ulps around the distance
+            // itself, where only the exact fallback can decide.
+            let mut probes = radii.clone();
+            probes.extend([d, d.next_down(), d.next_up(), d * (1.0 + 5e-10)]);
+            for &r in &probes {
+                assert_eq!(origin.within(p, r), d <= r, "p {p:?} r {r}");
+                assert_eq!(p.within(origin, r), p.euclidean(origin) <= r);
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,613 @@
+//! Keyed deferred acceptance over a flat candidate set.
+//!
+//! The dispatch hot path knows both preference keys of every mutually
+//! acceptable pair: the *row* agent's key (a request's pick-up distance)
+//! and the *column* agent's key (a taxi's driver score). Every preference
+//! list in the frame is "ascending key, ties by partner index", so a rank
+//! comparison is a key comparison. Deferred acceptance only ever asks a
+//! reviewer whether a proposer beats its current holder, which this module
+//! answers from the keys directly — no [`crate::StableInstance`], no rank
+//! table, no sorted column lists and no role-swapped copy is built.
+//!
+//! [`KeyedCandidates`] is the flat row-major (CSR) pair set, each row
+//! sorted by `(row key, column)`; [`KeyedMatch`] runs deferred acceptance
+//! with either side proposing:
+//!
+//! * **rows propose** (NSTD-P): each row walks its already-sorted entries;
+//!   a column holds the proposal with the smallest `(column key, row)`;
+//! * **columns propose** (NSTD-T): a counting-scatter transpose buckets
+//!   the entries by column in row order, and each column orders only as
+//!   much of its bucket as it actually proposes through (chunked
+//!   `select_nth_unstable_by`, then a sort of the chunk); a row holds the
+//!   proposal earliest in its own sorted row.
+//!
+//! The matching equals [`crate::StableInstance::propose`] /
+//! [`crate::StableInstance::reviewer_optimal`] on the lists the keys
+//! induce, and so do the proposal and rejection counts: the proposer-
+//! optimal matching and the set of proposals deferred acceptance makes do
+//! not depend on the order proposers are served (McVitie–Wilson). The
+//! property test below pins both.
+
+use o2o_obs as obs;
+use std::cmp::Ordering;
+
+/// "No entry" in the holder and cursor arrays.
+const NONE: u32 = u32::MAX;
+
+/// The smallest number of column-list entries ordered at once when a
+/// column proposer runs past its ordered prefix; later chunks double with
+/// the prefix already consumed. Most taxis propose once or twice per
+/// frame, so a small first chunk keeps the selection linear.
+const FIRST_CHUNK: usize = 8;
+
+/// One mutually acceptable `(row, column)` pair with both agents' keys.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KeyedEntry {
+    /// The row agent (request index).
+    pub row: u32,
+    /// The column agent (taxi index).
+    pub col: u32,
+    /// The row agent's key for this column: a row lists its columns by
+    /// ascending `(row_key, col)`.
+    pub row_key: f64,
+    /// The column agent's key for this row: a column ranks rows by
+    /// ascending `(col_key, row)`.
+    pub col_key: f64,
+}
+
+/// `(a_key, a_idx) < (b_key, b_idx)` under the comparator every
+/// preference list in the dispatch path is sorted by: keys by
+/// `partial_cmp` (equal keys — `-0.0` and `0.0` included — tie), then
+/// the partner index.
+#[inline]
+fn key_less(a_key: f64, a_idx: u32, b_key: f64, b_idx: u32) -> bool {
+    match a_key.partial_cmp(&b_key) {
+        Some(Ordering::Less) => true,
+        Some(Ordering::Greater) => false,
+        _ => a_idx < b_idx,
+    }
+}
+
+/// A flat, row-major set of mutually acceptable pairs: the input of
+/// [`KeyedMatch::solve`].
+///
+/// Built row by row with [`push`](Self::push) and
+/// [`finish_row`](Self::finish_row). Each row must list its entries in
+/// ascending `(row_key, col)` order, and no key may be NaN (the solver
+/// compares keys instead of reading ranks; debug builds check both). A
+/// column out of range or repeated within a row panics at `push` — the
+/// same lists a [`crate::StableInstance`] constructor would reject.
+#[derive(Debug, Clone)]
+pub struct KeyedCandidates {
+    cols: usize,
+    /// Row start offsets into `entries`; `rows + 1` values.
+    offsets: Vec<u32>,
+    entries: Vec<KeyedEntry>,
+    /// Per column: the last row that pushed it (duplicate check).
+    stamp: Vec<u32>,
+}
+
+impl Default for KeyedCandidates {
+    fn default() -> Self {
+        KeyedCandidates {
+            cols: 0,
+            offsets: vec![0],
+            entries: Vec::new(),
+            stamp: Vec::new(),
+        }
+    }
+}
+
+impl PartialEq for KeyedCandidates {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols == other.cols && self.offsets == other.offsets && self.entries == other.entries
+    }
+}
+
+impl KeyedCandidates {
+    /// An empty set over zero columns; see [`reset`](Self::reset).
+    #[must_use]
+    pub fn new() -> Self {
+        KeyedCandidates::default()
+    }
+
+    /// Clears to no rows over `cols` columns, keeping the buffers.
+    pub fn reset(&mut self, cols: usize) {
+        self.cols = cols;
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.entries.clear();
+        self.stamp.clear();
+        self.stamp.resize(cols, NONE);
+    }
+
+    /// Appends `(col, row_key, col_key)` to the row being built.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `col` is out of range or already in this row.
+    #[inline]
+    pub fn push(&mut self, col: usize, row_key: f64, col_key: f64) {
+        let row = (self.offsets.len() - 1) as u32;
+        assert!(
+            col < self.cols,
+            "row {row} ranks out-of-range column {col} (of {})",
+            self.cols
+        );
+        assert!(self.stamp[col] != row, "row {row} ranks column {col} twice");
+        debug_assert!(!row_key.is_nan() && !col_key.is_nan(), "NaN preference key");
+        self.stamp[col] = row;
+        self.entries.push(KeyedEntry {
+            row,
+            col: col as u32,
+            row_key,
+            col_key,
+        });
+    }
+
+    /// Closes the row being built; the next [`push`](Self::push) starts
+    /// the following row.
+    pub fn finish_row(&mut self) {
+        debug_assert!(
+            self.row(self.offsets.len() - 1)
+                .windows(2)
+                .all(|w| key_less(w[0].row_key, w[0].col, w[1].row_key, w[1].col)),
+            "row entries must ascend by (row_key, col)"
+        );
+        self.offsets.push(self.entries.len() as u32);
+    }
+
+    /// Appends every row of `other` (over the same columns) after this
+    /// set's rows — how independently built row blocks are joined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column counts differ.
+    pub fn append(&mut self, other: &KeyedCandidates) {
+        assert_eq!(self.cols, other.cols, "appending a set over other columns");
+        let row_base = (self.offsets.len() - 1) as u32;
+        let entry_base = self.entries.len() as u32;
+        self.entries
+            .extend(other.entries.iter().map(|&e| KeyedEntry {
+                row: e.row + row_base,
+                ..e
+            }));
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&o| o + entry_base));
+    }
+
+    /// Number of finished rows.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of columns.
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Total number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when the set holds no entry.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entries of row `r` (finished or being built), in order.
+    #[must_use]
+    pub fn row(&self, r: usize) -> &[KeyedEntry] {
+        let end = self
+            .offsets
+            .get(r + 1)
+            .map_or(self.entries.len(), |&e| e as usize);
+        &self.entries[self.offsets[r] as usize..end]
+    }
+
+    /// Entry `e` of the flat pool (indices as returned by [`KeyedMatch`]).
+    #[must_use]
+    pub fn entry(&self, e: usize) -> &KeyedEntry {
+        &self.entries[e]
+    }
+}
+
+/// Which side of a [`KeyedCandidates`] set proposes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Proposing {
+    /// Rows propose: the row-optimal stable matching (NSTD-P).
+    Rows,
+    /// Columns propose: the column-optimal stable matching (NSTD-T).
+    Columns,
+}
+
+/// A column-side view of one entry in the transposed pool.
+#[derive(Debug, Clone, Copy, Default)]
+struct ColEntry {
+    /// The column's key for the row.
+    key: f64,
+    /// The row.
+    row: u32,
+    /// Index of the entry in the row-major pool.
+    entry: u32,
+}
+
+/// Deferred acceptance over a [`KeyedCandidates`] set, with its working
+/// memory: one value reused across frames makes the solver
+/// allocation-free once its buffers reach the frame shape.
+#[derive(Debug, Clone, Default)]
+pub struct KeyedMatch {
+    /// Row → held entry, or [`NONE`].
+    row_entry: Vec<u32>,
+    /// Column → held entry, or [`NONE`].
+    col_entry: Vec<u32>,
+    /// Per proposer: next position to propose from.
+    next: Vec<u32>,
+    /// Proposers that still need to propose.
+    free: Vec<u32>,
+    /// Column bucket starts in `by_col`; `cols + 1` values.
+    col_start: Vec<u32>,
+    /// Per column: end of the ordered prefix of its bucket.
+    ordered: Vec<u32>,
+    /// The entries bucketed by column, in row order until ordered.
+    by_col: Vec<ColEntry>,
+}
+
+impl KeyedMatch {
+    /// Empty working memory.
+    #[must_use]
+    pub fn new() -> Self {
+        KeyedMatch::default()
+    }
+
+    /// Runs deferred acceptance on `cands` with `proposing` proposing,
+    /// replacing the previous result. Records `match.proposals` and
+    /// `match.rejections` under the `deferred_acceptance` span, as the
+    /// rank-table solver does.
+    pub fn solve(&mut self, cands: &KeyedCandidates, proposing: Proposing) {
+        let _span = obs::span("deferred_acceptance");
+        self.row_entry.clear();
+        self.row_entry.resize(cands.rows(), NONE);
+        self.col_entry.clear();
+        self.col_entry.resize(cands.cols(), NONE);
+        let (proposals, rejections) = match proposing {
+            Proposing::Rows => self.rows_propose(cands),
+            Proposing::Columns => self.columns_propose(cands),
+        };
+        if proposals > 0 {
+            obs::add_many(&[
+                ("match.proposals", proposals),
+                ("match.rejections", rejections),
+            ]);
+        }
+    }
+
+    /// Rows propose down their sorted rows; a column keeps the smallest
+    /// `(col_key, row)`.
+    fn rows_propose(&mut self, c: &KeyedCandidates) -> (u64, u64) {
+        let (mut proposals, mut rejections) = (0u64, 0u64);
+        let rows = c.rows();
+        self.next.clear();
+        self.next.extend_from_slice(&c.offsets[..rows]);
+        self.free.clear();
+        self.free.extend((0..rows as u32).rev());
+        while let Some(j) = self.free.pop() {
+            let end = c.offsets[j as usize + 1];
+            let mut k = self.next[j as usize];
+            while k < end {
+                let cand = c.entries[k as usize];
+                k += 1;
+                proposals += 1;
+                let i = cand.col as usize;
+                let held = self.col_entry[i];
+                if held != NONE {
+                    // Either this proposal or the holder is turned away.
+                    rejections += 1;
+                    let h = c.entries[held as usize];
+                    if !key_less(cand.col_key, j, h.col_key, h.row) {
+                        continue;
+                    }
+                    // The column trades up: its old holder proposes on.
+                    self.row_entry[h.row as usize] = NONE;
+                    self.free.push(h.row);
+                }
+                self.col_entry[i] = k - 1;
+                self.row_entry[j as usize] = k - 1;
+                break;
+            }
+            self.next[j as usize] = k;
+        }
+        (proposals, rejections)
+    }
+
+    /// Columns propose from a lazily ordered transpose; a row keeps the
+    /// entry earliest in its own (sorted) row.
+    fn columns_propose(&mut self, c: &KeyedCandidates) -> (u64, u64) {
+        let (mut proposals, mut rejections) = (0u64, 0u64);
+        let cols = c.cols();
+        // Counting-scatter transpose: bucket starts, then each entry at its
+        // column's fill cursor (row order within a bucket).
+        self.col_start.clear();
+        self.col_start.resize(cols + 1, 0);
+        for e in &c.entries {
+            self.col_start[e.col as usize + 1] += 1;
+        }
+        for i in 0..cols {
+            self.col_start[i + 1] += self.col_start[i];
+        }
+        // `next` serves as the fill cursors here, the proposal cursors below.
+        self.next.clear();
+        self.next.extend_from_slice(&self.col_start[..cols]);
+        self.by_col.clear();
+        self.by_col.resize(c.entries.len(), ColEntry::default());
+        for (idx, e) in c.entries.iter().enumerate() {
+            let slot = &mut self.next[e.col as usize];
+            self.by_col[*slot as usize] = ColEntry {
+                key: e.col_key,
+                row: e.row,
+                entry: idx as u32,
+            };
+            *slot += 1;
+        }
+        self.next.clear();
+        self.next.extend_from_slice(&self.col_start[..cols]);
+        self.ordered.clear();
+        self.ordered.extend_from_slice(&self.col_start[..cols]);
+        self.free.clear();
+        self.free.extend(
+            (0..cols as u32)
+                .rev()
+                .filter(|&i| self.col_start[i as usize] < self.col_start[i as usize + 1]),
+        );
+        while let Some(i) = self.free.pop() {
+            let (start, end) = (self.col_start[i as usize], self.col_start[i as usize + 1]);
+            let mut k = self.next[i as usize];
+            while k < end {
+                if k == self.ordered[i as usize] {
+                    let chunk = ((k - start) as usize).max(FIRST_CHUNK);
+                    let ordered = order_prefix(&mut self.by_col[k as usize..end as usize], chunk);
+                    self.ordered[i as usize] = k + ordered as u32;
+                }
+                let cand = self.by_col[k as usize];
+                k += 1;
+                proposals += 1;
+                let j = cand.row as usize;
+                let held = self.row_entry[j];
+                if held != NONE {
+                    // Either this proposal or the holder is turned away.
+                    rejections += 1;
+                    if cand.entry > held {
+                        continue;
+                    }
+                    let bumped = c.entries[held as usize].col;
+                    self.col_entry[bumped as usize] = NONE;
+                    self.free.push(bumped);
+                }
+                self.row_entry[j] = cand.entry;
+                self.col_entry[i as usize] = cand.entry;
+                break;
+            }
+            self.next[i as usize] = k;
+        }
+        (proposals, rejections)
+    }
+
+    /// The entry row `r` is matched through, if any (an index for
+    /// [`KeyedCandidates::entry`]).
+    #[must_use]
+    pub fn row_entry(&self, r: usize) -> Option<usize> {
+        let e = self.row_entry[r];
+        (e != NONE).then_some(e as usize)
+    }
+
+    /// The entry column `c` is matched through, if any.
+    #[must_use]
+    pub fn col_entry(&self, c: usize) -> Option<usize> {
+        let e = self.col_entry[c];
+        (e != NONE).then_some(e as usize)
+    }
+}
+
+/// Moves the `chunk` smallest entries of `bucket` (by `(key, row)`) to
+/// its front, in order — or sorts the whole bucket when it is at most
+/// twice that (a selection would not pay for itself). Returns how many
+/// leading entries are now in final order.
+fn order_prefix(bucket: &mut [ColEntry], chunk: usize) -> usize {
+    let cmp = |a: &ColEntry, b: &ColEntry| {
+        a.key
+            .partial_cmp(&b.key)
+            .unwrap_or(Ordering::Equal)
+            .then(a.row.cmp(&b.row))
+    };
+    if 2 * chunk < bucket.len() {
+        bucket.select_nth_unstable_by(chunk - 1, cmp);
+        bucket[..chunk].sort_unstable_by(cmp);
+        chunk
+    } else {
+        bucket.sort_unstable_by(cmp);
+        bucket.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Matching, StableInstance};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random keyed set: each pair present with probability `density`,
+    /// keys drawn from a few small integers so exact ties are common.
+    fn random_set(seed: u64, rows: usize, cols: usize, density: f64) -> KeyedCandidates {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut set = KeyedCandidates::new();
+        set.reset(cols);
+        for _ in 0..rows {
+            let mut row: Vec<(f64, usize, f64)> = Vec::new();
+            for i in 0..cols {
+                if rng.gen_bool(density) {
+                    let rk = f64::from(rng.gen_range(0..4u32));
+                    row.push((rk, i, f64::from(rng.gen_range(0..4u32)) - 1.5));
+                }
+            }
+            row.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+            for (rk, i, ck) in row {
+                set.push(i, rk, ck);
+            }
+            set.finish_row();
+        }
+        set
+    }
+
+    /// The rank-list instance the keys induce: rows sorted by
+    /// `(row_key, col)`, columns by `(col_key, row)`.
+    fn reference_lists(set: &KeyedCandidates) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let rows: Vec<Vec<usize>> = (0..set.rows())
+            .map(|r| set.row(r).iter().map(|e| e.col as usize).collect())
+            .collect();
+        let mut cols: Vec<Vec<(f64, usize)>> = vec![Vec::new(); set.cols()];
+        for r in 0..set.rows() {
+            for e in set.row(r) {
+                cols[e.col as usize].push((e.col_key, r));
+            }
+        }
+        let cols = cols
+            .into_iter()
+            .map(|mut c| {
+                c.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+                c.into_iter().map(|(_, r)| r).collect()
+            })
+            .collect();
+        (rows, cols)
+    }
+
+    /// The solver's result as a [`Matching`], rows proposing.
+    fn matching(solver: &KeyedMatch, set: &KeyedCandidates) -> Matching {
+        let mut m = Matching::empty(set.rows(), set.cols());
+        for r in 0..set.rows() {
+            if let Some(e) = solver.row_entry(r) {
+                m.link(r, set.entry(e).col as usize);
+            }
+        }
+        m
+    }
+
+    /// Solves on a scoped recorder, returning the matching and the
+    /// `(proposals, rejections)` counters it recorded.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+        let rec = obs::Recorder::new();
+        let out = {
+            let _scope = obs::scope(&rec);
+            f()
+        };
+        (
+            out,
+            rec.counter("match.proposals"),
+            rec.counter("match.rejections"),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Keyed deferred acceptance equals rank-table deferred acceptance
+        /// on the lists the keys induce — matching, proposals and
+        /// rejections — for both proposing sides, under exact key ties,
+        /// empty rows and columns, and unequal side sizes.
+        #[test]
+        fn keyed_solver_matches_rank_tables(
+            seed in any::<u64>(), rows in 0usize..14, cols in 0usize..14, dens in 0usize..=4,
+        ) {
+            let set = random_set(seed, rows, cols, dens as f64 / 4.0);
+            let (p_lists, r_lists) = reference_lists(&set);
+            let sparse = StableInstance::new_sparse(p_lists.clone(), r_lists.clone()).unwrap();
+            let dense = StableInstance::new(p_lists, r_lists).unwrap();
+            let mut solver = KeyedMatch::new();
+            for proposing in [Proposing::Rows, Proposing::Columns] {
+                let (keyed, kp, kr) = counted(|| {
+                    solver.solve(&set, proposing);
+                    matching(&solver, &set)
+                });
+                let (reference, rp, rr) = counted(|| match proposing {
+                    Proposing::Rows => sparse.propose(),
+                    Proposing::Columns => sparse.reviewer_optimal(),
+                });
+                prop_assert_eq!(&keyed, &reference, "{:?}", proposing);
+                prop_assert_eq!((kp, kr), (rp, rr), "{:?} counters", proposing);
+                let dense_m = match proposing {
+                    Proposing::Rows => dense.propose(),
+                    Proposing::Columns => dense.reviewer_optimal(),
+                };
+                prop_assert_eq!(&keyed, &dense_m);
+                for r in 0..set.rows() {
+                    let via_entry = solver.row_entry(r).map(|e| set.entry(e).col as usize);
+                    prop_assert_eq!(via_entry, keyed.proposer_partner(r));
+                }
+                for c in 0..set.cols() {
+                    let via_entry = solver.col_entry(c).map(|e| set.entry(e).row as usize);
+                    prop_assert_eq!(via_entry, keyed.reviewer_partner(c));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_column_lists_order_past_several_chunks() {
+        // Ninety rows over three columns, every pair acceptable: column
+        // proposers walk deep into buckets several doubling chunks long.
+        let set = random_set(0xC0FFEE, 90, 3, 1.0);
+        let (p, r) = reference_lists(&set);
+        let inst = StableInstance::new_sparse(p, r).unwrap();
+        let mut solver = KeyedMatch::new();
+        solver.solve(&set, Proposing::Columns);
+        assert_eq!(matching(&solver, &set), inst.reviewer_optimal());
+        solver.solve(&set, Proposing::Rows);
+        assert_eq!(matching(&solver, &set), inst.propose());
+    }
+
+    #[test]
+    fn append_joins_row_blocks() {
+        let a = random_set(1, 4, 5, 0.5);
+        let b = random_set(2, 3, 5, 0.5);
+        let mut joined = a.clone();
+        joined.append(&b);
+        assert_eq!(joined.rows(), 7);
+        for r in 0..4 {
+            assert_eq!(joined.row(r), a.row(r));
+        }
+        for r in 0..3 {
+            let shifted: Vec<KeyedEntry> = b
+                .row(r)
+                .iter()
+                .map(|&e| KeyedEntry {
+                    row: e.row + 4,
+                    ..e
+                })
+                .collect();
+            assert_eq!(joined.row(r + 4), &shifted[..]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "twice")]
+    fn duplicate_column_in_a_row_panics() {
+        let mut set = KeyedCandidates::new();
+        set.reset(3);
+        set.push(1, 0.0, 0.0);
+        set.push(1, 1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-range")]
+    fn out_of_range_column_panics() {
+        let mut set = KeyedCandidates::new();
+        set.reset(2);
+        set.push(2, 0.0, 0.0);
+    }
+}

@@ -3,6 +3,8 @@
 //! Every combinatorial engine used by the dispatch algorithms and the
 //! baselines lives here, independent of any taxi-specific types:
 //!
+//! * [`keyed`] — deferred acceptance over a flat candidate set whose
+//!   entries carry both agents' preference keys (the NSTD hot path),
 //! * [`stable`] — stable marriage with *incomplete preference lists*
 //!   (the paper's dummy entries), proposer-optimal matching (Algorithm 1's
 //!   engine), and enumeration of **all** stable matchings via BreakDispatch
@@ -26,6 +28,7 @@ pub mod bottleneck;
 pub mod budget;
 pub mod hopcroft_karp;
 pub mod hungarian;
+pub mod keyed;
 pub mod set_packing;
 pub mod stable;
 
@@ -33,6 +36,7 @@ pub use bottleneck::bottleneck_assignment;
 pub use budget::{TimeBudget, TimeBudgetSpec};
 pub use hopcroft_karp::max_bipartite_matching;
 pub use hungarian::min_cost_assignment;
+pub use keyed::{KeyedCandidates, KeyedEntry, KeyedMatch, Proposing};
 pub use set_packing::{SetPacking, SetPackingStrategy};
 pub use stable::{
     AnytimeSearch, Enumeration, MatchScratch, Matching, PreferenceError, StableInstance,

@@ -147,30 +147,26 @@ impl Matching {
         }
     }
 
-    /// Clears and resizes in place to an empty matching of the given side
-    /// sizes, keeping the existing heap buffers when they are big enough.
-    fn reset(&mut self, proposers: usize, reviewers: usize) {
-        self.proposer_to_reviewer.clear();
-        self.proposer_to_reviewer.resize(proposers, None);
-        self.reviewer_to_proposer.clear();
-        self.reviewer_to_proposer.resize(reviewers, None);
+    /// The same pairs with the two sides' roles exchanged.
+    fn flipped(self) -> Matching {
+        Matching {
+            proposer_to_reviewer: self.reviewer_to_proposer,
+            reviewer_to_proposer: self.proposer_to_reviewer,
+        }
     }
 }
 
 /// Reusable working memory for the deferred-acceptance entry points.
 ///
-/// A cold [`StableInstance::propose`] allocates its matching, cursor and
-/// free-stack vectors per call; in a rolling dispatch loop those
-/// allocations repeat every frame with the same shapes. Holding one
-/// `MatchScratch` across frames and calling the `*_with` entry points
-/// ([`StableInstance::propose_with`],
+/// A cold [`StableInstance::propose`] allocates its cursor and free-stack
+/// vectors per call. Holding one `MatchScratch` across calls of the
+/// `*_with` entry points ([`StableInstance::propose_with`],
 /// [`StableInstance::propose_seeded_with`],
-/// [`StableInstance::reviewer_optimal_seeded_with`]) makes the
-/// steady-state loop allocation-free: every buffer — including the
-/// returned [`Matching`], once it is handed back via
-/// [`MatchScratch::recycle`] — is reused. Results are **bit-identical**
-/// to the scratch-free entry points for any (re)use pattern: the scratch
-/// only changes where the working memory lives, never what is computed.
+/// [`StableInstance::reviewer_optimal_seeded_with`]) reuses those and the
+/// seed-pruning buffers; only the returned [`Matching`] is allocated.
+/// Results are **bit-identical** to the scratch-free entry points for any
+/// (re)use pattern: the scratch only changes where the working memory
+/// lives, never what is computed.
 #[derive(Debug, Clone, Default)]
 pub struct MatchScratch {
     /// Per-proposer cursors into their preference lists.
@@ -183,13 +179,11 @@ pub struct MatchScratch {
     swap_seed: Vec<(usize, usize)>,
     /// Seed-pruning working state (held pairs + cycle-settling buffers).
     prune: PruneScratch,
-    /// Recycled matchings whose buffers the next call reuses.
-    pool: Vec<Matching>,
 }
 
 /// Working state for [`StableInstance::valid_warm_seed`]'s pruning
-/// fixpoint, pooled inside [`MatchScratch`] so the warm path allocates
-/// nothing once the buffers have grown to the steady-state shape.
+/// fixpoint, held inside [`MatchScratch`] so repeated seeded calls reuse
+/// it.
 #[derive(Debug, Clone, Default)]
 struct PruneScratch {
     /// Proposer → held reviewer in the candidate seed state.
@@ -213,30 +207,6 @@ impl MatchScratch {
     #[must_use]
     pub fn new() -> Self {
         MatchScratch::default()
-    }
-
-    /// Returns a finished [`Matching`]'s buffers to the pool so the next
-    /// `*_with` call can reuse them instead of allocating. Optional —
-    /// dropping the matching instead merely costs the next call one
-    /// allocation pair — and bounded, so a caller recycling more
-    /// matchings than it takes cannot grow the pool without limit.
-    pub fn recycle(&mut self, m: Matching) {
-        // One proposer-side and one reviewer-side result per frame is the
-        // steady-state shape; a little slack covers enumeration helpers.
-        if self.pool.len() < 4 {
-            self.pool.push(m);
-        }
-    }
-
-    /// An empty matching of the given shape, reusing pooled buffers.
-    fn take_matching(&mut self, proposers: usize, reviewers: usize) -> Matching {
-        match self.pool.pop() {
-            Some(mut m) => {
-                m.reset(proposers, reviewers);
-                m
-            }
-            None => Matching::empty(proposers, reviewers),
-        }
     }
 }
 
@@ -699,18 +669,27 @@ impl StableInstance {
         &self.reviewer_lists[r]
     }
 
-    /// The role-swapped instance (reviewers become proposers).
-    ///
-    /// Running [`StableInstance::propose`] on the swap yields the
-    /// *reviewer-optimal* stable matching of `self` — the engine behind the
-    /// taxi-optimal schedule NSTD-T.
-    #[must_use]
-    pub fn swapped(&self) -> StableInstance {
-        StableInstance {
-            proposer_lists: self.reviewer_lists.clone(),
-            reviewer_lists: self.proposer_lists.clone(),
-            proposer_rank: self.reviewer_rank.clone(),
-            reviewer_rank: self.proposer_rank.clone(),
+    /// The instance's sides as built: proposers propose.
+    fn sides(&self) -> Sides<'_> {
+        Sides {
+            proposer_lists: &self.proposer_lists,
+            reviewers: self.reviewer_lists.len(),
+            proposer_rank: &self.proposer_rank,
+            reviewer_rank: &self.reviewer_rank,
+        }
+    }
+
+    /// The role-swapped sides, borrowed: reviewers propose down their own
+    /// lists and proposers review with their own ranks. Deferred
+    /// acceptance on them yields the *reviewer-optimal* matching — the
+    /// engine behind the taxi-optimal schedule NSTD-T — without copying a
+    /// list or a rank table.
+    fn swapped_sides(&self) -> Sides<'_> {
+        Sides {
+            proposer_lists: &self.reviewer_lists,
+            reviewers: self.proposer_lists.len(),
+            proposer_rank: &self.reviewer_rank,
+            reviewer_rank: &self.proposer_rank,
         }
     }
 
@@ -739,70 +718,11 @@ impl StableInstance {
 
     /// [`StableInstance::propose`] with caller-owned working memory.
     ///
-    /// Bit-identical to `propose`; the scratch only supplies the cursor,
-    /// free-stack and matching buffers so a rolling caller avoids
-    /// re-allocating them every frame. Hand the result back through
-    /// [`MatchScratch::recycle`] once it is consumed to close the loop.
+    /// Bit-identical to `propose`; the scratch only supplies the cursor and
+    /// free-stack buffers so a repeated caller avoids re-allocating them.
     #[must_use]
     pub fn propose_with(&self, scratch: &mut MatchScratch) -> Matching {
-        let _span = obs::span("deferred_acceptance");
-        let mut m = scratch.take_matching(self.proposers(), self.reviewers());
-        scratch.next.clear();
-        scratch.next.resize(self.proposers(), 0);
-        // Stack of proposers that still need to propose.
-        scratch.free.clear();
-        scratch.free.extend((0..self.proposers()).rev());
-        let MatchScratch { next, free, .. } = scratch;
-        self.run_proposals(&mut m, next, free);
-        m
-    }
-
-    /// The deferred-acceptance proposal loop, resumable from any reachable
-    /// intermediate state (`m` + per-proposer cursors + free stack). Both
-    /// [`StableInstance::propose`] (cold, everything empty) and
-    /// [`StableInstance::propose_seeded`] (warm, seeded pairs linked and
-    /// cursors advanced) drive this same loop, so the two paths cannot
-    /// diverge in proposal semantics.
-    fn run_proposals(&self, m: &mut Matching, next: &mut [usize], free: &mut Vec<usize>) {
-        // Proposal/rejection dynamics are batched in locals and flushed
-        // once: the loop body stays counter-free for the disabled case.
-        let mut proposals = 0u64;
-        let mut rejections = 0u64;
-        while let Some(p) = free.pop() {
-            // Propose down p's list from its cursor.
-            // Runs down p's list from its cursor; falling off the end
-            // means p matches its dummy (unserved).
-            while let Some(&r) = self.proposer_lists[p].get(next[p]) {
-                next[p] += 1;
-                proposals += 1;
-                let my_rank = self.rrank(r, p);
-                if my_rank == NOT_RANKED {
-                    rejections += 1;
-                    continue; // r would rather stay undispatched
-                }
-                match m.reviewer_to_proposer[r] {
-                    None => {
-                        m.link(p, r);
-                        break;
-                    }
-                    Some(held) => {
-                        if my_rank < self.rrank(r, held) {
-                            m.link(p, r); // unlinks `held`
-                            free.push(held);
-                            rejections += 1; // `held` is bumped back out
-                            break;
-                        }
-                        rejections += 1;
-                    }
-                }
-            }
-        }
-        if proposals > 0 {
-            obs::add_many(&[
-                ("match.proposals", proposals),
-                ("match.rejections", rejections),
-            ]);
-        }
+        self.sides().propose_with(scratch)
     }
 
     /// Prunes `seed` down to a subset that is a *reachable* deferred-
@@ -830,153 +750,19 @@ impl StableInstance {
     ///
     /// Dropping a pair can invalidate the justification of another, so 2–3
     /// iterate to a fixpoint. Validity depends only on the current
-    /// instance, never on where the seed came from: carrying pairs over
-    /// from a previous frame's matching is purely a warm-start heuristic,
-    /// and any stale or garbage pair is simply pruned here.
+    /// instance, never on where the seed came from: any stale or garbage
+    /// pair is simply pruned here.
     #[must_use]
     pub fn valid_warm_seed(&self, seed: &[(usize, usize)]) -> Vec<(usize, usize)> {
         let mut prune = PruneScratch::default();
         let mut out = Vec::new();
-        self.valid_warm_seed_into(seed, &mut prune, &mut out);
+        self.sides()
+            .valid_warm_seed_into(seed, &mut prune, &mut out);
         out
     }
 
-    /// Buffer-reusing core of [`StableInstance::valid_warm_seed`]: writes
-    /// the pruned seed into `out` using `prune` as working state, both
-    /// resized as needed so any capacity (including empty) works.
-    fn valid_warm_seed_into(
-        &self,
-        seed: &[(usize, usize)],
-        prune: &mut PruneScratch,
-        out: &mut Vec<(usize, usize)>,
-    ) {
-        let _span = obs::span("seed_prune");
-        let np = self.proposers();
-        let nr = self.reviewers();
-        prune.p2r.clear();
-        prune.p2r.resize(np, None);
-        prune.r2p.clear();
-        prune.r2p.resize(nr, None);
-        for &(p, r) in seed {
-            if p >= np || r >= nr || prune.p2r[p].is_some() || prune.r2p[r].is_some() {
-                continue;
-            }
-            if !self.proposer_accepts(p, r) || !self.reviewer_accepts(r, p) {
-                continue;
-            }
-            prune.p2r[p] = Some(r);
-            prune.r2p[r] = Some(p);
-        }
-        loop {
-            let removed =
-                self.prune_unjustified(&mut prune.p2r, &mut prune.r2p) | self.prune_cycles(prune);
-            if !removed {
-                break;
-            }
-        }
-        out.clear();
-        out.extend((0..np).filter_map(|p| prune.p2r[p].map(|r| (p, r))));
-    }
-
-    /// Drops seeded pairs whose skipped prefix is not justified by the
-    /// current seed state (condition 2 of [`StableInstance::valid_warm_seed`]),
-    /// repeating until a full pass removes nothing. Returns whether any
-    /// pair was dropped.
-    fn prune_unjustified(&self, p2r: &mut [Option<usize>], r2p: &mut [Option<usize>]) -> bool {
-        let mut any = false;
-        loop {
-            let mut changed = false;
-            for (p, slot) in p2r.iter_mut().enumerate() {
-                let Some(r) = *slot else { continue };
-                let rank = self.prank(p, r) as usize;
-                let justified = self.proposer_lists[p][..rank].iter().all(|&skipped| {
-                    let my_rank = self.rrank(skipped, p);
-                    my_rank == NOT_RANKED
-                        || r2p[skipped].is_some_and(|q| self.rrank(skipped, q) < my_rank)
-                });
-                if !justified {
-                    *slot = None;
-                    r2p[r] = None;
-                    changed = true;
-                    any = true;
-                }
-            }
-            if !changed {
-                return any;
-            }
-        }
-    }
-
-    /// Drops seeded pairs caught in a justification cycle (condition 3 of
-    /// [`StableInstance::valid_warm_seed`]). An edge `p → q` means `p`'s
-    /// skip of some reviewer is justified by seeded holder `q`, i.e. `q`
-    /// must propose before `p`; pairs that cannot be topologically settled
-    /// have no valid serial proposal order and are removed. Assumes every
-    /// remaining pair is prefix-justified. Returns whether any pair was
-    /// dropped.
-    fn prune_cycles(&self, s: &mut PruneScratch) -> bool {
-        let PruneScratch {
-            p2r,
-            r2p,
-            justifiers,
-            dependents,
-            pending,
-            settle,
-            settled,
-        } = s;
-        let np = p2r.len();
-        for v in justifiers.iter_mut() {
-            v.clear();
-        }
-        justifiers.resize_with(np, Vec::new);
-        for v in dependents.iter_mut() {
-            v.clear();
-        }
-        dependents.resize_with(np, Vec::new);
-        for p in 0..np {
-            let Some(r) = p2r[p] else { continue };
-            let rank = self.prank(p, r) as usize;
-            for &skipped in &self.proposer_lists[p][..rank] {
-                if self.rrank(skipped, p) == NOT_RANKED {
-                    continue;
-                }
-                let q = r2p[skipped].expect("prefix is justified, so the skip has a holder");
-                if !justifiers[p].contains(&q) {
-                    justifiers[p].push(q);
-                    dependents[q].push(p);
-                }
-            }
-        }
-        pending.clear();
-        pending.extend(justifiers.iter().map(Vec::len));
-        settle.clear();
-        settle.extend((0..np).filter(|&p| p2r[p].is_some() && pending[p] == 0));
-        settled.clear();
-        settled.resize(np, false);
-        while let Some(q) = settle.pop() {
-            settled[q] = true;
-            for &p in &dependents[q] {
-                pending[p] -= 1;
-                if pending[p] == 0 {
-                    settle.push(p);
-                }
-            }
-        }
-        let mut any = false;
-        for p in 0..np {
-            if let Some(r) = p2r[p] {
-                if !settled[p] {
-                    p2r[p] = None;
-                    r2p[r] = None;
-                    any = true;
-                }
-            }
-        }
-        any
-    }
-
     /// The proposer-optimal stable matching, warm-started from `seed` —
-    /// typically the previous frame's matching in a rolling dispatch loop.
+    /// e.g. the per-region matchings the sharded dispatcher reconciles.
     ///
     /// The seed is first pruned by [`StableInstance::valid_warm_seed`];
     /// surviving pairs are linked with each proposer's cursor advanced just
@@ -993,7 +779,7 @@ impl StableInstance {
 
     /// [`StableInstance::propose_seeded`] with caller-owned working
     /// memory. Bit-identical to `propose_seeded` for any scratch state;
-    /// reusing one scratch across frames makes the warm path
+    /// reusing one scratch across calls makes the seeded path
     /// allocation-free once its buffers reach the steady-state shape.
     #[must_use]
     pub fn propose_seeded_with(
@@ -1001,59 +787,14 @@ impl StableInstance {
         seed: &[(usize, usize)],
         scratch: &mut MatchScratch,
     ) -> Matching {
-        let _span = obs::span("deferred_acceptance");
-        let seed_pairs_in = seed.len() as u64;
-        {
-            let MatchScratch {
-                seed: pruned,
-                prune,
-                ..
-            } = scratch;
-            self.valid_warm_seed_into(seed, prune, pruned);
-        }
-        obs::add_many(&[
-            ("match.seed_pairs_in", seed_pairs_in),
-            ("match.seed_pairs_kept", scratch.seed.len() as u64),
-        ]);
-        let mut m = scratch.take_matching(self.proposers(), self.reviewers());
-        scratch.next.clear();
-        scratch.next.resize(self.proposers(), 0);
-        for i in 0..scratch.seed.len() {
-            let (p, r) = scratch.seed[i];
-            m.link(p, r);
-            scratch.next[p] = self.prank(p, r) as usize + 1;
-        }
-        scratch.free.clear();
-        scratch.free.extend(
-            (0..self.proposers())
-                .rev()
-                .filter(|&p| m.proposer_to_reviewer[p].is_none()),
-        );
-        let MatchScratch { next, free, .. } = scratch;
-        self.run_proposals(&mut m, next, free);
-        // A pruned seed is provably exact (see valid_warm_seed). Debug
-        // builds distrust the proof anyway, but a divergence degrades to
-        // the cold result instead of asserting: a warm-state bug costs
-        // one slow frame, not the whole run. The counter makes the silent
-        // degrade observable — equivalence suites that run in debug builds
-        // install a recorder and assert it stays zero, otherwise the
-        // fallback would make `seeded == cold` vacuously true.
-        if cfg!(debug_assertions) {
-            let cold = self.propose();
-            if m != cold {
-                obs::add("match.seed_divergence", 1);
-                scratch.recycle(m);
-                return cold;
-            }
-        }
-        m
+        self.sides().propose_seeded_with(seed, scratch)
     }
 
     /// The reviewer-optimal stable matching, warm-started from `seed`
     /// (given as `(proposer, reviewer)` pairs, like
     /// [`StableInstance::propose_seeded`]). Exactly
-    /// [`StableInstance::reviewer_optimal`] for any seed; the swap-side
-    /// pruning happens on the swapped instance.
+    /// [`StableInstance::reviewer_optimal`] for any seed; the seed is
+    /// pruned against the role-swapped sides.
     #[must_use]
     pub fn reviewer_optimal_seeded(&self, seed: &[(usize, usize)]) -> Matching {
         self.reviewer_optimal_seeded_with(seed, &mut MatchScratch::new())
@@ -1061,8 +802,8 @@ impl StableInstance {
 
     /// [`StableInstance::reviewer_optimal_seeded`] with caller-owned
     /// working memory (see [`StableInstance::propose_seeded_with`]). The
-    /// role swap itself still clones the preference tables — that cost is
-    /// hoisted by callers that cache the swapped instance, not here.
+    /// role swap borrows this instance's lists and rank tables; nothing is
+    /// copied per call.
     #[must_use]
     pub fn reviewer_optimal_seeded_with(
         &self,
@@ -1072,22 +813,20 @@ impl StableInstance {
         let mut swapped_seed = std::mem::take(&mut scratch.swap_seed);
         swapped_seed.clear();
         swapped_seed.extend(seed.iter().map(|&(p, r)| (r, p)));
-        let m = self.swapped().propose_seeded_with(&swapped_seed, scratch);
+        let m = self
+            .swapped_sides()
+            .propose_seeded_with(&swapped_seed, scratch);
         scratch.swap_seed = swapped_seed;
-        Matching {
-            proposer_to_reviewer: m.reviewer_to_proposer,
-            reviewer_to_proposer: m.proposer_to_reviewer,
-        }
+        m.flipped()
     }
 
-    /// The reviewer-optimal stable matching (role-swapped proposals).
+    /// The reviewer-optimal stable matching (role-swapped proposals on
+    /// borrowed sides).
     #[must_use]
     pub fn reviewer_optimal(&self) -> Matching {
-        let m = self.swapped().propose();
-        Matching {
-            proposer_to_reviewer: m.reviewer_to_proposer,
-            reviewer_to_proposer: m.proposer_to_reviewer,
-        }
+        self.swapped_sides()
+            .propose_with(&mut MatchScratch::new())
+            .flipped()
     }
 
     /// All blocking pairs of `m` under the paper's Definition 1.
@@ -1566,6 +1305,283 @@ impl StableInstance {
     }
 }
 
+/// A borrowed view of an instance for the deferred-acceptance machinery:
+/// who proposes down which lists, and both rank tables. The same code runs
+/// on [`StableInstance::sides`] (proposers propose) and on
+/// [`StableInstance::swapped_sides`] (reviewers propose), so the
+/// reviewer-optimal paths copy nothing.
+#[derive(Clone, Copy)]
+struct Sides<'a> {
+    proposer_lists: &'a [Vec<usize>],
+    reviewers: usize,
+    proposer_rank: &'a Ranks,
+    reviewer_rank: &'a Ranks,
+}
+
+impl Sides<'_> {
+    fn proposers(&self) -> usize {
+        self.proposer_lists.len()
+    }
+
+    /// Rank of reviewer `r` for proposer `p`, or [`NOT_RANKED`].
+    #[inline]
+    fn prank(&self, p: usize, r: usize) -> u32 {
+        self.proposer_rank.get(p, r)
+    }
+
+    /// Rank of proposer `p` for reviewer `r`, or [`NOT_RANKED`].
+    #[inline]
+    fn rrank(&self, r: usize, p: usize) -> u32 {
+        self.reviewer_rank.get(r, p)
+    }
+
+    /// Cold deferred acceptance (see [`StableInstance::propose_with`]).
+    fn propose_with(self, scratch: &mut MatchScratch) -> Matching {
+        let _span = obs::span("deferred_acceptance");
+        let mut m = Matching::empty(self.proposers(), self.reviewers);
+        scratch.next.clear();
+        scratch.next.resize(self.proposers(), 0);
+        // Stack of proposers that still need to propose.
+        scratch.free.clear();
+        scratch.free.extend((0..self.proposers()).rev());
+        let MatchScratch { next, free, .. } = scratch;
+        self.run_proposals(&mut m, next, free);
+        m
+    }
+
+    /// The deferred-acceptance proposal loop, resumable from any reachable
+    /// intermediate state (`m` + per-proposer cursors + free stack). Both
+    /// [`StableInstance::propose`] (cold, everything empty) and
+    /// [`StableInstance::propose_seeded`] (warm, seeded pairs linked and
+    /// cursors advanced) drive this same loop, so the two paths cannot
+    /// diverge in proposal semantics.
+    fn run_proposals(&self, m: &mut Matching, next: &mut [usize], free: &mut Vec<usize>) {
+        // Proposal/rejection dynamics are batched in locals and flushed
+        // once: the loop body stays counter-free for the disabled case.
+        let mut proposals = 0u64;
+        let mut rejections = 0u64;
+        while let Some(p) = free.pop() {
+            // Propose down p's list from its cursor.
+            // Runs down p's list from its cursor; falling off the end
+            // means p matches its dummy (unserved).
+            while let Some(&r) = self.proposer_lists[p].get(next[p]) {
+                next[p] += 1;
+                proposals += 1;
+                let my_rank = self.rrank(r, p);
+                if my_rank == NOT_RANKED {
+                    rejections += 1;
+                    continue; // r would rather stay undispatched
+                }
+                match m.reviewer_to_proposer[r] {
+                    None => {
+                        m.link(p, r);
+                        break;
+                    }
+                    Some(held) => {
+                        if my_rank < self.rrank(r, held) {
+                            m.link(p, r); // unlinks `held`
+                            free.push(held);
+                            rejections += 1; // `held` is bumped back out
+                            break;
+                        }
+                        rejections += 1;
+                    }
+                }
+            }
+        }
+        if proposals > 0 {
+            obs::add_many(&[
+                ("match.proposals", proposals),
+                ("match.rejections", rejections),
+            ]);
+        }
+    }
+
+    /// Buffer-reusing core of [`StableInstance::valid_warm_seed`]: writes
+    /// the pruned seed into `out` using `prune` as working state, both
+    /// resized as needed so any capacity (including empty) works.
+    fn valid_warm_seed_into(
+        &self,
+        seed: &[(usize, usize)],
+        prune: &mut PruneScratch,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let _span = obs::span("seed_prune");
+        let np = self.proposers();
+        let nr = self.reviewers;
+        prune.p2r.clear();
+        prune.p2r.resize(np, None);
+        prune.r2p.clear();
+        prune.r2p.resize(nr, None);
+        for &(p, r) in seed {
+            if p >= np || r >= nr || prune.p2r[p].is_some() || prune.r2p[r].is_some() {
+                continue;
+            }
+            if self.prank(p, r) == NOT_RANKED || self.rrank(r, p) == NOT_RANKED {
+                continue;
+            }
+            prune.p2r[p] = Some(r);
+            prune.r2p[r] = Some(p);
+        }
+        loop {
+            let removed =
+                self.prune_unjustified(&mut prune.p2r, &mut prune.r2p) | self.prune_cycles(prune);
+            if !removed {
+                break;
+            }
+        }
+        out.clear();
+        out.extend((0..np).filter_map(|p| prune.p2r[p].map(|r| (p, r))));
+    }
+
+    /// Drops seeded pairs whose skipped prefix is not justified by the
+    /// current seed state (condition 2 of [`StableInstance::valid_warm_seed`]),
+    /// repeating until a full pass removes nothing. Returns whether any
+    /// pair was dropped.
+    fn prune_unjustified(&self, p2r: &mut [Option<usize>], r2p: &mut [Option<usize>]) -> bool {
+        let mut any = false;
+        loop {
+            let mut changed = false;
+            for (p, slot) in p2r.iter_mut().enumerate() {
+                let Some(r) = *slot else { continue };
+                let rank = self.prank(p, r) as usize;
+                let justified = self.proposer_lists[p][..rank].iter().all(|&skipped| {
+                    let my_rank = self.rrank(skipped, p);
+                    my_rank == NOT_RANKED
+                        || r2p[skipped].is_some_and(|q| self.rrank(skipped, q) < my_rank)
+                });
+                if !justified {
+                    *slot = None;
+                    r2p[r] = None;
+                    changed = true;
+                    any = true;
+                }
+            }
+            if !changed {
+                return any;
+            }
+        }
+    }
+
+    /// Drops seeded pairs caught in a justification cycle (condition 3 of
+    /// [`StableInstance::valid_warm_seed`]). An edge `p → q` means `p`'s
+    /// skip of some reviewer is justified by seeded holder `q`, i.e. `q`
+    /// must propose before `p`; pairs that cannot be topologically settled
+    /// have no valid serial proposal order and are removed. Assumes every
+    /// remaining pair is prefix-justified. Returns whether any pair was
+    /// dropped.
+    fn prune_cycles(&self, s: &mut PruneScratch) -> bool {
+        let PruneScratch {
+            p2r,
+            r2p,
+            justifiers,
+            dependents,
+            pending,
+            settle,
+            settled,
+        } = s;
+        let np = p2r.len();
+        for v in justifiers.iter_mut() {
+            v.clear();
+        }
+        justifiers.resize_with(np, Vec::new);
+        for v in dependents.iter_mut() {
+            v.clear();
+        }
+        dependents.resize_with(np, Vec::new);
+        for p in 0..np {
+            let Some(r) = p2r[p] else { continue };
+            let rank = self.prank(p, r) as usize;
+            for &skipped in &self.proposer_lists[p][..rank] {
+                if self.rrank(skipped, p) == NOT_RANKED {
+                    continue;
+                }
+                let q = r2p[skipped].expect("prefix is justified, so the skip has a holder");
+                if !justifiers[p].contains(&q) {
+                    justifiers[p].push(q);
+                    dependents[q].push(p);
+                }
+            }
+        }
+        pending.clear();
+        pending.extend(justifiers.iter().map(Vec::len));
+        settle.clear();
+        settle.extend((0..np).filter(|&p| p2r[p].is_some() && pending[p] == 0));
+        settled.clear();
+        settled.resize(np, false);
+        while let Some(q) = settle.pop() {
+            settled[q] = true;
+            for &p in &dependents[q] {
+                pending[p] -= 1;
+                if pending[p] == 0 {
+                    settle.push(p);
+                }
+            }
+        }
+        let mut any = false;
+        for p in 0..np {
+            if let Some(r) = p2r[p] {
+                if !settled[p] {
+                    p2r[p] = None;
+                    r2p[r] = None;
+                    any = true;
+                }
+            }
+        }
+        any
+    }
+
+    /// Warm-started deferred acceptance (see
+    /// [`StableInstance::propose_seeded_with`]).
+    fn propose_seeded_with(self, seed: &[(usize, usize)], scratch: &mut MatchScratch) -> Matching {
+        let _span = obs::span("deferred_acceptance");
+        let seed_pairs_in = seed.len() as u64;
+        {
+            let MatchScratch {
+                seed: pruned,
+                prune,
+                ..
+            } = scratch;
+            self.valid_warm_seed_into(seed, prune, pruned);
+        }
+        obs::add_many(&[
+            ("match.seed_pairs_in", seed_pairs_in),
+            ("match.seed_pairs_kept", scratch.seed.len() as u64),
+        ]);
+        let mut m = Matching::empty(self.proposers(), self.reviewers);
+        scratch.next.clear();
+        scratch.next.resize(self.proposers(), 0);
+        for i in 0..scratch.seed.len() {
+            let (p, r) = scratch.seed[i];
+            m.link(p, r);
+            scratch.next[p] = self.prank(p, r) as usize + 1;
+        }
+        scratch.free.clear();
+        scratch.free.extend(
+            (0..self.proposers())
+                .rev()
+                .filter(|&p| m.proposer_to_reviewer[p].is_none()),
+        );
+        let MatchScratch { next, free, .. } = scratch;
+        self.run_proposals(&mut m, next, free);
+        // A pruned seed is provably exact (see valid_warm_seed). Debug
+        // builds distrust the proof anyway, but a divergence degrades to
+        // the cold result instead of asserting: a warm-state bug costs
+        // one slow frame, not the whole run. The counter makes the silent
+        // degrade observable — equivalence suites that run in debug builds
+        // install a recorder and assert it stays zero, otherwise the
+        // fallback would make `seeded == cold` vacuously true.
+        if cfg!(debug_assertions) {
+            let cold = self.propose_with(&mut MatchScratch::new());
+            if m != cold {
+                obs::add("match.seed_divergence", 1);
+                return cold;
+            }
+        }
+        m
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2017,8 +2033,7 @@ mod tests {
     fn scratch_entry_points_are_bit_identical_across_reuse() {
         // One MatchScratch reused across many frames of varying shapes —
         // warm, cold and reviewer-optimal paths — must match the
-        // allocating entry points exactly on every call, with results
-        // recycled back into the pool between frames.
+        // allocating entry points exactly on every call.
         let mut rng = StdRng::seed_from_u64(0x5C2A7C8);
         let mut scratch = MatchScratch::new();
         let mut seed: Vec<(usize, usize)> = Vec::new();
@@ -2037,9 +2052,6 @@ mod tests {
             // change, so much of it will be pruned — that's the point).
             seed.clear();
             seed.extend(warm.pairs());
-            scratch.recycle(cold);
-            scratch.recycle(warm);
-            scratch.recycle(t_opt);
         }
     }
 

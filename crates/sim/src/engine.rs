@@ -1019,8 +1019,8 @@ mod tests {
         let trace = boston_september_2012(0.002).generate(9);
         let params = PreferenceParams::default();
         // Cold incremental mode makes every frame take the cold sparse
-        // path, where the sharded pipeline engages (the warm path's
-        // carried seed bypasses it by design).
+        // path, where the sharded pipeline engages (the warm keyed path
+        // bypasses it by design).
         let mut global =
             policy::nstd_p(Euclidean, params).with_incremental_mode(IncrementalMode::Cold);
         let mut sharded = policy::NstdPPolicy::from_dispatcher(

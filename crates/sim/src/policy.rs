@@ -36,7 +36,8 @@ use std::sync::Arc;
 /// the engine and exposed via [`FrameContext::delta`]; policies may use
 /// it to size incremental work, and diagnostics can log churn rates. The
 /// incremental NSTD path does **not** depend on it for correctness — its
-/// warm seed is revalidated against the current frame regardless.
+/// candidate carry revalidates every request and taxi against the current
+/// frame regardless.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FrameDelta {
     /// Taxis idle now that were not idle at the previous dispatch.
@@ -338,8 +339,9 @@ macro_rules! nstd_policy {
         /// and generates candidates through it; in
         /// [`CandidateMode::Dense`] it consumes the precomputed pick-up
         /// matrix as before. On the sparse path the policy additionally
-        /// warm-starts deferred acceptance from the previous frame's
-        /// matching ([`IncrementalMode::Warm`], the default); toggle to
+        /// patches each frame's candidate rows from the previous frame and
+        /// runs keyed deferred acceptance on them
+        /// ([`IncrementalMode::Warm`], the default); toggle to
         /// [`IncrementalMode::Cold`] for A/B benchmarking. The schedules
         /// are bit-identical across every mode combination.
         ///
@@ -348,9 +350,9 @@ macro_rules! nstd_policy {
         /// sparse **cold** and budgeted paths through the spatially
         /// sharded pipeline (still bit-identical; see
         /// `o2o_core::shard`). The warm incremental path bypasses
-        /// sharding — its carried cross-frame seed already plays the role
-        /// the shard-local seed would — so pair sharding with
-        /// [`IncrementalMode::Cold`] to engage it every frame.
+        /// sharding — it builds no rank-table instance to shard — so pair
+        /// sharding with [`IncrementalMode::Cold`] to engage it every
+        /// frame.
         pub struct $struct_name<M> {
             inner: NonSharingDispatcher<M>,
             incremental: IncrementalMode,
@@ -378,9 +380,9 @@ macro_rules! nstd_policy {
                 &self.inner
             }
 
-            /// Sets whether the sparse path warm-starts from the previous
-            /// frame (results are bit-identical either way). Resets any
-            /// carried state so a mode change never leaks a stale seed.
+            /// Sets whether the sparse path reuses the previous frame's
+            /// candidate rows (results are bit-identical either way).
+            /// Resets any carried state.
             #[must_use]
             pub fn with_incremental_mode(mut self, mode: IncrementalMode) -> Self {
                 self.incremental = mode;
@@ -388,7 +390,7 @@ macro_rules! nstd_policy {
                 self
             }
 
-            /// The warm-start mode in use.
+            /// The incremental mode in use.
             #[must_use]
             pub fn incremental_mode(&self) -> IncrementalMode {
                 self.incremental
