@@ -7,17 +7,16 @@
 //! * **cold** (the previous pipeline): every frame clears the distance
 //!   cache, rebuilds the idle-taxi grid from scratch and runs deferred
 //!   acceptance cold;
-//! * **warm** (the incremental pipeline): the distance cache persists
-//!   across frames (stale origins swept past a capacity bound), the grid
-//!   is delta-synced, unchanged requests patch their candidate rows from
-//!   the previous frame instead of re-querying grid and metric, and
-//!   keyed deferred acceptance runs on those rows directly (no rank
-//!   tables).
+//! * **warm** (the incremental pipeline): the distance cache is cleared
+//!   per frame as in the cold arm, the grid is delta-synced, unchanged
+//!   requests patch their candidate rows from the previous frame instead
+//!   of re-querying grid and metric, and keyed deferred acceptance runs
+//!   on those rows directly (no rank tables).
 //!
 //! Every frame of every row first asserts the warm schedule **equal** to
 //! the cold one — the speedup is exact, not approximate. Reported per
-//! row: frame-loop wall-clock for both arms, the speedup, and the warm
-//! arm's cross-frame distance-cache hit rate.
+//! row: frame-loop wall-clock for both arms, the speedup, and both arms'
+//! metric query counts.
 //!
 //! Output: `results/BENCH_incremental.json`.
 
@@ -27,15 +26,9 @@ use o2o_geo::{heuristic_cell_size, BBox, DistanceCache, IncrementalGrid, Point, 
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Persistent-cache capacity before a stale-origin sweep (entries).
-/// Kept near the per-frame working set on purpose: past it the map
-/// outgrows the fast cache levels and every hit pays a DRAM probe,
-/// eroding exactly the latency the persistent cache exists to save.
-const CACHE_CAP: usize = 100_000;
 /// Grid churn fraction above which the delta sync falls back to rebuild.
 const GRID_REBUILD_THRESHOLD: f64 = 0.35;
 
@@ -118,17 +111,15 @@ fn run_cold(
     (out, stats.hits + stats.misses)
 }
 
-/// The incremental pipeline: persistent swept cache, delta-synced grid,
-/// carried candidate rows, keyed DA. Returns the schedules, the
-/// final cache hit rate, and the total metric queries issued (the carry
-/// answers unchanged pairs from the previous frame's rows without
-/// touching the cache at all, so the query count — not just the hit rate
-/// — is the incremental story).
+/// The incremental pipeline: per-frame cache clear, delta-synced grid,
+/// carried candidate rows, keyed DA. Returns the schedules and the total
+/// metric queries issued (the carry answers unchanged pairs from the
+/// previous frame's rows without touching the metric at all).
 fn run_warm(
     net: &Arc<RoadNetwork>,
     params: PreferenceParams,
     frames: &[(Vec<Taxi>, Vec<Request>)],
-) -> (Vec<o2o_core::Schedule>, f64, u64) {
+) -> (Vec<o2o_core::Schedule>, u64) {
     let (cache, d) = fresh_arm(net, params);
     let mut state = IncrementalState::new();
     let mut inc: IncrementalGrid<usize> = IncrementalGrid::new(GRID_REBUILD_THRESHOLD);
@@ -136,19 +127,7 @@ fn run_warm(
     let out = frames
         .iter()
         .map(|(taxis, requests)| {
-            if cache.len() > CACHE_CAP {
-                let live: HashSet<(u64, u64)> = taxis
-                    .iter()
-                    .map(|t| DistanceCache::<Arc<RoadNetwork>>::origin_key(t.location))
-                    .chain(requests.iter().flat_map(|r| {
-                        [
-                            DistanceCache::<Arc<RoadNetwork>>::origin_key(r.pickup),
-                            DistanceCache::<Arc<RoadNetwork>>::origin_key(r.dropoff),
-                        ]
-                    }))
-                    .collect();
-                cache.sweep_stale(&live);
-            }
+            cache.clear();
             // The fleet is index-stable here, so grid payloads are the
             // slice indices directly (the engine remaps fleet indices to
             // idle ranks; with everyone idle the map is the identity).
@@ -162,7 +141,7 @@ fn run_warm(
         })
         .collect();
     let stats = cache.stats();
-    (out, stats.hit_rate(), stats.hits + stats.misses)
+    (out, stats.hits + stats.misses)
 }
 
 /// Times `a` and `b` interleaved (a, b, a, b, …) so slow phases of a
@@ -197,8 +176,8 @@ fn main() {
     let churns = [0.0f64, 0.05, 0.10, 0.25, 0.50];
 
     println!(
-        "{:>7} {:>7} {:>10} {:>9} {:>9} {:>12} {:>12} {:>8} {:>9}",
-        "frames", "churn", "hit_rate", "q_cold", "q_warm", "cold_ms", "warm_ms", "speedup", "exact"
+        "{:>7} {:>7} {:>9} {:>9} {:>12} {:>12} {:>8} {:>9}",
+        "frames", "churn", "q_cold", "q_warm", "cold_ms", "warm_ms", "speedup", "exact"
     );
     let mut rows = Vec::new();
     for (fi, &frames) in frame_counts.iter().enumerate() {
@@ -214,7 +193,7 @@ fn main() {
             // Exactness first: the warm pipeline must be bit-identical to
             // the cold one on every frame.
             let (cold_schedules, cold_queries) = run_cold(&net, params, &seq);
-            let (warm_schedules, hit_rate, warm_queries) = run_warm(&net, params, &seq);
+            let (warm_schedules, warm_queries) = run_warm(&net, params, &seq);
             assert_eq!(
                 warm_schedules, cold_schedules,
                 "warm diverged from cold at frames={frames} churn={churn}"
@@ -231,7 +210,7 @@ fn main() {
             );
             let speedup = cold_min / warm_min;
             println!(
-                "{frames:>7} {churn:>7.2} {hit_rate:>10.4} {cold_queries:>9} {warm_queries:>9} \
+                "{frames:>7} {churn:>7.2} {cold_queries:>9} {warm_queries:>9} \
                  {cold_min:>12.2} {warm_min:>12.2} {speedup:>8.2} {:>9}",
                 "yes"
             );
@@ -240,7 +219,6 @@ fn main() {
                 ("churn", churn.into()),
                 ("n_taxis", n_taxis.into()),
                 ("n_requests", n_requests.into()),
-                ("cache_hit_rate", hit_rate.into()),
                 ("cold_queries", cold_queries.into()),
                 ("warm_queries", warm_queries.into()),
                 ("cold_ms_min", cold_min.into()),

@@ -449,7 +449,6 @@ pub fn policy_json(r: &SimReport) -> Json {
                 Json::Null
             },
         ),
-        ("shard_frames", r.total_shard_frames().into()),
         ("stage_breakdown", stage_breakdown_json(&r.stage_breakdown)),
     ])
 }
@@ -759,7 +758,6 @@ mod tests {
         assert!(s.contains("\"anytime_nodes_total\": 0"));
         assert!(s.contains("\"anytime_final_gap\": null"));
         assert!(s.contains("\"anytime_gap_by_frame\": null"));
-        assert!(s.contains("\"shard_frames\": 0"));
     }
 
     #[test]

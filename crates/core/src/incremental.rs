@@ -31,8 +31,7 @@ use o2o_matching::KeyedMatch;
 /// Both modes produce **bit-identical schedules**; they differ only in
 /// how much candidate generation is redone per frame and in the matching
 /// engine (keyed deferred acceptance warm, rank-table instances cold).
-/// `Cold` exists for A/B benchmarking, for the sharded path, and as the
-/// escape hatch if the carry ever costs more than it saves on a workload.
+/// `Cold` exists for A/B benchmarking and as the escape hatch if the carry ever costs more than it saves on a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IncrementalMode {
     /// Patch the previous frame's candidate rows and run keyed deferred

@@ -43,7 +43,6 @@ mod nstd;
 mod params;
 pub mod prefs;
 mod schedule;
-pub mod shard;
 pub mod shared_route;
 mod std_sharing;
 
@@ -58,7 +57,6 @@ pub use prefs::{
     SparsePickupDistances, SparsePreferenceModel,
 };
 pub use schedule::{DispatchOutcome, Schedule};
-pub use shard::{ShardInstance, ShardMembers, ShardMode, ShardPlan, ShardSpec, ShardStats};
 pub use shared_route::{RoutePlan, Stop, StopKind};
 pub use std_sharing::{
     GroupAssignment, PackingObjective, SharingConfig, SharingDispatcher, SharingSchedule,

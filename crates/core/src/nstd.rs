@@ -6,18 +6,12 @@ use crate::prefs::{
     build_taxi_grid, CandidateCarry, PickupDistances, PreferenceModel, SparsePickupDistances,
     SparsePreferenceModel,
 };
-use crate::shard::{ShardMode, ShardPlan, ShardSpec, ShardStats};
 use crate::{PreferenceParams, Schedule};
 use o2o_geo::{GridIndex, Metric};
-use o2o_matching::{KeyedMatch, MatchScratch, Matching, Proposing, StableInstance, TimeBudget};
+use o2o_matching::{KeyedMatch, Matching, Proposing, StableInstance, TimeBudget};
 use o2o_obs as obs;
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
-use std::time::Instant;
-
-fn elapsed_ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
-}
 
 /// How a [`NonSharingDispatcher`] builds its per-frame preference lists.
 ///
@@ -123,7 +117,6 @@ pub struct NonSharingDispatcher<M> {
     params: PreferenceParams,
     par: Parallelism,
     mode: CandidateMode,
-    shard: ShardMode,
 }
 
 impl<M: Metric> NonSharingDispatcher<M> {
@@ -141,7 +134,6 @@ impl<M: Metric> NonSharingDispatcher<M> {
             params,
             par: Parallelism::sequential(),
             mode: CandidateMode::default(),
-            shard: ShardMode::default(),
         }
     }
 
@@ -184,29 +176,6 @@ impl<M: Metric> NonSharingDispatcher<M> {
     #[must_use]
     pub fn candidate_mode(&self) -> CandidateMode {
         self.mode
-    }
-
-    /// Sets the shard mode. Schedules are bit-identical in every mode
-    /// (property-tested in `tests/shard_equivalence.rs`); sharding only
-    /// changes how the matching work is decomposed. The sharded path
-    /// engages on the sparse grid paths
-    /// ([`passenger_optimal_with_grid`](Self::passenger_optimal_with_grid),
-    /// [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid), the cold
-    /// budgeted paths) and on
-    /// [`greedy_nearest`](Self::greedy_nearest); dense-matrix and
-    /// warm-incremental calls ignore it (the warm path runs keyed deferred
-    /// acceptance on its carried candidate rows, which has no rank-table
-    /// instance to shard).
-    #[must_use]
-    pub fn with_shard_mode(mut self, shard: ShardMode) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// The shard mode in use.
-    #[must_use]
-    pub fn shard_mode(&self) -> ShardMode {
-        self.shard
     }
 
     /// Builds the frame's preference model (exposed for inspection,
@@ -361,7 +330,7 @@ impl<M: Metric> NonSharingDispatcher<M> {
         taxi_grid: Option<&GridIndex<usize>>,
     ) -> Schedule {
         let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let m = self.cold_match(taxis, requests, &model, Proposing::Rows);
+        let m = Self::cold_match(&model, Proposing::Rows);
         self.to_schedule(taxis, requests, &model, &m)
     }
 
@@ -421,7 +390,7 @@ impl<M: Metric> NonSharingDispatcher<M> {
         taxi_grid: Option<&GridIndex<usize>>,
     ) -> Schedule {
         let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let m = self.cold_match(taxis, requests, &model, Proposing::Columns);
+        let m = Self::cold_match(&model, Proposing::Columns);
         self.to_schedule(taxis, requests, &model, &m)
     }
 
@@ -443,167 +412,12 @@ impl<M: Metric> NonSharingDispatcher<M> {
     }
 
     /// Deferred acceptance on a cold frame model with `proposing`
-    /// proposing: through the sharded pipeline when the dispatcher is
-    /// sharded and the model sparse, else one global pass.
-    fn cold_match(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        model: &FrameModel,
-        proposing: Proposing,
-    ) -> Matching {
-        let taxi_side = proposing == Proposing::Columns;
-        match (self.shard, model) {
-            (ShardMode::Sharded(spec), FrameModel::Sparse(_)) => {
-                self.sharded_match(taxis, requests, model, &spec, taxi_side)
-                    .0
-            }
-            _ if taxi_side => model.instance().reviewer_optimal(),
-            _ => model.instance().propose(),
+    /// proposing.
+    fn cold_match(model: &FrameModel, proposing: Proposing) -> Matching {
+        match proposing {
+            Proposing::Rows => model.instance().propose(),
+            Proposing::Columns => model.instance().reviewer_optimal(),
         }
-    }
-
-    /// Per-request trip distances under the dispatch metric, computed in
-    /// parallel — the input the shard planner derives interaction radii
-    /// from (identical to the values the preference builders use).
-    fn trip_distances(&self, requests: &[Request]) -> Vec<f64> {
-        o2o_par::par_map(self.par, (0..requests.len()).collect(), |j| {
-            requests[j].trip_distance(&self.metric)
-        })
-    }
-
-    /// Records a sharded dispatch's structure counters on the current
-    /// [`o2o_obs`] recorder (called from the coordinating thread — the
-    /// fork-join workers have no recorder scope installed).
-    fn record_shard_counters(stats: &ShardStats) {
-        obs::add_many(&[
-            ("shard.frames", 1),
-            ("shard.regions", stats.regions as u64),
-            ("shard.occupied", stats.occupied as u64),
-            ("shard.boundary_taxis", stats.boundary_taxis as u64),
-            ("shard.boundary_requests", stats.boundary_requests as u64),
-            ("shard.seed_pairs", stats.seed_pairs as u64),
-        ]);
-    }
-
-    /// The sharded matching pipeline on an already-built frame model:
-    /// shard plan → per-region deferred acceptance (deterministic
-    /// fork-join, one sub-instance per occupied region) → one *seeded*
-    /// global deferred-acceptance pass that reconciles the boundary band.
-    ///
-    /// Exactness does not depend on the partition: the reconciliation is
-    /// [`StableInstance::propose_seeded_with`], which produces the same
-    /// matching as a cold global pass for **any** seed (McVitie–Wilson
-    /// proposal-order independence; the seed is revalidated before the
-    /// resume). The spatial plan makes the seed nearly complete — interior
-    /// entities are provably already matched exactly — so the global pass
-    /// only re-derives the boundary band.
-    fn sharded_match(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        model: &FrameModel,
-        spec: &ShardSpec,
-        taxi_side: bool,
-    ) -> (Matching, ShardStats) {
-        let t_partition = Instant::now();
-        let plan = {
-            let _span = obs::span("shard_partition");
-            let trips = self.trip_distances(requests);
-            ShardPlan::build(spec, &self.params, taxis, requests, &trips)
-        };
-        let occupied = plan.occupied_regions();
-        let partition_ms = elapsed_ms(t_partition);
-
-        // Per-shard extract + deferred acceptance. `par_map` preserves
-        // input order, and shards own disjoint request sets, so the
-        // concatenated seed is deterministic and duplicate-free for every
-        // thread count.
-        let per_shard: Vec<(Vec<(usize, usize)>, f64)> =
-            o2o_par::par_map(self.par, occupied.clone(), |s| {
-                let t_shard = Instant::now();
-                let sub = plan.extract_instance(model.instance(), s);
-                let local = if taxi_side {
-                    sub.instance.reviewer_optimal()
-                } else {
-                    sub.instance.propose()
-                };
-                let pairs: Vec<(usize, usize)> = local
-                    .pairs()
-                    .map(|(p, r)| (sub.requests[p], sub.taxis[r]))
-                    .collect();
-                (pairs, elapsed_ms(t_shard))
-            });
-        let mut seed = Vec::new();
-        let mut max_shard_ms = 0.0f64;
-        let mut sum_shard_ms = 0.0f64;
-        for (pairs, ms) in per_shard {
-            seed.extend(pairs);
-            max_shard_ms = max_shard_ms.max(ms);
-            sum_shard_ms += ms;
-        }
-
-        let t_reconcile = Instant::now();
-        let m = {
-            let _span = obs::span("shard_reconcile");
-            let mut scratch = MatchScratch::new();
-            if taxi_side {
-                model
-                    .instance()
-                    .reviewer_optimal_seeded_with(&seed, &mut scratch)
-            } else {
-                model.instance().propose_seeded_with(&seed, &mut scratch)
-            }
-        };
-        let stats = ShardStats {
-            regions: plan.regions(),
-            occupied: occupied.len(),
-            boundary_taxis: plan.boundary_taxi_count(),
-            boundary_requests: plan.boundary_request_count(),
-            seed_pairs: seed.len(),
-            partition_ms,
-            max_shard_ms,
-            sum_shard_ms,
-            reconcile_ms: elapsed_ms(t_reconcile),
-        };
-        Self::record_shard_counters(&stats);
-        (m, stats)
-    }
-
-    /// **Sharded NSTD-P**: [`passenger_optimal_with_grid`](Self::passenger_optimal_with_grid)
-    /// decomposed spatially per `spec`, returning the measured shard
-    /// structure alongside the schedule. Bit-identical to the global path
-    /// for every spec, thread count and parameter set (property-tested in
-    /// `tests/shard_equivalence.rs`); always uses the sparse candidate
-    /// path — sharding exists for the scales where the dense matrix is
-    /// already unaffordable.
-    #[must_use]
-    pub fn passenger_optimal_sharded(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        spec: &ShardSpec,
-    ) -> (Schedule, ShardStats) {
-        let model = FrameModel::Sparse(self.sparse_preferences(taxis, requests, taxi_grid));
-        let (m, stats) = self.sharded_match(taxis, requests, &model, spec, false);
-        (self.to_schedule(taxis, requests, &model, &m), stats)
-    }
-
-    /// **Sharded NSTD-T**: [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid)
-    /// decomposed spatially per `spec`. See
-    /// [`passenger_optimal_sharded`](Self::passenger_optimal_sharded).
-    #[must_use]
-    pub fn taxi_optimal_sharded(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        spec: &ShardSpec,
-    ) -> (Schedule, ShardStats) {
-        let model = FrameModel::Sparse(self.sparse_preferences(taxis, requests, taxi_grid));
-        let (m, stats) = self.sharded_match(taxis, requests, &model, spec, true);
-        (self.to_schedule(taxis, requests, &model, &m), stats)
     }
 
     /// The bottom rung of the degradation ladder: each request, in
@@ -616,20 +430,8 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// recursion, so it always fits a frame. The result is **not** stable
     /// in general; it exists so an over-budget frame can still dispatch
     /// *something* rather than nothing.
-    ///
-    /// Under [`ShardMode::Sharded`] the scan is routed through
-    /// [`greedy_nearest_sharded`](Self::greedy_nearest_sharded) —
-    /// bit-identical output, near-linear cost.
     #[must_use]
     pub fn greedy_nearest(&self, taxis: &[Taxi], requests: &[Request]) -> Schedule {
-        if let ShardMode::Sharded(spec) = self.shard {
-            return self.greedy_nearest_sharded(taxis, requests, &spec).0;
-        }
-        self.greedy_nearest_dense(taxis, requests)
-    }
-
-    /// The unsharded full scan behind [`greedy_nearest`](Self::greedy_nearest).
-    fn greedy_nearest_dense(&self, taxis: &[Taxi], requests: &[Request]) -> Schedule {
         let request_ids: Vec<RequestId> = requests.iter().map(|r| r.id).collect();
         let taxi_ids: Vec<TaxiId> = taxis.iter().map(|t| t.id).collect();
         let mut taken = vec![false; taxis.len()];
@@ -677,105 +479,6 @@ impl<M: Metric> NonSharingDispatcher<M> {
         )
     }
 
-    /// [`greedy_nearest`](Self::greedy_nearest) with each request's scan
-    /// restricted to its region's *padded* taxi set — every taxi within
-    /// the frame's interaction radius of the region rectangle — instead
-    /// of all `|T|` taxis.
-    ///
-    /// Bit-identical to the dense scan: requests are still processed
-    /// sequentially in arrival order against the shared free-taxi set;
-    /// the padded set provably contains every taxi the thresholds could
-    /// accept (the same Euclidean-lower-bounds-the-metric assumption the
-    /// sparse candidate path makes); the acceptability filters are
-    /// re-applied on exact metric distances; and each set is scanned in
-    /// ascending taxi index, preserving the dense tie-break (nearest,
-    /// then lowest index). The scan cost drops from `O(|R|·|T|)` to
-    /// near-linear at paper-scale thresholds.
-    ///
-    /// In the returned [`ShardStats`] the sequential scan time is
-    /// reported as both `max_shard_ms` and `sum_shard_ms` (the scan is
-    /// one sequential stage), and `seed_pairs`/`reconcile_ms` are zero —
-    /// greedy has no reconciliation pass.
-    #[must_use]
-    pub fn greedy_nearest_sharded(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        spec: &ShardSpec,
-    ) -> (Schedule, ShardStats) {
-        let t_partition = Instant::now();
-        let (plan, trips) = {
-            let _span = obs::span("shard_partition");
-            let trips = self.trip_distances(requests);
-            let plan = ShardPlan::build(spec, &self.params, taxis, requests, &trips);
-            (plan, trips)
-        };
-        let sets = plan.padded_taxi_sets(taxis);
-        let partition_ms = elapsed_ms(t_partition);
-
-        let t_scan = Instant::now();
-        let request_ids: Vec<RequestId> = requests.iter().map(|r| r.id).collect();
-        let taxi_ids: Vec<TaxiId> = taxis.iter().map(|t| t.id).collect();
-        let mut taken = vec![false; taxis.len()];
-        let mut request_to_taxi: Vec<Option<usize>> = vec![None; requests.len()];
-        let mut passenger_cost: Vec<Option<f64>> = vec![None; requests.len()];
-        let mut taxi_cost: Vec<Option<f64>> = vec![None; taxis.len()];
-        for (j, r) in requests.iter().enumerate() {
-            let trip = trips[j];
-            let mut best: Option<(f64, usize, f64)> = None;
-            for &i in &sets[plan.request_region(j)] {
-                let t = &taxis[i];
-                if taken[i] || t.seats < r.passengers {
-                    continue;
-                }
-                let d = self.metric.distance(t.location, r.pickup);
-                if d > self.params.passenger_threshold {
-                    continue;
-                }
-                let score = d - self.params.alpha * trip;
-                if score > self.params.taxi_threshold {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    // Ascending taxi index within the set, so strict `<`
-                    // reproduces the dense scan's lowest-index tie-break.
-                    Some((bd, _, _)) => d < bd,
-                };
-                if better {
-                    best = Some((d, i, score));
-                }
-            }
-            if let Some((d, i, score)) = best {
-                taken[i] = true;
-                request_to_taxi[j] = Some(i);
-                passenger_cost[j] = Some(d);
-                taxi_cost[i] = Some(score);
-            }
-        }
-        let scan_ms = elapsed_ms(t_scan);
-        let stats = ShardStats {
-            regions: plan.regions(),
-            occupied: plan.occupied_regions().len(),
-            boundary_taxis: plan.boundary_taxi_count(),
-            boundary_requests: plan.boundary_request_count(),
-            seed_pairs: 0,
-            partition_ms,
-            max_shard_ms: scan_ms,
-            sum_shard_ms: scan_ms,
-            reconcile_ms: 0.0,
-        };
-        Self::record_shard_counters(&stats);
-        let schedule = Schedule::from_parts(
-            request_ids,
-            taxi_ids,
-            request_to_taxi,
-            passenger_cost,
-            taxi_cost,
-        );
-        (schedule, stats)
-    }
-
     /// [`passenger_optimal`](Self::passenger_optimal) under a per-frame
     /// [`TimeBudget`]: NSTD-P when the budget allows, greedy-nearest
     /// (with an explicit [`Degraded`] marker) when the deadline has
@@ -813,7 +516,7 @@ impl<M: Metric> NonSharingDispatcher<M> {
             Some(state) => self.warm(taxis, requests, taxi_grid, state, Proposing::Rows),
             None => {
                 let model = self.frame_model(taxis, requests, pickup_distances, taxi_grid);
-                let m = self.cold_match(taxis, requests, &model, Proposing::Rows);
+                let m = Self::cold_match(&model, Proposing::Rows);
                 self.to_schedule(taxis, requests, &model, &m)
             }
         };
@@ -875,7 +578,7 @@ impl<M: Metric> NonSharingDispatcher<M> {
             None => {
                 let model = self.frame_model(taxis, requests, pickup_distances, taxi_grid);
                 let (proposing, degraded) = rung(budget);
-                let m = self.cold_match(taxis, requests, &model, proposing);
+                let m = Self::cold_match(&model, proposing);
                 (self.to_schedule(taxis, requests, &model, &m), degraded)
             }
         }
@@ -981,8 +684,9 @@ impl<M: Metric> NonSharingDispatcher<M> {
 
     /// [`is_stable`](Self::is_stable) over raw `(request, taxi)` id pairs
     /// instead of a [`Schedule`] — the shape chaos tests capture. Pairs
-    /// referencing ids not present in the frame make the assignment
-    /// trivially not stable (they cannot be expressed against it).
+    /// referencing ids not present in the frame, or a request or taxi id
+    /// named by two pairs, make the assignment trivially not stable (it is
+    /// not a matching of this frame).
     #[must_use]
     pub fn is_stable_assignment(
         &self,
@@ -1000,7 +704,11 @@ impl<M: Metric> NonSharingDispatcher<M> {
         let mut m = Matching::empty(requests.len(), taxis.len());
         for &(rid, tid) in pairs {
             match (request_pos.get(&rid), taxi_pos.get(&tid)) {
-                (Some(&j), Some(&i)) => m.link(j, i),
+                (Some(&j), Some(&i))
+                    if m.proposer_partner(j).is_none() && m.reviewer_partner(i).is_none() =>
+                {
+                    m.link(j, i);
+                }
                 _ => return false,
             }
         }
@@ -1527,6 +1235,21 @@ mod tests {
         // Unknown ids cannot be stable against this frame.
         let ghost = [(RequestId(9), TaxiId(1))];
         assert!(!d.is_stable_assignment(&taxis, &requests, &ghost));
+        // Neither can an id named by two pairs: taxi 1 sent twice, then
+        // request 1 given two taxis. Each list ends in the stable pairing
+        // once its repeated id's earlier pair is dropped.
+        let taxi_twice = [
+            (RequestId(2), TaxiId(1)),
+            (RequestId(1), TaxiId(1)),
+            (RequestId(2), TaxiId(2)),
+        ];
+        assert!(!d.is_stable_assignment(&taxis, &requests, &taxi_twice));
+        let request_twice = [
+            (RequestId(1), TaxiId(2)),
+            (RequestId(1), TaxiId(1)),
+            (RequestId(2), TaxiId(2)),
+        ];
+        assert!(!d.is_stable_assignment(&taxis, &requests, &request_twice));
     }
 
     #[test]

@@ -291,9 +291,8 @@ impl PreferenceModel {
 /// slack so the float rounding of `d − α·trip` can never exclude a taxi
 /// the dense filter would admit (see [`SparsePickupDistances`]). This is
 /// the **single source of truth** for that radius — the sparse candidate
-/// builder, the incremental row patcher and the shard partitioner must all
-/// agree on it bit-for-bit, or an entity could be classified interior to a
-/// shard while the candidate builder still reaches across the border.
+/// builder and the incremental row patcher must agree on it bit-for-bit,
+/// or a carried row could differ from a fresh one.
 ///
 /// Returns a negative value or `NaN` only when the thresholds themselves
 /// are (callers treat that as "no candidates"); `+∞` means unbounded.
@@ -856,8 +855,8 @@ impl CandidateCarry {
 ///
 /// The warm dispatch path does not build this model: it runs keyed
 /// deferred acceptance on the [`SparsePickupDistances`] buffer directly.
-/// The rank-table instance serves the cold, sharded, anytime and
-/// enumeration paths.
+/// The rank-table instance serves the cold, anytime and enumeration
+/// paths.
 #[derive(Debug, Clone)]
 pub struct SparsePreferenceModel {
     /// The stable-marriage instance (requests propose), with CSR ranks.

@@ -155,25 +155,6 @@ impl BBox {
     pub fn distance_to_point(&self, p: Point) -> f64 {
         p.euclidean(self.clamp(p))
     }
-
-    /// Euclidean distance between the closest pair of points of `self` and
-    /// `other` — a lower bound on the distance between *any* point of one
-    /// and any point of the other.
-    ///
-    /// Returns `0.0` when the boxes overlap, share an edge, or share only a
-    /// corner (touching sets have distance zero). Zero-area boxes behave as
-    /// the points/segments they are.
-    #[must_use]
-    pub fn min_distance_to(&self, other: &BBox) -> f64 {
-        // Per-axis gap between the intervals; 0 when they overlap or touch.
-        let dx = (other.min.x - self.max.x)
-            .max(self.min.x - other.max.x)
-            .max(0.0);
-        let dy = (other.min.y - self.max.y)
-            .max(self.min.y - other.max.y)
-            .max(0.0);
-        (dx * dx + dy * dy).sqrt()
-    }
 }
 
 impl fmt::Display for BBox {
@@ -269,30 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn box_distance_disjoint_axis_and_diagonal() {
-        let a = BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        let right = BBox::new(Point::new(3.0, 0.0), Point::new(4.0, 1.0));
-        assert_eq!(a.min_distance_to(&right), 2.0);
-        assert_eq!(right.min_distance_to(&a), 2.0);
-        let diag = BBox::new(Point::new(4.0, 5.0), Point::new(6.0, 7.0));
-        assert_eq!(a.min_distance_to(&diag), 5.0); // 3-4-5 between corners
-    }
-
-    #[test]
-    fn box_distance_touching_is_zero() {
-        let a = BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        // Shared edge.
-        let edge = BBox::new(Point::new(1.0, 0.0), Point::new(2.0, 1.0));
-        assert_eq!(a.min_distance_to(&edge), 0.0);
-        // Shared corner only.
-        let corner = BBox::new(Point::new(1.0, 1.0), Point::new(2.0, 2.0));
-        assert_eq!(a.min_distance_to(&corner), 0.0);
-        // Overlapping.
-        let overlap = BBox::new(Point::new(0.5, 0.5), Point::new(2.0, 2.0));
-        assert_eq!(a.min_distance_to(&overlap), 0.0);
-    }
-
-    #[test]
     fn zero_area_boxes_behave_as_points_and_segments() {
         // A point-box.
         let p = BBox::new(Point::new(2.0, 3.0), Point::new(2.0, 3.0));
@@ -301,42 +258,10 @@ mod tests {
         // A vertical segment-box.
         let seg = BBox::new(Point::new(0.0, 0.0), Point::new(0.0, 4.0));
         assert_eq!(seg.distance_to_point(Point::new(3.0, 2.0)), 3.0);
-        // Point-box vs point-box: plain point distance.
-        let q = BBox::new(Point::new(5.0, 7.0), Point::new(5.0, 7.0));
-        assert_eq!(p.min_distance_to(&q), 5.0);
-        // Segment touching a point-box at its endpoint.
-        let end = BBox::new(Point::new(0.0, 4.0), Point::new(0.0, 4.0));
-        assert_eq!(seg.min_distance_to(&end), 0.0);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The bbox lower bound never exceeds the true minimum pairwise
-        /// distance between points drawn from each box — including
-        /// degenerate (zero-area) boxes and shared edges/corners.
-        #[test]
-        fn min_distance_lower_bounds_all_pairs(
-            a_pts in proptest::collection::vec((-10.0..10.0f64, -10.0..10.0f64), 1..12),
-            b_pts in proptest::collection::vec((-10.0..10.0f64, -10.0..10.0f64), 1..12),
-        ) {
-            let a_pts: Vec<Point> = a_pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
-            let b_pts: Vec<Point> = b_pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
-            let a = BBox::from_points(a_pts.iter().copied()).unwrap();
-            let b = BBox::from_points(b_pts.iter().copied()).unwrap();
-            let bound = a.min_distance_to(&b);
-            prop_assert_eq!(bound, b.min_distance_to(&a));
-            for &p in &a_pts {
-                prop_assert!(a.distance_to_point(p) == 0.0);
-                for &q in &b_pts {
-                    let d = p.euclidean(q);
-                    prop_assert!(
-                        bound <= d,
-                        "bbox bound {} exceeds pair distance {}", bound, d
-                    );
-                }
-            }
-        }
 
         /// `distance_to_point` lower-bounds the distance to every point the
         /// box contains, and is exact for the clamped projection.

@@ -11,21 +11,9 @@
 //! queries in a sharded hash map. Because a cached value is always the
 //! number the inner metric returned for that exact pair of points,
 //! wrapping a metric never changes any computed result — only how often
-//! the inner metric runs. Two lifetimes are supported:
-//!
-//! * **Per frame**: call [`DistanceCache::clear`] at every frame boundary
-//!   so stale geometry (e.g. after a road-network update) cannot leak
-//!   across frames and the map cannot grow without bound.
-//! * **Cross frame** (the incremental dispatch pipeline): keep entries
-//!   alive across frames and bound memory with
-//!   [`DistanceCache::sweep_stale`] instead. Entries are keyed by the
-//!   exact bit patterns of both endpoints, which *is* a generation key:
-//!   a query for `(taxi, request)` hits only while the taxi's position
-//!   bits are unchanged, and the moment the taxi moves its old entries
-//!   become unreachable — the sweep reclaims exactly those by dropping
-//!   every entry whose origin point is no longer live. Stationary idle
-//!   taxis and carried-over pending requests therefore hit the cache
-//!   across frames, and a hit can never return a pre-move distance.
+//! the inner metric runs. Call [`DistanceCache::clear`] at every frame
+//! boundary so stale geometry (e.g. after a road-network update) cannot
+//! leak across frames and the map cannot grow without bound.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,36 +112,6 @@ impl<M: Metric> DistanceCache<M> {
         for shard in &self.shards {
             shard.lock().expect("cache shard poisoned").clear();
         }
-    }
-
-    /// The sweep key of a query origin: the exact bit pattern of the
-    /// point a cached distance was measured *from*. Build the live set
-    /// for [`Self::sweep_stale`] with this.
-    #[must_use]
-    pub fn origin_key(p: Point) -> (u64, u64) {
-        (p.x.to_bits(), p.y.to_bits())
-    }
-
-    /// Drops every entry whose origin point (the first argument of the
-    /// memoized `distance` call) is not in `live`, returning how many
-    /// entries were dropped. Hit/miss counters are untouched, so
-    /// [`Self::stats`] stays cumulative and monotone across sweeps.
-    ///
-    /// This is the stale-generation sweep of the cross-frame lifetime:
-    /// position bits are the generation, so an entry keyed by a position
-    /// nobody occupies any more can never be queried again and is safe to
-    /// reclaim. Callers pass the current frame's live origins — idle-taxi
-    /// locations plus pending-request pickups (trip distances are keyed
-    /// with the pickup as origin).
-    pub fn sweep_stale(&self, live: &std::collections::HashSet<(u64, u64)>) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut map = shard.lock().expect("cache shard poisoned");
-            let before = map.len();
-            map.retain(|key, _| live.contains(&(key.0, key.1)));
-            dropped += before - map.len();
-        }
-        dropped
     }
 
     /// Number of memoized distances.
@@ -283,29 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_drops_only_stale_origins_and_keeps_stats() {
-        let cache = DistanceCache::new(Counting {
-            calls: AtomicU64::new(0),
-        });
-        let alive = Point::new(1.0, 2.0);
-        let moved = Point::new(-3.0, 0.5);
-        let dest = Point::new(4.0, 4.0);
-        cache.distance(alive, dest);
-        cache.distance(moved, dest);
-        cache.distance(moved, alive);
-        assert_eq!(cache.len(), 3);
-        let live = std::collections::HashSet::from([DistanceCache::<Counting>::origin_key(alive)]);
-        assert_eq!(cache.sweep_stale(&live), 2);
-        assert_eq!(cache.len(), 1);
-        // The surviving entry still hits; the swept origin recomputes.
-        cache.distance(alive, dest);
-        cache.distance(moved, dest);
-        let stats = cache.stats();
-        assert_eq!(stats, CacheStats { hits: 1, misses: 4 });
-        assert_eq!(cache.inner().calls.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
     fn shared_across_threads() {
         let cache = DistanceCache::new(Counting {
             calls: AtomicU64::new(0),
@@ -343,15 +278,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Model-based check of the persistent lifetime: interleaved
-        /// queries and stale-origin sweeps over a small recurring point
-        /// pool (the cross-frame pattern — stationary taxis re-query the
-        /// exact same position bits). Every answer must equal the bare
-        /// metric's, every query must hit or miss exactly as a
-        /// shadow-model map predicts, and after each sweep the cache must
-        /// hold exactly the model's surviving entries.
+        /// Model-based check: interleaved queries and frame-boundary
+        /// clears over a small recurring point pool. Every answer must
+        /// equal the bare metric's, every query must hit or miss exactly
+        /// as a shadow-model map predicts, and the cache must always hold
+        /// exactly the model's entries.
         #[test]
-        fn persistent_sweep_matches_a_shadow_model(
+        fn queries_and_clears_match_a_shadow_model(
             seed in any::<u64>(),
             ops in 10usize..120,
             pool_size in 2usize..8,
@@ -367,15 +300,8 @@ mod tests {
                 std::collections::HashMap::new();
             for _ in 0..ops {
                 if rng.gen_bool(0.2) {
-                    // Sweep with a random subset of the pool live.
-                    let live: std::collections::HashSet<(u64, u64)> = points
-                        .iter()
-                        .filter(|_| rng.gen_bool(0.5))
-                        .map(|&p| DistanceCache::<Counting>::origin_key(p))
-                        .collect();
-                    cache.sweep_stale(&live);
-                    model.retain(|k, _| live.contains(&(k.0, k.1)));
-                    prop_assert_eq!(cache.len(), model.len());
+                    cache.clear();
+                    model.clear();
                 } else {
                     let a = points[rng.gen_range(0..points.len())];
                     let b = points[rng.gen_range(0..points.len())];
@@ -393,6 +319,7 @@ mod tests {
                         model.insert(key, d);
                     }
                 }
+                prop_assert_eq!(cache.len(), model.len());
             }
             // Every recorded miss is backed by exactly one inner call.
             prop_assert_eq!(

@@ -8,9 +8,7 @@
 //!   and the graph-based [`RoadNetwork`]),
 //! * [`GridIndex`] — a uniform-grid spatial index for nearest-neighbour and
 //!   range queries over taxis,
-//! * [`BBox`] — axis-aligned bounding boxes describing a city's extent,
-//! * [`RegionGrid`] — a coarse rectangular partition of the city into
-//!   dispatch regions for sharded matching.
+//! * [`BBox`] — axis-aligned bounding boxes describing a city's extent.
 //!
 //! # Examples
 //!
@@ -31,7 +29,6 @@ mod grid_index;
 mod incremental_grid;
 mod metric;
 mod point;
-mod region;
 mod road_network;
 
 pub use bbox::BBox;
@@ -40,5 +37,4 @@ pub use grid_index::{heuristic_cell_size, GridIndex, Neighbor};
 pub use incremental_grid::{IncrementalGrid, SyncOutcome};
 pub use metric::{Euclidean, Manhattan, Metric, ScaledMetric};
 pub use point::Point;
-pub use region::RegionGrid;
 pub use road_network::{EdgeId, NodeId, RoadNetwork, RoadNetworkBuilder, RoadNetworkError};

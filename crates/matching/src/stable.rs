@@ -156,50 +156,20 @@ impl Matching {
     }
 }
 
-/// Reusable working memory for the deferred-acceptance entry points.
+/// Reusable working memory for deferred acceptance.
 ///
 /// A cold [`StableInstance::propose`] allocates its cursor and free-stack
-/// vectors per call. Holding one `MatchScratch` across calls of the
-/// `*_with` entry points ([`StableInstance::propose_with`],
-/// [`StableInstance::propose_seeded_with`],
-/// [`StableInstance::reviewer_optimal_seeded_with`]) reuses those and the
-/// seed-pruning buffers; only the returned [`Matching`] is allocated.
-/// Results are **bit-identical** to the scratch-free entry points for any
-/// (re)use pattern: the scratch only changes where the working memory
-/// lives, never what is computed.
+/// vectors per call. Holding one `MatchScratch` across calls of
+/// [`StableInstance::propose_with`] reuses them; only the returned
+/// [`Matching`] is allocated. Results are **bit-identical** to
+/// `propose` for any (re)use pattern: the scratch only changes where the
+/// working memory lives, never what is computed.
 #[derive(Debug, Clone, Default)]
 pub struct MatchScratch {
     /// Per-proposer cursors into their preference lists.
     next: Vec<usize>,
     /// Stack of proposers that still need to propose.
     free: Vec<usize>,
-    /// The pruned warm seed of the current call.
-    seed: Vec<(usize, usize)>,
-    /// Swapped-side seed buffer for the reviewer-optimal path.
-    swap_seed: Vec<(usize, usize)>,
-    /// Seed-pruning working state (held pairs + cycle-settling buffers).
-    prune: PruneScratch,
-}
-
-/// Working state for [`StableInstance::valid_warm_seed`]'s pruning
-/// fixpoint, held inside [`MatchScratch`] so repeated seeded calls reuse
-/// it.
-#[derive(Debug, Clone, Default)]
-struct PruneScratch {
-    /// Proposer → held reviewer in the candidate seed state.
-    p2r: Vec<Option<usize>>,
-    /// Reviewer → held proposer in the candidate seed state.
-    r2p: Vec<Option<usize>>,
-    /// Per-proposer justifying holders (cycle-detection edges).
-    justifiers: Vec<Vec<usize>>,
-    /// Reverse edges of `justifiers`.
-    dependents: Vec<Vec<usize>>,
-    /// Unsettled-justifier counts for Kahn settling.
-    pending: Vec<usize>,
-    /// Settling worklist.
-    settle: Vec<usize>,
-    /// Which proposers have been topologically settled.
-    settled: Vec<bool>,
 }
 
 impl MatchScratch {
@@ -674,7 +644,6 @@ impl StableInstance {
         Sides {
             proposer_lists: &self.proposer_lists,
             reviewers: self.reviewer_lists.len(),
-            proposer_rank: &self.proposer_rank,
             reviewer_rank: &self.reviewer_rank,
         }
     }
@@ -688,7 +657,6 @@ impl StableInstance {
         Sides {
             proposer_lists: &self.reviewer_lists,
             reviewers: self.proposer_lists.len(),
-            proposer_rank: &self.reviewer_rank,
             reviewer_rank: &self.proposer_rank,
         }
     }
@@ -723,101 +691,6 @@ impl StableInstance {
     #[must_use]
     pub fn propose_with(&self, scratch: &mut MatchScratch) -> Matching {
         self.sides().propose_with(scratch)
-    }
-
-    /// Prunes `seed` down to a subset that is a *reachable* deferred-
-    /// acceptance state of **this** instance, so that
-    /// [`StableInstance::propose_seeded`] started from it provably returns
-    /// the same matching as a cold [`StableInstance::propose`].
-    ///
-    /// A surviving pair `(p, r)` means "proposer `p` currently holds
-    /// reviewer `r`, having already proposed to everything `p` ranks above
-    /// `r`". Three conditions make the combined state reachable by some
-    /// valid proposal order:
-    ///
-    /// 1. **Well-formed**: pairs are mutually acceptable, in range, and no
-    ///    proposer or reviewer appears twice (first occurrence wins).
-    /// 2. **Prefix-justified**: every reviewer `r'` that `p` skipped (ranked
-    ///    above `r` in `p`'s list) must reject `p` in the seeded state —
-    ///    either `r'` does not rank `p`, or `r'` is seeded to a proposer it
-    ///    strictly prefers over `p`.
-    /// 3. **Acyclic**: justification by a seeded holder `q` means `q`'s
-    ///    proposals must happen before `p`'s skips, an ordering constraint.
-    ///    If those constraints form a cycle (each pair justifying the next
-    ///    around a loop) no serial proposal order realises the state, and
-    ///    seeding it could freeze a matching deferred acceptance would never
-    ///    reach. Cyclic pairs are dropped (Kahn-style settling).
-    ///
-    /// Dropping a pair can invalidate the justification of another, so 2–3
-    /// iterate to a fixpoint. Validity depends only on the current
-    /// instance, never on where the seed came from: any stale or garbage
-    /// pair is simply pruned here.
-    #[must_use]
-    pub fn valid_warm_seed(&self, seed: &[(usize, usize)]) -> Vec<(usize, usize)> {
-        let mut prune = PruneScratch::default();
-        let mut out = Vec::new();
-        self.sides()
-            .valid_warm_seed_into(seed, &mut prune, &mut out);
-        out
-    }
-
-    /// The proposer-optimal stable matching, warm-started from `seed` —
-    /// e.g. the per-region matchings the sharded dispatcher reconciles.
-    ///
-    /// The seed is first pruned by [`StableInstance::valid_warm_seed`];
-    /// surviving pairs are linked with each proposer's cursor advanced just
-    /// past its seeded reviewer, and the ordinary proposal loop then runs
-    /// for the remaining free proposers. Because the pruned seed state is
-    /// reachable by a valid proposal sequence and deferred acceptance is
-    /// proposal-order independent (McVitie–Wilson), the result is **always
-    /// exactly** [`StableInstance::propose`] — for any `seed` whatsoever.
-    /// The seed only controls how much proposal work is skipped.
-    #[must_use]
-    pub fn propose_seeded(&self, seed: &[(usize, usize)]) -> Matching {
-        self.propose_seeded_with(seed, &mut MatchScratch::new())
-    }
-
-    /// [`StableInstance::propose_seeded`] with caller-owned working
-    /// memory. Bit-identical to `propose_seeded` for any scratch state;
-    /// reusing one scratch across calls makes the seeded path
-    /// allocation-free once its buffers reach the steady-state shape.
-    #[must_use]
-    pub fn propose_seeded_with(
-        &self,
-        seed: &[(usize, usize)],
-        scratch: &mut MatchScratch,
-    ) -> Matching {
-        self.sides().propose_seeded_with(seed, scratch)
-    }
-
-    /// The reviewer-optimal stable matching, warm-started from `seed`
-    /// (given as `(proposer, reviewer)` pairs, like
-    /// [`StableInstance::propose_seeded`]). Exactly
-    /// [`StableInstance::reviewer_optimal`] for any seed; the seed is
-    /// pruned against the role-swapped sides.
-    #[must_use]
-    pub fn reviewer_optimal_seeded(&self, seed: &[(usize, usize)]) -> Matching {
-        self.reviewer_optimal_seeded_with(seed, &mut MatchScratch::new())
-    }
-
-    /// [`StableInstance::reviewer_optimal_seeded`] with caller-owned
-    /// working memory (see [`StableInstance::propose_seeded_with`]). The
-    /// role swap borrows this instance's lists and rank tables; nothing is
-    /// copied per call.
-    #[must_use]
-    pub fn reviewer_optimal_seeded_with(
-        &self,
-        seed: &[(usize, usize)],
-        scratch: &mut MatchScratch,
-    ) -> Matching {
-        let mut swapped_seed = std::mem::take(&mut scratch.swap_seed);
-        swapped_seed.clear();
-        swapped_seed.extend(seed.iter().map(|&(p, r)| (r, p)));
-        let m = self
-            .swapped_sides()
-            .propose_seeded_with(&swapped_seed, scratch);
-        scratch.swap_seed = swapped_seed;
-        m.flipped()
     }
 
     /// The reviewer-optimal stable matching (role-swapped proposals on
@@ -1305,16 +1178,15 @@ impl StableInstance {
     }
 }
 
-/// A borrowed view of an instance for the deferred-acceptance machinery:
-/// who proposes down which lists, and both rank tables. The same code runs
-/// on [`StableInstance::sides`] (proposers propose) and on
+/// A borrowed view of an instance for deferred acceptance: who proposes
+/// down which lists, and the reviewing side's rank table. The same code
+/// runs on [`StableInstance::sides`] (proposers propose) and on
 /// [`StableInstance::swapped_sides`] (reviewers propose), so the
 /// reviewer-optimal paths copy nothing.
 #[derive(Clone, Copy)]
 struct Sides<'a> {
     proposer_lists: &'a [Vec<usize>],
     reviewers: usize,
-    proposer_rank: &'a Ranks,
     reviewer_rank: &'a Ranks,
 }
 
@@ -1323,45 +1195,26 @@ impl Sides<'_> {
         self.proposer_lists.len()
     }
 
-    /// Rank of reviewer `r` for proposer `p`, or [`NOT_RANKED`].
-    #[inline]
-    fn prank(&self, p: usize, r: usize) -> u32 {
-        self.proposer_rank.get(p, r)
-    }
-
     /// Rank of proposer `p` for reviewer `r`, or [`NOT_RANKED`].
     #[inline]
     fn rrank(&self, r: usize, p: usize) -> u32 {
         self.reviewer_rank.get(r, p)
     }
 
-    /// Cold deferred acceptance (see [`StableInstance::propose_with`]).
+    /// Deferred acceptance (see [`StableInstance::propose_with`]).
     fn propose_with(self, scratch: &mut MatchScratch) -> Matching {
         let _span = obs::span("deferred_acceptance");
         let mut m = Matching::empty(self.proposers(), self.reviewers);
-        scratch.next.clear();
-        scratch.next.resize(self.proposers(), 0);
-        // Stack of proposers that still need to propose.
-        scratch.free.clear();
-        scratch.free.extend((0..self.proposers()).rev());
-        let MatchScratch { next, free, .. } = scratch;
-        self.run_proposals(&mut m, next, free);
-        m
-    }
-
-    /// The deferred-acceptance proposal loop, resumable from any reachable
-    /// intermediate state (`m` + per-proposer cursors + free stack). Both
-    /// [`StableInstance::propose`] (cold, everything empty) and
-    /// [`StableInstance::propose_seeded`] (warm, seeded pairs linked and
-    /// cursors advanced) drive this same loop, so the two paths cannot
-    /// diverge in proposal semantics.
-    fn run_proposals(&self, m: &mut Matching, next: &mut [usize], free: &mut Vec<usize>) {
+        let MatchScratch { next, free } = scratch;
+        next.clear();
+        next.resize(self.proposers(), 0);
+        free.clear();
+        free.extend((0..self.proposers()).rev());
         // Proposal/rejection dynamics are batched in locals and flushed
         // once: the loop body stays counter-free for the disabled case.
         let mut proposals = 0u64;
         let mut rejections = 0u64;
         while let Some(p) = free.pop() {
-            // Propose down p's list from its cursor.
             // Runs down p's list from its cursor; falling off the end
             // means p matches its dummy (unserved).
             while let Some(&r) = self.proposer_lists[p].get(next[p]) {
@@ -1394,189 +1247,6 @@ impl Sides<'_> {
                 ("match.proposals", proposals),
                 ("match.rejections", rejections),
             ]);
-        }
-    }
-
-    /// Buffer-reusing core of [`StableInstance::valid_warm_seed`]: writes
-    /// the pruned seed into `out` using `prune` as working state, both
-    /// resized as needed so any capacity (including empty) works.
-    fn valid_warm_seed_into(
-        &self,
-        seed: &[(usize, usize)],
-        prune: &mut PruneScratch,
-        out: &mut Vec<(usize, usize)>,
-    ) {
-        let _span = obs::span("seed_prune");
-        let np = self.proposers();
-        let nr = self.reviewers;
-        prune.p2r.clear();
-        prune.p2r.resize(np, None);
-        prune.r2p.clear();
-        prune.r2p.resize(nr, None);
-        for &(p, r) in seed {
-            if p >= np || r >= nr || prune.p2r[p].is_some() || prune.r2p[r].is_some() {
-                continue;
-            }
-            if self.prank(p, r) == NOT_RANKED || self.rrank(r, p) == NOT_RANKED {
-                continue;
-            }
-            prune.p2r[p] = Some(r);
-            prune.r2p[r] = Some(p);
-        }
-        loop {
-            let removed =
-                self.prune_unjustified(&mut prune.p2r, &mut prune.r2p) | self.prune_cycles(prune);
-            if !removed {
-                break;
-            }
-        }
-        out.clear();
-        out.extend((0..np).filter_map(|p| prune.p2r[p].map(|r| (p, r))));
-    }
-
-    /// Drops seeded pairs whose skipped prefix is not justified by the
-    /// current seed state (condition 2 of [`StableInstance::valid_warm_seed`]),
-    /// repeating until a full pass removes nothing. Returns whether any
-    /// pair was dropped.
-    fn prune_unjustified(&self, p2r: &mut [Option<usize>], r2p: &mut [Option<usize>]) -> bool {
-        let mut any = false;
-        loop {
-            let mut changed = false;
-            for (p, slot) in p2r.iter_mut().enumerate() {
-                let Some(r) = *slot else { continue };
-                let rank = self.prank(p, r) as usize;
-                let justified = self.proposer_lists[p][..rank].iter().all(|&skipped| {
-                    let my_rank = self.rrank(skipped, p);
-                    my_rank == NOT_RANKED
-                        || r2p[skipped].is_some_and(|q| self.rrank(skipped, q) < my_rank)
-                });
-                if !justified {
-                    *slot = None;
-                    r2p[r] = None;
-                    changed = true;
-                    any = true;
-                }
-            }
-            if !changed {
-                return any;
-            }
-        }
-    }
-
-    /// Drops seeded pairs caught in a justification cycle (condition 3 of
-    /// [`StableInstance::valid_warm_seed`]). An edge `p → q` means `p`'s
-    /// skip of some reviewer is justified by seeded holder `q`, i.e. `q`
-    /// must propose before `p`; pairs that cannot be topologically settled
-    /// have no valid serial proposal order and are removed. Assumes every
-    /// remaining pair is prefix-justified. Returns whether any pair was
-    /// dropped.
-    fn prune_cycles(&self, s: &mut PruneScratch) -> bool {
-        let PruneScratch {
-            p2r,
-            r2p,
-            justifiers,
-            dependents,
-            pending,
-            settle,
-            settled,
-        } = s;
-        let np = p2r.len();
-        for v in justifiers.iter_mut() {
-            v.clear();
-        }
-        justifiers.resize_with(np, Vec::new);
-        for v in dependents.iter_mut() {
-            v.clear();
-        }
-        dependents.resize_with(np, Vec::new);
-        for p in 0..np {
-            let Some(r) = p2r[p] else { continue };
-            let rank = self.prank(p, r) as usize;
-            for &skipped in &self.proposer_lists[p][..rank] {
-                if self.rrank(skipped, p) == NOT_RANKED {
-                    continue;
-                }
-                let q = r2p[skipped].expect("prefix is justified, so the skip has a holder");
-                if !justifiers[p].contains(&q) {
-                    justifiers[p].push(q);
-                    dependents[q].push(p);
-                }
-            }
-        }
-        pending.clear();
-        pending.extend(justifiers.iter().map(Vec::len));
-        settle.clear();
-        settle.extend((0..np).filter(|&p| p2r[p].is_some() && pending[p] == 0));
-        settled.clear();
-        settled.resize(np, false);
-        while let Some(q) = settle.pop() {
-            settled[q] = true;
-            for &p in &dependents[q] {
-                pending[p] -= 1;
-                if pending[p] == 0 {
-                    settle.push(p);
-                }
-            }
-        }
-        let mut any = false;
-        for p in 0..np {
-            if let Some(r) = p2r[p] {
-                if !settled[p] {
-                    p2r[p] = None;
-                    r2p[r] = None;
-                    any = true;
-                }
-            }
-        }
-        any
-    }
-
-    /// Warm-started deferred acceptance (see
-    /// [`StableInstance::propose_seeded_with`]).
-    fn propose_seeded_with(self, seed: &[(usize, usize)], scratch: &mut MatchScratch) -> Matching {
-        let _span = obs::span("deferred_acceptance");
-        let seed_pairs_in = seed.len() as u64;
-        {
-            let MatchScratch {
-                seed: pruned,
-                prune,
-                ..
-            } = scratch;
-            self.valid_warm_seed_into(seed, prune, pruned);
-        }
-        obs::add_many(&[
-            ("match.seed_pairs_in", seed_pairs_in),
-            ("match.seed_pairs_kept", scratch.seed.len() as u64),
-        ]);
-        let mut m = Matching::empty(self.proposers(), self.reviewers);
-        scratch.next.clear();
-        scratch.next.resize(self.proposers(), 0);
-        for i in 0..scratch.seed.len() {
-            let (p, r) = scratch.seed[i];
-            m.link(p, r);
-            scratch.next[p] = self.prank(p, r) as usize + 1;
-        }
-        scratch.free.clear();
-        scratch.free.extend(
-            (0..self.proposers())
-                .rev()
-                .filter(|&p| m.proposer_to_reviewer[p].is_none()),
-        );
-        let MatchScratch { next, free, .. } = scratch;
-        self.run_proposals(&mut m, next, free);
-        // A pruned seed is provably exact (see valid_warm_seed). Debug
-        // builds distrust the proof anyway, but a divergence degrades to
-        // the cold result instead of asserting: a warm-state bug costs
-        // one slow frame, not the whole run. The counter makes the silent
-        // degrade observable — equivalence suites that run in debug builds
-        // install a recorder and assert it stays zero, otherwise the
-        // fallback would make `seeded == cold` vacuously true.
-        if cfg!(debug_assertions) {
-            let cold = self.propose_with(&mut MatchScratch::new());
-            if m != cold {
-                obs::add("match.seed_divergence", 1);
-                return cold;
-            }
         }
         m
     }
@@ -1615,17 +1285,6 @@ mod tests {
         // the enumeration walks at least one BreakDispatch node per column.
         assert!(rec.counter("match.proposals") >= 3);
         assert!(rec.counter("match.break_dispatch_nodes") >= 3);
-
-        // Warm-start records seed-prune sizes, and the result (hence the
-        // recorded dynamics) is independent of the recorder being enabled.
-        let rec2 = obs::Recorder::new();
-        {
-            let _scope = obs::scope(&rec2);
-            let seeded = inst.propose_seeded(&baseline.pairs().collect::<Vec<_>>());
-            assert_eq!(seeded, baseline);
-        }
-        assert_eq!(rec2.counter("match.seed_pairs_in"), 3);
-        assert_eq!(rec2.counter("match.seed_pairs_kept"), 3);
         // Outside any scope nothing is recorded and results are identical.
         assert_eq!(inst.propose(), baseline);
     }
@@ -2031,27 +1690,15 @@ mod tests {
 
     #[test]
     fn scratch_entry_points_are_bit_identical_across_reuse() {
-        // One MatchScratch reused across many frames of varying shapes —
-        // warm, cold and reviewer-optimal paths — must match the
-        // allocating entry points exactly on every call.
+        // One MatchScratch reused across many frames of varying shapes
+        // must match the allocating entry point exactly on every call.
         let mut rng = StdRng::seed_from_u64(0x5C2A7C8);
         let mut scratch = MatchScratch::new();
-        let mut seed: Vec<(usize, usize)> = Vec::new();
         for _ in 0..120 {
             let np = rng.gen_range(0..=7);
             let nr = rng.gen_range(0..=7);
             let inst = random_instance(&mut rng, np, nr);
-            let cold = inst.propose_with(&mut scratch);
-            assert_eq!(cold, inst.propose());
-            let warm = inst.propose_seeded_with(&seed, &mut scratch);
-            assert_eq!(warm, inst.propose_seeded(&seed));
-            assert_eq!(warm, cold, "warm start must never change the result");
-            let t_opt = inst.reviewer_optimal_seeded_with(&seed, &mut scratch);
-            assert_eq!(t_opt, inst.reviewer_optimal());
-            // Carry this frame's matching as the next frame's seed (sizes
-            // change, so much of it will be pruned — that's the point).
-            seed.clear();
-            seed.extend(warm.pairs());
+            assert_eq!(inst.propose_with(&mut scratch), inst.propose());
         }
     }
 
@@ -2102,58 +1749,6 @@ mod tests {
                 inst.reviewer_cost(&optimal),
                 "4096 nodes is plenty at 6x6"
             );
-        }
-    }
-
-    #[test]
-    fn crossed_seed_cycle_is_dropped_and_warm_start_stays_exact() {
-        // p0: r1 > r0, p1: r0 > r1; r0: p0 > p1, r1: p1 > p0.
-        // The crossed seed {(p0,r0),(p1,r1)} is prefix-justified — each
-        // pair's skip is "justified" by the other — but cyclically: no
-        // serial proposal order reaches it. Naively resuming from it would
-        // freeze a matching deferred acceptance never produces.
-        let inst = StableInstance::new(vec![vec![1, 0], vec![0, 1]], vec![vec![0, 1], vec![1, 0]])
-            .unwrap();
-        let crossed = [(0, 0), (1, 1)];
-        assert_eq!(inst.valid_warm_seed(&crossed), vec![]);
-        let cold = inst.propose();
-        assert_eq!(cold.proposer_partner(0), Some(1));
-        assert_eq!(cold.proposer_partner(1), Some(0));
-        assert_eq!(inst.propose_seeded(&crossed), cold);
-    }
-
-    #[test]
-    fn garbage_seeds_are_pruned_and_harmless() {
-        let inst = classic_3x3();
-        let cold = inst.propose();
-        // Out of range, duplicated proposer, duplicated reviewer — all
-        // pruned; the valid remainder warm-starts to the same matching.
-        let garbage = [(7, 0), (0, 9), (0, 0), (0, 1), (2, 0), (1, 1)];
-        let kept = inst.valid_warm_seed(&garbage);
-        for &(p, r) in &kept {
-            assert!(inst.proposer_accepts(p, r) && inst.reviewer_accepts(r, p));
-        }
-        assert_eq!(inst.propose_seeded(&garbage), cold);
-        assert_eq!(inst.propose_seeded(&[]), cold);
-        assert_eq!(
-            inst.reviewer_optimal_seeded(&garbage),
-            inst.reviewer_optimal()
-        );
-    }
-
-    #[test]
-    fn own_matching_reseeds_to_itself() {
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        for _ in 0..100 {
-            let np = rng.gen_range(0..=7);
-            let nr = rng.gen_range(0..=7);
-            let inst = random_instance(&mut rng, np, nr);
-            let cold = inst.propose();
-            let seed: Vec<(usize, usize)> = cold.pairs().collect();
-            assert_eq!(inst.propose_seeded(&seed), cold);
-            let ro = inst.reviewer_optimal();
-            let ro_seed: Vec<(usize, usize)> = ro.pairs().collect();
-            assert_eq!(inst.reviewer_optimal_seeded(&ro_seed), ro);
         }
     }
 
@@ -2380,38 +1975,6 @@ mod tests {
             let capped = inst.enumerate_all(Some(2));
             prop_assert!(capped.len() <= 2);
             prop_assert_eq!(&capped[0], &inst.propose());
-        }
-
-        /// Warm starting from an *arbitrary* candidate seed — valid,
-        /// stale, crossed, or garbage — always reproduces the cold
-        /// matchings exactly, on both sides.
-        #[test]
-        fn seeded_matches_cold_for_random_seeds(
-            seed in any::<u64>(), np in 0usize..8, nr in 0usize..8, pairs in 0usize..12,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let inst = random_instance(&mut rng, np, nr);
-            let candidate: Vec<(usize, usize)> = (0..pairs)
-                .map(|_| (rng.gen_range(0..np.max(1) + 2), rng.gen_range(0..nr.max(1) + 2)))
-                .collect();
-            prop_assert_eq!(inst.propose_seeded(&candidate), inst.propose());
-            prop_assert_eq!(inst.reviewer_optimal_seeded(&candidate), inst.reviewer_optimal());
-        }
-
-        /// The rolling-frame scenario: the previous frame's matching seeds
-        /// a *different* instance (the frame delta changed both sides'
-        /// lists); the warm result still equals the new instance's cold
-        /// result.
-        #[test]
-        fn previous_frame_matching_is_an_exact_seed(
-            seed in any::<u64>(), np in 0usize..8, nr in 0usize..8,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let prev = random_instance(&mut rng, np, nr);
-            let carried: Vec<(usize, usize)> = prev.propose().pairs().collect();
-            let cur = random_instance(&mut rng, np, nr);
-            prop_assert_eq!(cur.propose_seeded(&carried), cur.propose());
-            prop_assert_eq!(cur.reviewer_optimal_seeded(&carried), cur.reviewer_optimal());
         }
     }
 }

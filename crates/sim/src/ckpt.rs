@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 
 const CKPT_MAGIC: [u8; 4] = *b"O2OC";
 const WAL_MAGIC: [u8; 4] = *b"O2OW";
-const CKPT_VERSION: u32 = 1;
+const CKPT_VERSION: u32 = 2;
 const WAL_VERSION: u32 = 1;
 const SEC_META: u32 = 1;
 const SEC_STATE: u32 = 2;
@@ -304,8 +304,6 @@ fn encode_state(e: &mut Enc, st: &EngineState) {
     }
 
     encode_id_set(e, st.admitted_ids.iter().map(|id| id.0));
-    encode_id_set(e, st.prev_idle_ids.iter().map(|id| id.0));
-    encode_id_set(e, st.prev_batch_ids.iter().map(|id| id.0));
 
     match &st.fault_state {
         None => e.u8(0),
@@ -359,8 +357,6 @@ fn decode_state(d: &mut Dec<'_>) -> Result<EngineState, CkptError> {
     }
 
     let admitted_ids: HashSet<RequestId> = decode_id_set(d)?.into_iter().map(RequestId).collect();
-    let prev_idle_ids: HashSet<TaxiId> = decode_id_set(d)?.into_iter().map(TaxiId).collect();
-    let prev_batch_ids: HashSet<RequestId> = decode_id_set(d)?.into_iter().map(RequestId).collect();
 
     let fault_state = match d.u8()? {
         0 => None,
@@ -390,8 +386,6 @@ fn decode_state(d: &mut Dec<'_>) -> Result<EngineState, CkptError> {
         faults_seen,
         fault_state,
         admitted_ids,
-        prev_idle_ids,
-        prev_batch_ids,
         frame,
     })
 }
@@ -1490,8 +1484,6 @@ mod tests {
         assert_eq!(back.taxis, st.taxis);
         assert_eq!(back.pending, st.pending);
         assert_eq!(back.admitted_ids, st.admitted_ids);
-        assert_eq!(back.prev_idle_ids, st.prev_idle_ids);
-        assert_eq!(back.prev_batch_ids, st.prev_batch_ids);
         assert_eq!(back.report.served, st.report.served);
         assert_eq!(back.report.delays_min, st.report.delays_min);
         assert_eq!(back.report.faults, st.report.faults);

@@ -4,7 +4,7 @@ use crate::fault::{
     DegradationEvent, DispatchError, FaultCounters, FaultPlan, FaultState, MidDispatchFate,
 };
 use crate::metrics::HourBucket;
-use crate::policy::{DispatchPolicy, FrameContext, FrameDelta};
+use crate::policy::{DispatchPolicy, FrameContext};
 use crate::report::SimReport;
 use o2o_core::{PickupDistances, TimeBudgetSpec};
 use o2o_geo::{heuristic_cell_size, BBox, Euclidean, IncrementalGrid, Metric, Point};
@@ -119,10 +119,6 @@ pub(crate) struct EngineState {
     /// Every request id ever admitted, kept only on fault runs: the
     /// admission screen rejects injected duplicates against it.
     pub(crate) admitted_ids: HashSet<RequestId>,
-    /// Policy-visible sets of the previous dispatched frame, for
-    /// [`FrameDelta`] construction.
-    pub(crate) prev_idle_ids: HashSet<TaxiId>,
-    pub(crate) prev_batch_ids: HashSet<RequestId>,
     /// The next frame to execute (frames `0..frame` are done).
     pub(crate) frame: u64,
 }
@@ -169,8 +165,6 @@ impl EngineState {
             faults_seen: 0,
             fault_state: faults.map(|plan| FaultState::new(plan, fleet)),
             admitted_ids: HashSet::new(),
-            prev_idle_ids: HashSet::new(),
-            prev_batch_ids: HashSet::new(),
             frame: 0,
         }
     }
@@ -190,8 +184,6 @@ pub(crate) struct Scratch {
     cancelled_members: HashSet<RequestId>,
     used_taxis: HashSet<TaxiId>,
     served_ids: HashSet<RequestId>,
-    cur_idle_ids: HashSet<TaxiId>,
-    cur_batch_ids: HashSet<RequestId>,
     /// Delta-maintained idle-taxi grid: keyed by fleet index across
     /// frames (taxi state transitions patch it in place), remapped to
     /// idle-slice ranks for the policy each frame. Query results are
@@ -227,8 +219,6 @@ impl Scratch {
             cancelled_members: HashSet::new(),
             used_taxis: HashSet::new(),
             served_ids: HashSet::new(),
-            cur_idle_ids: HashSet::new(),
-            cur_batch_ids: HashSet::new(),
             inc_grid: IncrementalGrid::new(GRID_REBUILD_THRESHOLD),
             desired: Vec::new(),
             fleet_rank: vec![0; trace.taxis.len()],
@@ -446,8 +436,6 @@ impl Simulator {
             faults_seen,
             fault_state,
             admitted_ids,
-            prev_idle_ids,
-            prev_batch_ids,
             frame: frame_slot,
         } = st;
         let Scratch {
@@ -459,8 +447,6 @@ impl Simulator {
             cancelled_members,
             used_taxis,
             served_ids,
-            cur_idle_ids,
-            cur_batch_ids,
             inc_grid,
             desired,
             fleet_rank,
@@ -562,38 +548,6 @@ impl Simulator {
                 pending_vec.clear();
                 pending_vec.extend(pending.iter().take(batch_cap).map(|&(r, _)| r));
 
-                // Frame delta relative to the previous dispatched frame,
-                // over exactly the sets the policy sees (idle fleet and
-                // batch-capped pending queue). Informational: incremental
-                // policies size their work from it, but never depend on it
-                // for correctness.
-                cur_idle_ids.clear();
-                cur_idle_ids.extend(idle.iter().map(|t| t.id));
-                cur_batch_ids.clear();
-                cur_batch_ids.extend(pending_vec.iter().map(|r| r.id));
-                let mut delta = FrameDelta::default();
-                delta.entered_idle.extend(
-                    idle.iter()
-                        .map(|t| t.id)
-                        .filter(|id| !prev_idle_ids.contains(id)),
-                );
-                delta
-                    .left_idle
-                    .extend(prev_idle_ids.difference(cur_idle_ids).copied());
-                delta.left_idle.sort_unstable();
-                delta.new_requests.extend(
-                    pending_vec
-                        .iter()
-                        .map(|r| r.id)
-                        .filter(|id| !prev_batch_ids.contains(id)),
-                );
-                delta
-                    .removed_requests
-                    .extend(prev_batch_ids.difference(cur_batch_ids).copied());
-                delta.removed_requests.sort_unstable();
-                std::mem::swap(prev_idle_ids, cur_idle_ids);
-                std::mem::swap(prev_batch_ids, cur_batch_ids);
-
                 // Open the frame's telemetry window and install the
                 // recorder as this thread's current one, so pipeline
                 // stages without a handle (deferred acceptance,
@@ -671,7 +625,6 @@ impl Simulator {
                 let mut ctx = FrameContext::new(frame, time_end, idle, pending_vec);
                 ctx.pickup_distances = pickup.as_ref();
                 ctx.taxi_grid = grid.as_ref();
-                ctx.delta = Some(&delta);
                 ctx.budget = budget;
                 ctx.recorder = recorder;
                 let mut assignments = if precompute_failed {
@@ -1014,47 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_mode_runs_identically_end_to_end() {
-        use o2o_core::{IncrementalMode, NonSharingDispatcher, ShardMode, ShardSpec};
-        let trace = boston_september_2012(0.002).generate(9);
-        let params = PreferenceParams::default();
-        // Cold incremental mode makes every frame take the cold sparse
-        // path, where the sharded pipeline engages (the warm keyed path
-        // bypasses it by design).
-        let mut global =
-            policy::nstd_p(Euclidean, params).with_incremental_mode(IncrementalMode::Cold);
-        let mut sharded = policy::NstdPPolicy::from_dispatcher(
-            NonSharingDispatcher::new(Euclidean, params)
-                .with_shard_mode(ShardMode::Sharded(ShardSpec::new(8))),
-        )
-        .with_incremental_mode(IncrementalMode::Cold);
-        let a = Simulator::new(SimConfig::default()).run(&trace, &mut global);
-        let b = Simulator::new(SimConfig::default()).run(&trace, &mut sharded);
-        assert_eq!(a.delays_min, b.delays_min);
-        assert_eq!(a.passenger_dissatisfaction, b.passenger_dissatisfaction);
-        assert_eq!(a.taxi_dissatisfaction, b.taxi_dissatisfaction);
-        assert_eq!(a.total_drive_km, b.total_drive_km);
-        assert_eq!(a.queue_by_frame, b.queue_by_frame);
-        // The sharded run reports its per-frame shard counters; the
-        // global run reports none.
-        assert!(b.total_shard_frames() > 0, "sharded pipeline never engaged");
-        assert_eq!(a.total_shard_frames(), 0);
-
-        let mut global_t =
-            policy::nstd_t(Euclidean, params).with_incremental_mode(IncrementalMode::Cold);
-        let mut sharded_t = policy::NstdTPolicy::from_dispatcher(
-            NonSharingDispatcher::new(Euclidean, params)
-                .with_shard_mode(ShardMode::Sharded(ShardSpec::new(8))),
-        )
-        .with_incremental_mode(IncrementalMode::Cold);
-        let at = Simulator::new(SimConfig::default()).run(&trace, &mut global_t);
-        let bt = Simulator::new(SimConfig::default()).run(&trace, &mut sharded_t);
-        assert_eq!(at.delays_min, bt.delays_min);
-        assert_eq!(at.passenger_dissatisfaction, bt.passenger_dissatisfaction);
-        assert_eq!(at.taxi_dissatisfaction, bt.taxi_dissatisfaction);
-    }
-
-    #[test]
     fn cached_policy_reports_per_frame_cache_effectiveness() {
         let trace = boston_september_2012(0.002).generate(3);
         let params = PreferenceParams::default();
@@ -1110,98 +1022,6 @@ mod tests {
         assert_eq!(at.delays_min, bt.delays_min);
         assert_eq!(at.passenger_dissatisfaction, bt.passenger_dissatisfaction);
         assert_eq!(at.taxi_dissatisfaction, bt.taxi_dissatisfaction);
-    }
-
-    #[test]
-    fn persistent_cache_sweeps_keep_per_frame_deltas_consistent() {
-        use o2o_core::NonSharingDispatcher;
-        let trace = boston_september_2012(0.003).generate(5);
-        let params = PreferenceParams::default();
-        // A tiny capacity forces stale-origin sweeps mid-run; the sweep
-        // must not disturb the cumulative hit/miss counters, so the
-        // engine's per-frame deltas still sum exactly to the final stats.
-        // Cold incremental mode keeps every frame re-querying the metric
-        // (warm mode's candidate-row carry would starve the cache of the
-        // repeat queries this test needs to observe hits across frames).
-        let mut p = policy::cached_persistent(Euclidean, 64, |metric| {
-            policy::NstdPPolicy::from_dispatcher(NonSharingDispatcher::new(metric, params))
-                .with_incremental_mode(o2o_core::IncrementalMode::Cold)
-        });
-        let report = Simulator::new(SimConfig::default()).run(&trace, &mut p);
-        let finals = p.cache_stats();
-        assert_eq!(report.total_cache_hits(), finals.hits);
-        assert_eq!(report.total_cache_misses(), finals.misses);
-        assert!(
-            report.total_cache_hits() > 0,
-            "persistent cache must hit across frames"
-        );
-        assert_eq!(
-            p.lifetime(),
-            policy::CacheLifetime::Persistent { max_entries: 64 }
-        );
-        // And the caching layer never changes results.
-        let mut plain = policy::nstd_p(Euclidean, params);
-        let bare = Simulator::new(SimConfig::default()).run(&trace, &mut plain);
-        assert_eq!(report.delays_min, bare.delays_min);
-        assert_eq!(
-            report.passenger_dissatisfaction,
-            bare.passenger_dissatisfaction
-        );
-        assert_eq!(report.taxi_dissatisfaction, bare.taxi_dissatisfaction);
-    }
-
-    #[test]
-    fn frame_delta_replays_to_the_policy_visible_sets() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let trace = boston_september_2012(0.002).generate(2);
-        type Seen = Vec<(Vec<TaxiId>, Vec<RequestId>, FrameDelta)>;
-        let seen: Rc<RefCell<Seen>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&seen);
-        let mut probe = policy::from_fn("probe", move |ctx: &FrameContext<'_>| {
-            sink.borrow_mut().push((
-                ctx.idle_taxis.iter().map(|t| t.id).collect(),
-                ctx.pending.iter().map(|r| r.id).collect(),
-                ctx.delta
-                    .expect("engine supplies a delta on dispatched frames")
-                    .clone(),
-            ));
-            Vec::new()
-        });
-        let cfg = SimConfig {
-            drain_frames: 3,
-            ..SimConfig::default()
-        };
-        let _ = Simulator::new(cfg).run(&trace, &mut probe);
-        let frames = seen.borrow();
-        assert!(frames.len() > 1, "need several dispatched frames");
-        // Applying each frame's delta to the previous frame's sets must
-        // reproduce exactly what the policy saw this frame.
-        let mut idle: HashSet<TaxiId> = HashSet::new();
-        let mut batch: HashSet<RequestId> = HashSet::new();
-        for (cur_idle, cur_batch, delta) in frames.iter() {
-            for id in &delta.left_idle {
-                assert!(idle.remove(id), "left_idle names a tracked taxi");
-            }
-            for id in &delta.entered_idle {
-                assert!(idle.insert(*id), "entered_idle is new");
-            }
-            for id in &delta.removed_requests {
-                assert!(batch.remove(id), "removed_requests names a tracked request");
-            }
-            for id in &delta.new_requests {
-                assert!(batch.insert(*id), "new_requests is new");
-            }
-            assert_eq!(idle, cur_idle.iter().copied().collect());
-            assert_eq!(batch, cur_batch.iter().copied().collect());
-            assert_eq!(
-                delta.churn(),
-                delta.entered_idle.len()
-                    + delta.left_idle.len()
-                    + delta.new_requests.len()
-                    + delta.removed_requests.len()
-            );
-        }
     }
 
     #[test]

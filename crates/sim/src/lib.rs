@@ -71,8 +71,5 @@ pub use o2o_obs::{
     FleetMeta, FrameStats, JsonlSink, MemorySink, Recorder, SloBound, SloEvent, SloMetric,
     SloMonitor, SloSpec, StageBreakdown, SummarySink,
 };
-pub use policy::{
-    cached, cached_persistent, CacheLifetime, CachedPolicy, DispatchPolicy, FrameAssignment,
-    FrameContext, FrameDelta,
-};
+pub use policy::{cached, CachedPolicy, DispatchPolicy, FrameAssignment, FrameContext};
 pub use report::{HourlySeries, SimReport};

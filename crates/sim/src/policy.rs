@@ -31,37 +31,6 @@ use o2o_obs::Recorder;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use std::sync::Arc;
 
-/// What changed between the previous dispatched frame and this one, as
-/// seen by the policy (idle fleet and batched pending queue). Computed by
-/// the engine and exposed via [`FrameContext::delta`]; policies may use
-/// it to size incremental work, and diagnostics can log churn rates. The
-/// incremental NSTD path does **not** depend on it for correctness — its
-/// candidate carry revalidates every request and taxi against the current
-/// frame regardless.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FrameDelta {
-    /// Taxis idle now that were not idle at the previous dispatch.
-    pub entered_idle: Vec<TaxiId>,
-    /// Taxis idle at the previous dispatch that are no longer idle.
-    pub left_idle: Vec<TaxiId>,
-    /// Requests in this batch that were not in the previous one.
-    pub new_requests: Vec<RequestId>,
-    /// Requests from the previous batch no longer pending (served,
-    /// expired, or pushed out of the batch window).
-    pub removed_requests: Vec<RequestId>,
-}
-
-impl FrameDelta {
-    /// Total number of changes across both sides.
-    #[must_use]
-    pub fn churn(&self) -> usize {
-        self.entered_idle.len()
-            + self.left_idle.len()
-            + self.new_requests.len()
-            + self.removed_requests.len()
-    }
-}
-
 /// One frame's input to a policy.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameContext<'a> {
@@ -88,9 +57,6 @@ pub struct FrameContext<'a> {
     /// each rebuilding their own; consuming it never changes a result
     /// (see [`o2o_core::build_taxi_grid`]).
     pub taxi_grid: Option<&'a GridIndex<usize>>,
-    /// What changed since the previous dispatched frame, when the engine
-    /// computed it (`None` in hand-built contexts). See [`FrameDelta`].
-    pub delta: Option<&'a FrameDelta>,
     /// The frame's compute budget, started when the engine began the
     /// frame's dispatch work. Unlimited by default ([`TimeBudget`]'s
     /// default), in which case budget-aware policies run their normal
@@ -117,7 +83,6 @@ impl<'a> FrameContext<'a> {
             pending,
             pickup_distances: None,
             taxi_grid: None,
-            delta: None,
             budget: TimeBudget::unlimited(),
             recorder: Recorder::disabled_ref(),
         }
@@ -344,15 +309,6 @@ macro_rules! nstd_policy {
         /// ([`IncrementalMode::Warm`], the default); toggle to
         /// [`IncrementalMode::Cold`] for A/B benchmarking. The schedules
         /// are bit-identical across every mode combination.
-        ///
-        /// A dispatcher configured with
-        /// [`ShardMode::Sharded`](o2o_core::ShardMode::Sharded) routes the
-        /// sparse **cold** and budgeted paths through the spatially
-        /// sharded pipeline (still bit-identical; see
-        /// `o2o_core::shard`). The warm incremental path bypasses
-        /// sharding — it builds no rank-table instance to shard — so pair
-        /// sharding with [`IncrementalMode::Cold`] to engage it every
-        /// frame.
         pub struct $struct_name<M> {
             inner: NonSharingDispatcher<M>,
             incremental: IncrementalMode,
@@ -677,36 +633,14 @@ pub fn lin<M: Metric + Clone>(metric: M, params: PreferenceParams) -> LinPolicy<
     }
 }
 
-/// How long a [`CachedPolicy`]'s memoized distances stay alive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLifetime {
-    /// Drop everything at the start of every frame (the historical
-    /// behaviour of [`cached`]).
-    PerFrame,
-    /// Keep entries across frames; once the cache exceeds `max_entries`,
-    /// sweep entries whose origin point is no longer live this frame
-    /// (stationary idle taxis and carried-over requests keep their
-    /// entries — the cross-frame hit the incremental pipeline relies on).
-    Persistent {
-        /// Sweep trigger: entry count above which stale origins are
-        /// reclaimed at the next frame boundary.
-        max_entries: usize,
-    },
-}
-
 /// A policy whose dispatcher queries a shared [`DistanceCache`].
 ///
 /// Within one frame the same origin/destination pairs are asked for
 /// repeatedly — stage-1 feasibility routing, packing scores and the
 /// preference model all re-derive overlapping distances — so memoizing
 /// them is free speedup with bit-identical results (the cache stores the
-/// metric's exact answers). Across frames, the [`CacheLifetime`] decides:
-/// [`cached`] clears per frame; [`cached_persistent`] keeps entries
-/// alive so stationary taxis and waiting requests hit across frames,
-/// bounding memory with a stale-origin sweep instead of a clear. Both
-/// lifetimes are bit-identical to the uncached policy — a cached value
-/// is keyed by the exact position bits of both endpoints, so a hit can
-/// never return a pre-move distance.
+/// metric's exact answers). The cache is cleared at the start of every
+/// frame.
 ///
 /// Build one with [`cached`]:
 ///
@@ -722,7 +656,6 @@ pub enum CacheLifetime {
 pub struct CachedPolicy<P, M> {
     inner: P,
     cache: Arc<DistanceCache<M>>,
-    lifetime: CacheLifetime,
 }
 
 impl<P, M> CachedPolicy<P, M> {
@@ -730,12 +663,6 @@ impl<P, M> CachedPolicy<P, M> {
     #[must_use]
     pub fn cache(&self) -> &Arc<DistanceCache<M>> {
         &self.cache
-    }
-
-    /// The cache lifetime in use.
-    #[must_use]
-    pub fn lifetime(&self) -> CacheLifetime {
-        self.lifetime
     }
 
     /// Cumulative hit/miss counters of the shared cache. Per-frame
@@ -759,32 +686,7 @@ impl<P: DispatchPolicy, M: Metric> DispatchPolicy for CachedPolicy<P, M> {
 
     fn dispatch(&mut self, ctx: &FrameContext<'_>) -> Vec<FrameAssignment> {
         let before = self.cache.stats();
-        match self.lifetime {
-            CacheLifetime::PerFrame => self.cache.clear(),
-            CacheLifetime::Persistent { max_entries } => {
-                if self.cache.len() > max_entries {
-                    // Live origins this frame: idle-taxi locations plus
-                    // pending pickups and drop-offs (trip and route legs
-                    // are keyed with those as origins). Every other origin
-                    // belongs to a position nobody occupies any more and
-                    // can never be queried again. The sweep leaves the
-                    // hit/miss counters untouched, so the engine's
-                    // per-frame deltas stay monotone.
-                    let live: std::collections::HashSet<(u64, u64)> = ctx
-                        .idle_taxis
-                        .iter()
-                        .map(|t| DistanceCache::<M>::origin_key(t.location))
-                        .chain(ctx.pending.iter().flat_map(|r| {
-                            [
-                                DistanceCache::<M>::origin_key(r.pickup),
-                                DistanceCache::<M>::origin_key(r.dropoff),
-                            ]
-                        }))
-                        .collect();
-                    self.cache.sweep_stale(&live);
-                }
-            }
-        }
+        self.cache.clear();
         let out = self.inner.dispatch(ctx);
         let after = self.cache.stats();
         ctx.recorder.add_many(&[
@@ -816,30 +718,7 @@ where
 {
     let cache = Arc::new(DistanceCache::new(metric));
     let inner = make(Arc::clone(&cache));
-    CachedPolicy {
-        inner,
-        cache,
-        lifetime: CacheLifetime::PerFrame,
-    }
-}
-
-/// Like [`cached`], but the cache persists across frames
-/// ([`CacheLifetime::Persistent`]): stationary idle taxis and
-/// carried-over requests hit across frames, and memory is bounded by a
-/// stale-origin sweep once the cache exceeds `max_entries`. Results are
-/// bit-identical to [`cached`] and to the uncached policy.
-pub fn cached_persistent<M, P, F>(metric: M, max_entries: usize, make: F) -> CachedPolicy<P, M>
-where
-    M: Metric,
-    F: FnOnce(Arc<DistanceCache<M>>) -> P,
-{
-    let cache = Arc::new(DistanceCache::new(metric));
-    let inner = make(Arc::clone(&cache));
-    CachedPolicy {
-        inner,
-        cache,
-        lifetime: CacheLifetime::Persistent { max_entries },
-    }
+    CachedPolicy { inner, cache }
 }
 
 #[cfg(test)]

@@ -311,16 +311,6 @@ impl SimReport {
             .map(|fs| fs.counter("anytime.gap"))
     }
 
-    /// Frames whose dispatch ran the spatially sharded pipeline (total of
-    /// the `shard.frames` counter; 0 under [`ShardMode::Global`]
-    /// dispatchers).
-    ///
-    /// [`ShardMode::Global`]: o2o_core::ShardMode::Global
-    #[must_use]
-    pub fn total_shard_frames(&self) -> u64 {
-        self.stage_breakdown.counter_total("shard.frames")
-    }
-
     /// Fraction of the run's requests that were eventually served, out of
     /// every request that entered the system: served, still pending at
     /// the end, cancelled while pending, or cancelled mid-dispatch
@@ -513,7 +503,6 @@ mod tests {
         assert_eq!(r.final_anytime_gap(), Some(0));
         assert_eq!(r.anytime_nodes_by_frame(), vec![0, 40, 25]);
         assert_eq!(r.anytime_gap_by_frame(), vec![0, 3, 0]);
-        assert_eq!(r.total_shard_frames(), 0);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! and by byte-level WAL corruption. Each resumed run must finish with a
 //! [`SimReport`] whose `deterministic_digest` — every result field —
 //! equals the uninterrupted run's, across kill points × thread counts ×
-//! shard modes × fault plans × warm/cold incremental modes.
+//! fault plans × warm/cold incremental modes.
 
-use o2o_core::{IncrementalMode, NonSharingDispatcher, PreferenceParams, ShardMode, ShardSpec};
+use o2o_core::{IncrementalMode, PreferenceParams};
 use o2o_geo::Euclidean;
 use o2o_par::Parallelism;
 use o2o_sim::{
@@ -228,28 +228,6 @@ fn resume_under_a_different_run_identity_is_refused() {
     let mut p = policy::nstd_p(Euclidean, params);
     let err = sim2.run_checkpointed(&trace, &mut p, &spec).unwrap_err();
     assert!(matches!(err, CkptError::Mismatch(_)), "got {err}");
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sharded_cold_policy_resumes_identically() {
-    let params = PreferenceParams::default();
-    let make = || {
-        policy::NstdPPolicy::from_dispatcher(
-            NonSharingDispatcher::new(Euclidean, params)
-                .with_shard_mode(ShardMode::Sharded(ShardSpec::new(8))),
-        )
-        .with_incremental_mode(IncrementalMode::Cold)
-    };
-    let trace = boston_september_2012(0.002).generate(9);
-    let sim = Simulator::new(SimConfig::default());
-    let mut plain = make();
-    let baseline = sim.run(&trace, &mut plain);
-
-    let dir = tmp_dir("sharded");
-    let spec = CheckpointSpec::new(&dir).with_interval(8);
-    let resumed = run_with_kills(&sim, &trace, make, &spec, &[13, 11, 7]);
-    assert_result_identical(&baseline, &resumed);
     let _ = fs::remove_dir_all(&dir);
 }
 
