@@ -12,7 +12,7 @@
 //! * **sparse_cold** — threshold-pruned candidates, fresh grid, cold
 //!   deferred acceptance every frame;
 //! * **hot** — threshold-pruned candidates over the batched distance
-//!   kernel, delta-synced grid, carried candidate rows, keyed deferred
+//!   kernel, fresh grid, carried candidate rows, keyed deferred
 //!   acceptance on the flat candidate buffer (no rank tables).
 //!
 //! Every frame of every row first asserts all three schedules **equal**
@@ -28,7 +28,7 @@ use o2o_bench::{bench_envelope, emit_bench_json, ExperimentOpts, Json};
 use o2o_core::{
     build_taxi_grid, CandidateMode, IncrementalState, NonSharingDispatcher, PreferenceParams,
 };
-use o2o_geo::{heuristic_cell_size, BBox, Euclidean, IncrementalGrid, Metric, Point};
+use o2o_geo::{Euclidean, Metric, Point};
 use o2o_matching::{MatchScratch, PreferenceError, StableInstance, TimeBudgetSpec};
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -36,8 +36,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// Grid churn fraction above which the delta sync falls back to rebuild.
-const GRID_REBUILD_THRESHOLD: f64 = 0.35;
 /// Per-frame taxi relocation / request turnover probability.
 const CHURN: f64 = 0.15;
 /// Frames per rolling sequence.
@@ -107,7 +105,7 @@ fn run_cold(
         .collect()
 }
 
-/// Runs the hot arm (delta-synced grid, carried rows, keyed deferred
+/// Runs the hot arm (fresh grid, carried rows, keyed deferred
 /// acceptance) over the sequence; per-frame times into `samples`.
 fn run_hot(
     d: &NonSharingDispatcher<Euclidean>,
@@ -115,18 +113,11 @@ fn run_hot(
     samples: &mut Vec<f64>,
 ) -> Vec<o2o_core::Schedule> {
     let mut state = IncrementalState::new();
-    let mut inc: IncrementalGrid<usize> = IncrementalGrid::new(GRID_REBUILD_THRESHOLD);
-    let mut desired: Vec<(usize, Point)> = Vec::new();
     seq.iter()
         .map(|(taxis, requests)| {
             let t = Instant::now();
-            desired.clear();
-            desired.extend(taxis.iter().enumerate().map(|(i, t)| (i, t.location)));
-            let bbox = BBox::from_points(taxis.iter().map(|t| t.location))
-                .unwrap_or_else(|| BBox::square(Point::ORIGIN, 1.0));
-            inc.sync(bbox, heuristic_cell_size(bbox), &desired);
-            let grid = inc.grid().expect("grid present after sync");
-            let s = d.passenger_optimal_incremental(taxis, requests, Some(grid), &mut state);
+            let grid = build_taxi_grid(taxis);
+            let s = d.passenger_optimal_incremental(taxis, requests, Some(&grid), &mut state);
             samples.push(t.elapsed().as_secs_f64() * 1e3);
             s
         })

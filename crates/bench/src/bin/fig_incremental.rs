@@ -8,7 +8,7 @@
 //!   cache, rebuilds the idle-taxi grid from scratch and runs deferred
 //!   acceptance cold;
 //! * **warm** (the incremental pipeline): the distance cache is cleared
-//!   per frame as in the cold arm, the grid is delta-synced, unchanged
+//!   and the grid rebuilt per frame as in the cold arm, unchanged
 //!   requests patch their candidate rows from the previous frame instead
 //!   of re-querying grid and metric, and keyed deferred acceptance runs
 //!   on those rows directly (no rank tables).
@@ -22,15 +22,12 @@
 
 use o2o_bench::{bench_envelope, emit_bench_json, ExperimentOpts, Json};
 use o2o_core::{build_taxi_grid, IncrementalState, NonSharingDispatcher, PreferenceParams};
-use o2o_geo::{heuristic_cell_size, BBox, DistanceCache, IncrementalGrid, Point, RoadNetwork};
+use o2o_geo::{DistanceCache, Point, RoadNetwork};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Grid churn fraction above which the delta sync falls back to rebuild.
-const GRID_REBUILD_THRESHOLD: f64 = 0.35;
 
 /// A rolling frame sequence: each frame, every taxi relocates with
 /// probability `churn` (dispatched away and returned elsewhere) and every
@@ -111,7 +108,7 @@ fn run_cold(
     (out, stats.hits + stats.misses)
 }
 
-/// The incremental pipeline: per-frame cache clear, delta-synced grid,
+/// The incremental pipeline: per-frame cache clear, fresh grid,
 /// carried candidate rows, keyed DA. Returns the schedules and the total
 /// metric queries issued (the carry answers unchanged pairs from the
 /// previous frame's rows without touching the metric at all).
@@ -122,22 +119,12 @@ fn run_warm(
 ) -> (Vec<o2o_core::Schedule>, u64) {
     let (cache, d) = fresh_arm(net, params);
     let mut state = IncrementalState::new();
-    let mut inc: IncrementalGrid<usize> = IncrementalGrid::new(GRID_REBUILD_THRESHOLD);
-    let mut desired: Vec<(usize, Point)> = Vec::new();
     let out = frames
         .iter()
         .map(|(taxis, requests)| {
             cache.clear();
-            // The fleet is index-stable here, so grid payloads are the
-            // slice indices directly (the engine remaps fleet indices to
-            // idle ranks; with everyone idle the map is the identity).
-            desired.clear();
-            desired.extend(taxis.iter().enumerate().map(|(i, t)| (i, t.location)));
-            let bbox = BBox::from_points(taxis.iter().map(|t| t.location))
-                .unwrap_or_else(|| BBox::square(Point::ORIGIN, 1.0));
-            inc.sync(bbox, heuristic_cell_size(bbox), &desired);
-            let grid = inc.grid().expect("grid present after sync");
-            d.passenger_optimal_incremental(taxis, requests, Some(grid), &mut state)
+            let grid = build_taxi_grid(taxis);
+            d.passenger_optimal_incremental(taxis, requests, Some(&grid), &mut state)
         })
         .collect();
     let stats = cache.stats();

@@ -14,14 +14,26 @@
 //!    the sharing interest models — passenger key
 //!    `D_ck(t, r^s) + β·[D_ck(r^s, r^d) − D(r^s, r^d)]` averaged over the
 //!    group, driver key `D_ck(t) − (α+1)·Σ_j D(r_j^s, r_j^d)`.
+//!
+//! Stage 3 is sparse and keyed: each group evaluates only the taxis a
+//! grid query finds within [`SharingDispatcher`]'s per-plan candidate
+//! radius, keeps the mutually acceptable pairs, and deferred acceptance
+//! runs on those pairs' two keys. Pairs outside the radius cannot be
+//! mutually acceptable, and non-mutual pairs are no-ops in deferred
+//! acceptance, so the matching equals the dense one over every
+//! `(group, taxi)` pair.
 
-use crate::shared_route::{routes_by_first_pickup, RoutePlan};
+use crate::prefs::build_taxi_grid;
+use crate::shared_route::{min_route_length_if_within_detour, routes_by_first_pickup, RoutePlan};
 use crate::{PreferenceParams, Schedule};
 use o2o_geo::Metric;
-use o2o_matching::{Matching, SetPacking, SetPackingStrategy, StableInstance};
+use o2o_matching::{KeyedCandidates, KeyedMatch, Proposing, SetPacking, SetPackingStrategy};
 use o2o_obs as obs;
-use o2o_par::{par_map, par_map_indexed, Parallelism};
+use o2o_par::{par_map, Parallelism};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
+
+#[cfg(test)]
+mod equivalence;
 
 /// What stage 2's packing maximises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -241,13 +253,15 @@ impl<M: Metric> SharingDispatcher<M> {
         }
     }
 
-    /// Sets the thread budget for the expensive pipeline stages (stage-1
-    /// candidate routing, packing scores, per-taxi group evaluation).
+    /// Sets the thread budget for the route searches: stage 1's
+    /// candidate pairs and triples, and the per-first-pickup plans of
+    /// each packed group. Packing and the sparse stage 3 run on the
+    /// calling thread.
     ///
     /// Results are bit-identical for every setting: the parallel maps
-    /// preserve input order and every cell is an independent computation,
-    /// so `Parallelism::sequential()` and `Parallelism::fixed(n)` produce
-    /// the same schedule.
+    /// preserve input order and every route search is an independent
+    /// computation, so `Parallelism::sequential()` and
+    /// `Parallelism::fixed(n)` produce the same schedule.
     #[must_use]
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
@@ -283,11 +297,18 @@ impl<M: Metric> SharingDispatcher<M> {
     /// θ (`detour_threshold`).
     #[must_use]
     pub fn is_group_feasible(&self, requests: &[Request], members: &[usize]) -> bool {
+        self.canonical_length(requests, members).is_some()
+    }
+
+    /// The internal length of the canonical route over the subset of
+    /// `requests` at `members`, if every member's detour on it is within
+    /// θ.
+    fn canonical_length(&self, requests: &[Request], members: &[usize]) -> Option<f64> {
         let mut group = [requests[members[0]]; crate::shared_route::MAX_GROUP_SIZE];
         for (slot, &i) in group.iter_mut().zip(members) {
             *slot = requests[i];
         }
-        crate::shared_route::min_route_within_detour(
+        min_route_length_if_within_detour(
             &self.metric,
             &group[..members.len()],
             self.params.detour_threshold,
@@ -305,6 +326,16 @@ impl<M: Metric> SharingDispatcher<M> {
     /// without losing any feasible pair.
     #[must_use]
     pub fn feasible_groups(&self, requests: &[Request]) -> Vec<Vec<usize>> {
+        self.scored_groups(requests)
+            .into_iter()
+            .map(|(members, _)| members)
+            .collect()
+    }
+
+    /// [`feasible_groups`](Self::feasible_groups), each group with the
+    /// internal length of its canonical route — the length stage 1's
+    /// feasibility test already computed, kept for `pack`'s ordering.
+    fn scored_groups(&self, requests: &[Request]) -> Vec<(Vec<usize>, f64)> {
         let _span = obs::span("feasible_groups");
         let n = requests.len();
         let mut out = Vec::new();
@@ -342,11 +373,7 @@ impl<M: Metric> SharingDispatcher<M> {
         candidates.dedup();
         // Score every feasible pair once (score = canonical route length).
         let lens = par_map(self.par, candidates.clone(), |(a, b)| {
-            crate::shared_route::min_route_length_if_within_detour(
-                &self.metric,
-                &[requests[a], requests[b]],
-                theta,
-            )
+            min_route_length_if_within_detour(&self.metric, &[requests[a], requests[b]], theta)
         });
         let pair_score: std::collections::HashMap<(usize, usize), f64> = candidates
             .iter()
@@ -380,12 +407,12 @@ impl<M: Metric> SharingDispatcher<M> {
         let mut pair_ok = vec![Vec::new(); n];
         for &(a, b) in &kept {
             pair_ok[a].push(b);
-            out.push(vec![a, b]);
+            out.push((vec![a, b], pair_score[&(a, b)]));
         }
         for list in &mut pair_ok {
             list.sort_unstable();
         }
-        out.sort();
+        out.sort_unstable_by(|x, y| x.0.cmp(&y.0));
         if self.config.max_group_size >= 3 {
             match self.config.triples {
                 TripleCandidates::FromFeasiblePairs => {
@@ -404,12 +431,12 @@ impl<M: Metric> SharingDispatcher<M> {
                             }
                         }
                     }
-                    let feasible = par_map(self.par, triple_cand.clone(), |[a, b, c]| {
-                        self.is_group_feasible(requests, &[a, b, c])
+                    let lens = par_map(self.par, triple_cand.clone(), |[a, b, c]| {
+                        self.canonical_length(requests, &[a, b, c])
                     });
-                    for ([a, b, c], ok) in triple_cand.into_iter().zip(feasible) {
-                        if ok {
-                            out.push(vec![a, b, c]);
+                    for ([a, b, c], len) in triple_cand.into_iter().zip(lens) {
+                        if let Some(len) = len {
+                            out.push((vec![a, b, c], len));
                         }
                     }
                 }
@@ -421,8 +448,8 @@ impl<M: Metric> SharingDispatcher<M> {
                         let mut found = Vec::new();
                         for b in (a + 1)..n {
                             for c in (b + 1)..n {
-                                if self.is_group_feasible(requests, &[a, b, c]) {
-                                    found.push(vec![a, b, c]);
+                                if let Some(len) = self.canonical_length(requests, &[a, b, c]) {
+                                    found.push((vec![a, b, c], len));
                                 }
                             }
                         }
@@ -440,34 +467,20 @@ impl<M: Metric> SharingDispatcher<M> {
     /// once.
     #[must_use]
     pub fn pack(&self, requests: &[Request]) -> Vec<Vec<usize>> {
-        let candidates = self.feasible_groups(requests);
+        let mut scored = self.scored_groups(requests);
         let _span = obs::span("set_packing");
-        obs::add("sharing.feasible_groups", candidates.len() as u64);
-        let mut candidates = candidates;
+        obs::add("sharing.feasible_groups", scored.len() as u64);
         // Quality-aware ordering: the greedy packer (and the local search
         // seeded from it) prefers smaller sets first and breaks ties by
         // position, so sorting by canonical route length per member makes
-        // equal-cardinality packings favour compatible groups.
-        let mut scored: Vec<(usize, f64)> =
-            par_map_indexed(self.par, candidates.clone(), |k, members| {
-                let group: Vec<Request> = members.iter().map(|&i| requests[i]).collect();
-                let len = crate::shared_route::min_route_length_if_within_detour(
-                    &self.metric,
-                    &group,
-                    self.params.detour_threshold,
-                )
-                .unwrap_or(f64::INFINITY);
-                (k, len / members.len() as f64)
-            });
-        scored.sort_by(|a, b| {
-            (candidates[a.0].len(), a.1)
-                .partial_cmp(&(candidates[b.0].len(), b.1))
+        // equal-cardinality packings favour compatible groups. The sort is
+        // stable, so equal scores keep stage 1's order.
+        scored.sort_by(|(a, a_len), (b, b_len)| {
+            (a.len(), a_len / a.len() as f64)
+                .partial_cmp(&(b.len(), b_len / b.len() as f64))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        candidates = scored
-            .into_iter()
-            .map(|(k, _)| std::mem::take(&mut candidates[k]))
-            .collect();
+        let candidates: Vec<Vec<usize>> = scored.into_iter().map(|(members, _)| members).collect();
         let packing = SetPacking::new(requests.len(), candidates.clone())
             .expect("feasible groups are valid sets");
         let chosen = match self.config.objective {
@@ -532,10 +545,42 @@ impl<M: Metric> SharingDispatcher<M> {
         }
     }
 
-    /// Whether every member's detour on `plan` is within θ.
-    fn plan_within_detour(&self, g: &GroupData, plan: &RoutePlan) -> bool {
-        (0..g.members.len())
-            .all(|m| plan.detour(m, g.directs[m]) <= self.params.detour_threshold + 1e-9)
+    /// Whether a taxi may drive `plan` for `g`: any plan of a singleton,
+    /// otherwise one that keeps every member's detour within θ.
+    fn plan_allowed(&self, g: &GroupData, plan: &RoutePlan) -> bool {
+        g.members.len() == 1
+            || (0..g.members.len())
+                .all(|m| plan.detour(m, g.directs[m]) <= self.params.detour_threshold + 1e-9)
+    }
+
+    /// The inclusive Euclidean radius around `plan`'s first stop within
+    /// which every taxi that is mutually acceptable with `g` through
+    /// `plan` lies.
+    ///
+    /// With approach `a = D(t, first stop)`, the passenger key is
+    /// `a + c_p` with `c_p = Σ_m (pickup_offset_m + β·detour_m) / k`, and
+    /// the taxi key is `a + internal − (α+1)·Σtrip`; the two thresholds
+    /// bound `a` by `min(θ_p − c_p, θ_t + (α+1)·Σtrip − internal)`, and
+    /// Euclidean distance lower-bounds the metric. The bound is inflated
+    /// by a relative `1e-9` over the magnitudes of its terms, so the
+    /// float rounding of [`evaluate`](Self::evaluate)'s sums cannot accept
+    /// a taxi outside the disk. `c_p` is negative for some plans when
+    /// β < 0, which is why the radius is per plan and not `θ_p` around
+    /// every pick-up.
+    fn plan_radius(&self, g: &GroupData, plan: &RoutePlan) -> f64 {
+        let k = g.members.len() as f64;
+        let (mut cost, mut magnitude) = (0.0, 0.0);
+        for m in 0..g.members.len() {
+            let offset = plan.pickup_offset[m];
+            let detour = self.params.beta * plan.detour(m, g.directs[m]);
+            cost += offset + detour;
+            magnitude += offset.abs() + detour.abs();
+        }
+        let (cost, magnitude) = (cost / k, magnitude / k);
+        let trips = (self.params.alpha + 1.0) * g.sum_trips;
+        let bound = (self.params.passenger_threshold - cost)
+            .min(self.params.taxi_threshold + trips - plan.internal_length);
+        bound + 1e-9 * (1.0 + bound.abs() + magnitude + trips.abs() + plan.internal_length.abs())
     }
 
     fn evaluate(&self, g: &GroupData, taxi: &Taxi) -> Eval {
@@ -548,7 +593,7 @@ impl<M: Metric> SharingDispatcher<M> {
             .plans
             .iter()
             .enumerate()
-            .filter(|(_, p)| g.members.len() == 1 || self.plan_within_detour(g, p))
+            .filter(|(_, p)| self.plan_allowed(g, p))
             .map(|(i, p)| (i, p, self.metric.distance(taxi.location, p.first_stop())))
             .min_by(|a, b| {
                 (a.2 + a.1.internal_length)
@@ -574,6 +619,11 @@ impl<M: Metric> SharingDispatcher<M> {
         }
     }
 
+    /// Whether the group's party fits the taxi.
+    fn fits(g: &GroupData, taxi: &Taxi) -> bool {
+        g.total_passengers <= u16::from(taxi.seats)
+    }
+
     fn dispatch(
         &self,
         taxis: &[Taxi],
@@ -586,108 +636,113 @@ impl<M: Metric> SharingDispatcher<M> {
                 unserved: requests.iter().map(|r| r.id).collect(),
             };
         }
-        // Shared-route search per packed group, then the full
-        // (group × taxi) evaluation matrix — both row-parallel.
         let packed = self.pack(requests);
-        let _span = obs::span("sharing_evaluate");
+        let span = obs::span("sharing_evaluate");
         let groups: Vec<GroupData> = par_map(self.par, packed, |members| {
             self.group_data(requests, members)
         });
-        let groups_ref = &groups;
-        let evals: Vec<Vec<Eval>> =
-            par_map(self.par, (0..groups.len()).collect::<Vec<usize>>(), |gi| {
-                taxis
-                    .iter()
-                    .map(|t| self.evaluate(&groups_ref[gi], t))
-                    .collect()
+        // Sparse keyed stage 3: each group evaluates only the taxis its
+        // plans' radius queries find, and its row keeps the mutually
+        // acceptable ones by (passenger key, taxi), with the taxi key as
+        // the column key and the chosen plan alongside each entry.
+        let grid = build_taxi_grid(taxis);
+        let mut cands = KeyedCandidates::new();
+        cands.reset(taxis.len());
+        let mut plan_of: Vec<usize> = Vec::new();
+        let mut seen = vec![usize::MAX; taxis.len()];
+        let mut hits: Vec<usize> = Vec::new();
+        let mut row: Vec<(usize, Eval)> = Vec::new();
+        for (gi, g) in groups.iter().enumerate() {
+            hits.clear();
+            for plan in g.plans.iter().filter(|p| self.plan_allowed(g, p)) {
+                grid.visit_within(plan.first_stop(), self.plan_radius(g, plan), |&ti, _| {
+                    if seen[ti] != gi {
+                        seen[ti] = gi;
+                        hits.push(ti);
+                    }
+                });
+            }
+            row.clear();
+            row.extend(
+                hits.iter()
+                    .filter(|&&ti| Self::fits(g, &taxis[ti]))
+                    .map(|&ti| (ti, self.evaluate(g, &taxis[ti])))
+                    .filter(|(_, e)| {
+                        e.passenger_cost <= self.params.passenger_threshold
+                            && e.taxi_cost <= self.params.taxi_threshold
+                    }),
+            );
+            row.sort_unstable_by(|(a, ea), (b, eb)| {
+                ea.passenger_cost
+                    .partial_cmp(&eb.passenger_cost)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(b))
             });
-        drop(_span);
-        let fits = |g: &GroupData, t: &Taxi| g.total_passengers <= u16::from(t.seats);
-
-        let group_lists: Vec<Vec<usize>> = groups
-            .iter()
-            .enumerate()
-            .map(|(gi, g)| {
-                let mut list: Vec<usize> = (0..taxis.len())
-                    .filter(|&ti| {
-                        fits(g, &taxis[ti])
-                            && evals[gi][ti].passenger_cost <= self.params.passenger_threshold
-                    })
-                    .collect();
-                list.sort_by(|&a, &b| {
-                    evals[gi][a]
-                        .passenger_cost
-                        .partial_cmp(&evals[gi][b].passenger_cost)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                list
+            for (ti, e) in &row {
+                cands.push(*ti, e.passenger_cost, e.taxi_cost);
+                plan_of.push(e.plan_idx);
+            }
+            cands.finish_row();
+        }
+        drop(span);
+        let mut matcher = KeyedMatch::new();
+        matcher.solve(
+            &cands,
+            if taxi_optimal {
+                Proposing::Columns
+            } else {
+                Proposing::Rows
+            },
+        );
+        self.schedule(taxis, requests, &groups, |gi| {
+            matcher.row_entry(gi).map(|e| {
+                let entry = cands.entry(e);
+                (entry.col as usize, plan_of[e], entry.col_key)
             })
-            .collect();
-        let taxi_lists: Vec<Vec<usize>> = taxis
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| {
-                let mut list: Vec<usize> = (0..groups.len())
-                    .filter(|&gi| {
-                        fits(&groups[gi], t)
-                            && evals[gi][ti].taxi_cost <= self.params.taxi_threshold
-                    })
-                    .collect();
-                list.sort_by(|&a, &b| {
-                    evals[a][ti]
-                        .taxi_cost
-                        .partial_cmp(&evals[b][ti].taxi_cost)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                list
-            })
-            .collect();
-        let instance = StableInstance::new(group_lists, taxi_lists)
-            .expect("generated lists are in range and duplicate-free");
-        let matching: Matching = if taxi_optimal {
-            instance.reviewer_optimal()
-        } else {
-            instance.propose()
-        };
+        })
+    }
 
+    /// The schedule for `groups` when `matched(gi)` gives group `gi`'s
+    /// `(taxi index, plan index, taxi cost)`, or `None` if it is unserved.
+    fn schedule(
+        &self,
+        taxis: &[Taxi],
+        requests: &[Request],
+        groups: &[GroupData],
+        matched: impl Fn(usize) -> Option<(usize, usize, f64)>,
+    ) -> SharingSchedule {
         let mut assignments = Vec::new();
         let mut unserved = Vec::new();
         for (gi, g) in groups.iter().enumerate() {
-            match matching.proposer_partner(gi) {
-                Some(ti) => {
-                    let taxi = &taxis[ti];
-                    let eval = &evals[gi][ti];
-                    let plan = g.plans[eval.plan_idx].clone();
-                    let approach = self.metric.distance(taxi.location, plan.first_stop());
-                    let wait_distances: Vec<f64> = (0..g.members.len())
-                        .map(|m| approach + plan.pickup_offset[m])
-                        .collect();
-                    let detours: Vec<f64> = (0..g.members.len())
-                        .map(|m| plan.detour(m, g.directs[m]))
-                        .collect();
-                    let passenger_costs: Vec<f64> = wait_distances
-                        .iter()
-                        .zip(&detours)
-                        .map(|(w, d)| w + self.params.beta * d)
-                        .collect();
-                    let total_drive = approach + plan.internal_length;
-                    assignments.push(GroupAssignment {
-                        taxi: taxi.id,
-                        members: g.members.iter().map(|&i| requests[i].id).collect(),
-                        route: plan,
-                        wait_distances,
-                        detours,
-                        passenger_costs,
-                        taxi_cost: eval.taxi_cost,
-                        total_drive,
-                    });
-                }
-                None => {
-                    unserved.extend(g.members.iter().map(|&i| requests[i].id));
-                }
-            }
+            let Some((ti, plan_idx, taxi_cost)) = matched(gi) else {
+                unserved.extend(g.members.iter().map(|&i| requests[i].id));
+                continue;
+            };
+            let taxi = &taxis[ti];
+            let plan = g.plans[plan_idx].clone();
+            let approach = self.metric.distance(taxi.location, plan.first_stop());
+            let wait_distances: Vec<f64> = (0..g.members.len())
+                .map(|m| approach + plan.pickup_offset[m])
+                .collect();
+            let detours: Vec<f64> = (0..g.members.len())
+                .map(|m| plan.detour(m, g.directs[m]))
+                .collect();
+            let passenger_costs: Vec<f64> = wait_distances
+                .iter()
+                .zip(&detours)
+                .map(|(w, d)| w + self.params.beta * d)
+                .collect();
+            let total_drive = approach + plan.internal_length;
+            assignments.push(GroupAssignment {
+                taxi: taxi.id,
+                members: g.members.iter().map(|&i| requests[i].id).collect(),
+                route: plan,
+                wait_distances,
+                detours,
+                passenger_costs,
+                taxi_cost,
+                total_drive,
+            });
         }
         unserved.sort_unstable_by_key(|r| r.0);
         SharingSchedule {

@@ -59,11 +59,12 @@ impl BBox {
     pub fn from_points<I: IntoIterator<Item = Point>>(points: I) -> Option<Self> {
         let mut it = points.into_iter();
         let first = it.next()?;
-        let mut bb = BBox::new(first, first);
+        let (mut min, mut max) = (first, first);
         for p in it {
-            bb = bb.expanded_to(p);
+            min = Point::new(min.x.min(p.x), min.y.min(p.y));
+            max = Point::new(max.x.max(p.x), max.y.max(p.y));
         }
-        Some(bb)
+        Some(BBox { min, max })
     }
 
     /// Lower-left corner.
@@ -102,12 +103,6 @@ impl BBox {
         self.min.lerp(self.max, 0.5)
     }
 
-    /// Length of the diagonal — an upper bound on any intra-city distance.
-    #[must_use]
-    pub fn diagonal(&self) -> f64 {
-        self.min.euclidean(self.max)
-    }
-
     /// `true` when `p` lies inside or on the boundary.
     #[must_use]
     pub fn contains(&self, p: Point) -> bool {
@@ -121,28 +116,6 @@ impl BBox {
             p.x.clamp(self.min.x, self.max.x),
             p.y.clamp(self.min.y, self.max.y),
         )
-    }
-
-    /// A copy grown (or shrunk, for negative `margin`) by `margin` km on
-    /// every side. Shrinking never inverts the box: it stops at the centre.
-    #[must_use]
-    pub fn inflated(&self, margin: f64) -> BBox {
-        let c = self.center();
-        let half_w = (self.width() / 2.0 + margin).max(0.0);
-        let half_h = (self.height() / 2.0 + margin).max(0.0);
-        BBox::new(
-            Point::new(c.x - half_w, c.y - half_h),
-            Point::new(c.x + half_w, c.y + half_h),
-        )
-    }
-
-    /// The smallest box containing both `self` and `p`.
-    #[must_use]
-    pub fn expanded_to(&self, p: Point) -> BBox {
-        BBox {
-            min: Point::new(self.min.x.min(p.x), self.min.y.min(p.y)),
-            max: Point::new(self.max.x.max(p.x), self.max.y.max(p.y)),
-        }
     }
 
     /// Euclidean distance from `p` to the nearest point of the box
@@ -217,27 +190,12 @@ mod tests {
         }
         assert_eq!(b.min(), Point::new(-2.0, -1.0));
         assert_eq!(b.max(), Point::new(3.0, 4.0));
+        assert_eq!(b.area(), 25.0);
     }
 
     #[test]
     fn from_points_empty_is_none() {
         assert!(BBox::from_points(std::iter::empty()).is_none());
-    }
-
-    #[test]
-    fn inflate_and_area() {
-        let b = BBox::square(Point::ORIGIN, 2.0);
-        assert_eq!(b.area(), 4.0);
-        let big = b.inflated(1.0);
-        assert_eq!(big.width(), 4.0);
-        let tiny = b.inflated(-5.0);
-        assert_eq!(tiny.width(), 0.0);
-    }
-
-    #[test]
-    fn diagonal_bounds_distances() {
-        let b = BBox::new(Point::new(0.0, 0.0), Point::new(3.0, 4.0));
-        assert_eq!(b.diagonal(), 5.0);
     }
 
     #[test]

@@ -208,8 +208,7 @@ impl<T: Clone + PartialEq> GridIndex<T> {
     ///
     /// Removal preserves the relative order of the remaining items in the
     /// cell, so later queries tie-break exactly as if the removed item had
-    /// never been inserted — the property the delta-maintained frame grid
-    /// relies on to stay query-identical to a fresh [`Self::bulk_build`].
+    /// never been inserted.
     pub fn remove(&mut self, item: &T, location: Point) -> bool {
         let (c, r) = self.cell_of(location);
         let cell = &mut self.cells[r * self.cols + c];
@@ -222,49 +221,12 @@ impl<T: Clone + PartialEq> GridIndex<T> {
         }
     }
 
-    /// Moves one occurrence of `item` from `old` to `new`.
-    ///
-    /// Returns `false` (and inserts nothing) when the item was not found at
-    /// `old`.
-    pub fn relocate(&mut self, item: &T, old: Point, new: Point) -> bool {
-        if self.remove(item, old) {
-            self.insert(item.clone(), new);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Removes every stored item.
     pub fn clear(&mut self) {
         for cell in &mut self.cells {
             cell.clear();
         }
         self.len = 0;
-    }
-
-    /// A structure-preserving copy with every payload passed through `f`:
-    /// same geometry, same per-cell item order, same locations.
-    ///
-    /// When `f` is strictly monotone in the payload order (e.g. mapping
-    /// fleet indices to their ranks within a subset), the copy's per-cell
-    /// payload order is ascending iff the original's was — which keeps a
-    /// payload-remapped grid bit-identical to a fresh
-    /// [`Self::bulk_build`] over the remapped items.
-    #[must_use]
-    pub fn map_payloads<U: Clone + PartialEq>(&self, mut f: impl FnMut(&T) -> U) -> GridIndex<U> {
-        GridIndex {
-            bbox: self.bbox,
-            cell_size: self.cell_size,
-            cols: self.cols,
-            rows: self.rows,
-            cells: self
-                .cells
-                .iter()
-                .map(|cell| cell.iter().map(|(t, p)| (f(t), *p)).collect())
-                .collect(),
-            len: self.len,
-        }
     }
 
     /// Asserts the internal invariants: the item count matches the cell
@@ -455,26 +417,6 @@ impl<T: Clone + PartialEq> GridIndex<T> {
     }
 }
 
-impl<T: Clone + Ord> GridIndex<T> {
-    /// Inserts `item` at `location`, placing it *by payload order* within
-    /// its cell instead of appending.
-    ///
-    /// When every cell already holds its items in ascending payload order
-    /// — true for any grid built by [`Self::bulk_build`] from an
-    /// ascending item list, like the engine's fleet-ordered taxi grid —
-    /// this keeps that order, so the maintained grid stays equal to a
-    /// fresh `bulk_build` of the ascending current item set. Plain
-    /// [`Self::insert`] (append) would put a re-idled taxi behind taxis
-    /// with larger indices and change query tie-breaking.
-    pub fn insert_sorted(&mut self, item: T, location: Point) {
-        let (c, r) = self.cell_of(location);
-        let cell = &mut self.cells[r * self.cols + c];
-        let pos = cell.partition_point(|(i, _)| *i < item);
-        cell.insert(pos, (item, location));
-        self.len += 1;
-    }
-}
-
 impl<T: Clone + PartialEq + Send + Sync> GridIndex<T> {
     /// Answers many radius queries against one immutable index, in
     /// parallel, preserving query order.
@@ -558,26 +500,6 @@ mod tests {
         assert!(idx.remove(&7, p));
         assert!(!idx.remove(&7, p));
         assert!(idx.nearest(Point::ORIGIN).is_none());
-    }
-
-    #[test]
-    fn relocate_moves_item() {
-        let mut idx = GridIndex::new(city(), 1.0);
-        let a = Point::new(-8.0, -8.0);
-        let b = Point::new(8.0, 8.0);
-        idx.insert(1u32, a);
-        assert!(idx.relocate(&1, a, b));
-        let n = idx.nearest(Point::new(7.0, 7.0)).unwrap();
-        assert_eq!(n.item, 1);
-        assert!(n.distance < 2.0);
-        assert_eq!(idx.len(), 1);
-    }
-
-    #[test]
-    fn relocate_missing_item_is_noop() {
-        let mut idx: GridIndex<u32> = GridIndex::new(city(), 1.0);
-        assert!(!idx.relocate(&9, Point::ORIGIN, Point::new(1.0, 1.0)));
-        assert!(idx.is_empty());
     }
 
     #[test]
@@ -734,48 +656,6 @@ mod tests {
         fresh.insert(12u32, Point::new(0.0, 1.0));
         fresh.insert(13u32, Point::new(0.0, -1.0));
         assert_eq!(idx, fresh);
-    }
-
-    #[test]
-    fn insert_sorted_restores_bulk_build_order() {
-        // Build from the ascending item set minus one, then insert_sorted
-        // the missing item: the result must equal the full bulk build,
-        // wherever the item falls in its cell.
-        let pts: Vec<(u32, Point)> = (0..30)
-            .map(|i| {
-                (
-                    i,
-                    Point::new((i as f64 * 5.1) % 18.0 - 9.0, (i as f64 * 2.3) % 18.0 - 9.0),
-                )
-            })
-            .collect();
-        let full = GridIndex::bulk_build(city(), 6.0, pts.clone());
-        for missing in [0usize, 7, 29] {
-            let partial: Vec<(u32, Point)> = pts
-                .iter()
-                .copied()
-                .filter(|&(i, _)| i as usize != missing)
-                .collect();
-            let mut idx = GridIndex::bulk_build(city(), 6.0, partial);
-            idx.insert_sorted(pts[missing].0, pts[missing].1);
-            assert_eq!(idx, full, "missing = {missing}");
-        }
-    }
-
-    #[test]
-    fn map_payloads_preserves_structure() {
-        let pts: Vec<(u32, Point)> = (0..20)
-            .map(|i| (i * 2, Point::new((i as f64 * 3.7) % 16.0 - 8.0, 0.5)))
-            .collect();
-        let idx = GridIndex::bulk_build(city(), 2.0, pts.clone());
-        // A strictly monotone remap (halving) must equal the bulk build
-        // of the remapped items.
-        let mapped = idx.map_payloads(|&i| i / 2);
-        let expect =
-            GridIndex::bulk_build(city(), 2.0, pts.iter().map(|&(i, p)| (i / 2, p)).collect());
-        assert_eq!(mapped, expect);
-        assert_eq!(mapped.len(), idx.len());
-        mapped.debug_check_invariants();
     }
 
     #[test]

@@ -26,7 +26,6 @@
 mod bbox;
 mod cache;
 mod grid_index;
-mod incremental_grid;
 mod metric;
 mod point;
 mod road_network;
@@ -34,7 +33,6 @@ mod road_network;
 pub use bbox::BBox;
 pub use cache::{CacheStats, DistanceCache};
 pub use grid_index::{heuristic_cell_size, GridIndex, Neighbor};
-pub use incremental_grid::{IncrementalGrid, SyncOutcome};
 pub use metric::{Euclidean, Manhattan, Metric, ScaledMetric};
 pub use point::Point;
 pub use road_network::{EdgeId, NodeId, RoadNetwork, RoadNetworkBuilder, RoadNetworkError};

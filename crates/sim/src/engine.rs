@@ -7,19 +7,12 @@ use crate::metrics::HourBucket;
 use crate::policy::{DispatchPolicy, FrameContext};
 use crate::report::SimReport;
 use o2o_core::{PickupDistances, TimeBudgetSpec};
-use o2o_geo::{heuristic_cell_size, BBox, Euclidean, IncrementalGrid, Metric, Point};
+use o2o_geo::{Euclidean, Metric, Point};
 use o2o_obs::{self as obs, FrameObservation, Recorder, SloMonitor, SloSpec};
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId, Trace};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
-
-/// Churn fraction above which the engine's incremental taxi grid rebuilds
-/// from scratch instead of patching (see [`IncrementalGrid`]). At typical
-/// per-frame fleet churn (a few percent) the delta path dominates; past
-/// roughly a third of the fleet changing, a bulk rebuild is cheaper than
-/// item-by-item patching.
-const GRID_REBUILD_THRESHOLD: f64 = 0.35;
 
 /// Engine parameters; defaults reproduce the paper's setup (one-minute
 /// frames, 20 km/h).
@@ -172,26 +165,16 @@ impl EngineState {
 
 /// Reusable per-frame scratch, hoisted so a long run does not
 /// re-allocate (and re-free) the same buffers every tick. Nothing here
-/// survives a frame as *state*: everything is recomputed before use (the
-/// incremental grid is delta-synced to exactly the fresh-build result),
-/// so resume after a crash rebuilds it all from the trace without loss.
+/// survives a frame as *state*: everything is recomputed before use, so
+/// resume after a crash rebuilds it all from the trace without loss.
 pub(crate) struct Scratch {
     idle: Vec<Taxi>,
-    idle_fleet: Vec<usize>,
     pending_vec: Vec<Request>,
     arrivals: Vec<Request>,
     member_reqs: Vec<Request>,
     cancelled_members: HashSet<RequestId>,
     used_taxis: HashSet<TaxiId>,
     served_ids: HashSet<RequestId>,
-    /// Delta-maintained idle-taxi grid: keyed by fleet index across
-    /// frames (taxi state transitions patch it in place), remapped to
-    /// idle-slice ranks for the policy each frame. Query results are
-    /// exactly those of a fresh `build_taxi_grid(&idle)` — asserted in
-    /// debug builds.
-    inc_grid: IncrementalGrid<usize>,
-    desired: Vec<(usize, Point)>,
-    fleet_rank: Vec<usize>,
     taxi_index: HashMap<TaxiId, usize>,
     /// Live SLO monitor, fed once per dispatched frame; `None` when the
     /// simulator has no [`SloSpec`]s configured. Scratch (not state): a
@@ -212,16 +195,12 @@ impl Scratch {
     pub(crate) fn new(trace: &Trace) -> Self {
         Scratch {
             idle: Vec::new(),
-            idle_fleet: Vec::new(),
             pending_vec: Vec::new(),
             arrivals: Vec::new(),
             member_reqs: Vec::new(),
             cancelled_members: HashSet::new(),
             used_taxis: HashSet::new(),
             served_ids: HashSet::new(),
-            inc_grid: IncrementalGrid::new(GRID_REBUILD_THRESHOLD),
-            desired: Vec::new(),
-            fleet_rank: vec![0; trace.taxis.len()],
             taxi_index: trace
                 .taxis
                 .iter()
@@ -440,16 +419,12 @@ impl Simulator {
         } = st;
         let Scratch {
             idle,
-            idle_fleet,
             pending_vec,
             arrivals,
             member_reqs,
             cancelled_members,
             used_taxis,
             served_ids,
-            inc_grid,
-            desired,
-            fleet_rank,
             taxi_index,
             slo,
             slo_arrivals,
@@ -511,13 +486,11 @@ impl Simulator {
                 report.unserved_at_end += before - pending.len();
             }
 
-            // Collect the idle fleet (fleet order, so grid tie-breaking
-            // matches a fresh build exactly). On fault runs, dropped-out
-            // taxis are evicted from the pool and reported positions may
-            // be GPS-jittered — the true position (used for driving) is
-            // untouched, only the policy's view shifts.
+            // Collect the idle fleet in fleet order. On fault runs,
+            // dropped-out taxis are evicted from the pool and reported
+            // positions may be GPS-jittered — the true position (used for
+            // driving) is untouched, only the policy's view shifts.
             idle.clear();
-            idle_fleet.clear();
             for (fi, t) in taxis.iter().enumerate() {
                 if t.free_at <= time_end {
                     let location = match fault_state.as_mut() {
@@ -529,7 +502,6 @@ impl Simulator {
                         }
                         None => t.location,
                     };
-                    idle_fleet.push(fi);
                     idle.push(Taxi {
                         id: t.template.id,
                         location,
@@ -564,10 +536,9 @@ impl Simulator {
                 // policies that will read it: the idle × pending pick-up
                 // matrix (dense candidate mode), and the idle-taxi grid
                 // shared by sparse candidate generation and the
-                // grid-accelerated baselines. The grid is maintained
-                // incrementally across frames, keyed by fleet index, then
-                // remapped to idle-slice ranks (the fleet→rank map is
-                // monotone, so query order is preserved). A worker panic
+                // grid-accelerated baselines, built in bulk over the idle
+                // slice at the reported positions it shows the policy (the
+                // true ones except under GPS jitter). A worker panic
                 // in the matrix (even after the sequential retry) skips
                 // this frame's dispatch instead of tearing the run down —
                 // the requests stay pending and the next frame retries.
@@ -592,36 +563,8 @@ impl Simulator {
                 } else {
                     None
                 };
-                let grid = (!precompute_failed && policy.wants_taxi_grid()).then(|| {
-                    let _span = obs::span("grid_build");
-                    desired.clear();
-                    // Key the grid by fleet index but place each taxi at
-                    // its *reported* position (identical to the true one
-                    // except under GPS jitter), so the grid the policy
-                    // queries matches the idle slice it sees.
-                    desired.extend(
-                        idle_fleet
-                            .iter()
-                            .zip(idle.iter())
-                            .map(|(&fi, t)| (fi, t.location)),
-                    );
-                    let bbox = BBox::from_points(idle.iter().map(|t| t.location))
-                        .unwrap_or_else(|| BBox::square(Point::ORIGIN, 1.0));
-                    inc_grid.sync(bbox, heuristic_cell_size(bbox), desired);
-                    for (rank, &fi) in idle_fleet.iter().enumerate() {
-                        fleet_rank[fi] = rank;
-                    }
-                    let g = inc_grid
-                        .grid()
-                        .expect("grid present after sync")
-                        .map_payloads(|&fi| fleet_rank[fi]);
-                    debug_assert_eq!(
-                        g,
-                        o2o_core::build_taxi_grid(idle),
-                        "incremental grid must equal a fresh bulk build"
-                    );
-                    g
-                });
+                let grid = (!precompute_failed && policy.wants_taxi_grid())
+                    .then(|| o2o_core::build_taxi_grid(idle));
                 let mut ctx = FrameContext::new(frame, time_end, idle, pending_vec);
                 ctx.pickup_distances = pickup.as_ref();
                 ctx.taxi_grid = grid.as_ref();
@@ -1160,6 +1103,48 @@ mod tests {
         assert!(report.served > 0, "the run still serves passengers");
         let ratio = report.served_ratio();
         assert!((0.0..=1.0).contains(&ratio));
+    }
+
+    #[test]
+    fn taxi_grid_sits_at_reported_positions_under_gps_jitter() {
+        /// Checks every frame's grid against the idle slice the policy
+        /// sees, then dispatches with NSTD-P.
+        struct GridCheck<P> {
+            inner: P,
+            frames: usize,
+        }
+        impl<P: DispatchPolicy> DispatchPolicy for GridCheck<P> {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn dispatch(&mut self, ctx: &FrameContext<'_>) -> Vec<crate::FrameAssignment> {
+                let grid = ctx.taxi_grid.expect("the policy asks for the grid");
+                assert_eq!(grid.len(), ctx.idle_taxis.len());
+                for (&i, location) in grid.iter() {
+                    assert_eq!(location, ctx.idle_taxis[i].location);
+                }
+                assert_eq!(*grid, o2o_core::build_taxi_grid(ctx.idle_taxis));
+                self.frames += 1;
+                self.inner.dispatch(ctx)
+            }
+            fn wants_taxi_grid(&self) -> bool {
+                true
+            }
+        }
+        let trace = boston_september_2012(0.002).generate(7);
+        let plan = crate::FaultPlan {
+            gps_jitter: 0.3,
+            ..crate::FaultPlan::none(5)
+        };
+        let mut p = GridCheck {
+            inner: policy::nstd_p(Euclidean, PreferenceParams::default()),
+            frames: 0,
+        };
+        let report = Simulator::new(SimConfig::default())
+            .with_fault_plan(plan)
+            .run(&trace, &mut p);
+        assert!(report.faults.gps_faults > 0, "positions were jittered");
+        assert!(p.frames > 0, "frames were dispatched");
     }
 
     #[test]
