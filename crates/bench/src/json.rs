@@ -763,17 +763,16 @@ mod tests {
     #[test]
     fn policy_json_reports_cache_effectiveness_for_cached_policies() {
         let trace = o2o_trace::boston_september_2012(0.001).taxis(3).generate(5);
-        let reports = crate::run_policies(
-            &trace,
-            &[crate::PolicyKind::StdP],
-            o2o_core::PreferenceParams::default(),
-            o2o_sim::SimConfig::default(),
-        );
-        // STD-P runs behind a per-frame distance cache, so the counters
-        // must be live (misses at minimum; hits whenever a frame repeats
-        // a query).
-        assert!(reports[0].total_cache_misses() > 0);
-        let s = policy_json(&reports[0]).to_string();
+        let params = o2o_core::PreferenceParams::default();
+        let mut cached = o2o_sim::policy::cached(o2o_geo::Euclidean, |metric| {
+            o2o_sim::policy::std_p(metric, params)
+        });
+        let report =
+            o2o_sim::Simulator::new(o2o_sim::SimConfig::default()).run(&trace, &mut cached);
+        // Behind a per-frame distance cache the counters must be live
+        // (misses at minimum; hits whenever a frame repeats a query).
+        assert!(report.total_cache_misses() > 0);
+        let s = policy_json(&report).to_string();
         assert!(s.contains("\"total_cache_misses\""));
         // The stage breakdown rides along: aggregate self-times per
         // pipeline stage plus counter totals.

@@ -163,10 +163,8 @@ impl PolicyKind {
     }
 
     /// Builds the policy with its internal pipeline stages running on
-    /// `par` threads, and — for the paper's sharing algorithms — its
-    /// metric wrapped in a per-frame distance cache. Results are
-    /// bit-identical to [`PolicyKind::build`] for every thread count;
-    /// only wall-clock time changes.
+    /// `par` threads. Results are bit-identical to [`PolicyKind::build`]
+    /// for every thread count; only wall-clock time changes.
     #[must_use]
     pub fn build_parallel(
         &self,
@@ -184,16 +182,12 @@ impl PolicyKind {
             PolicyKind::Near => Box::new(policy::near(Euclidean, params)),
             PolicyKind::Pair => Box::new(policy::pair(Euclidean, params)),
             PolicyKind::Mini => Box::new(policy::mini(Euclidean, params)),
-            PolicyKind::StdP => Box::new(policy::cached(Euclidean, |metric| {
-                StdPPolicy::from_dispatcher(
-                    SharingDispatcher::new(metric, params).with_parallelism(par),
-                )
-            })),
-            PolicyKind::StdT => Box::new(policy::cached(Euclidean, |metric| {
-                StdTPolicy::from_dispatcher(
-                    SharingDispatcher::new(metric, params).with_parallelism(par),
-                )
-            })),
+            PolicyKind::StdP => Box::new(StdPPolicy::from_dispatcher(
+                SharingDispatcher::new(Euclidean, params).with_parallelism(par),
+            )),
+            PolicyKind::StdT => Box::new(StdTPolicy::from_dispatcher(
+                SharingDispatcher::new(Euclidean, params).with_parallelism(par),
+            )),
             PolicyKind::Raii => Box::new(policy::raii(Euclidean, params)),
             PolicyKind::Sarp => Box::new(policy::sarp(Euclidean, params)),
             PolicyKind::Lin => Box::new(policy::lin(Euclidean, params)),
@@ -203,8 +197,7 @@ impl PolicyKind {
 
 /// Runs every policy over the trace, one job per policy on up to
 /// [`Parallelism::auto`] threads. Each policy's internal stages stay
-/// sequential here (the parallelism budget is spent across policies);
-/// the sharing policies still get their per-frame distance cache.
+/// sequential here (the parallelism budget is spent across policies).
 /// Reports come back in `kinds` order.
 #[must_use]
 pub fn run_policies(

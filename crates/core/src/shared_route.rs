@@ -185,49 +185,35 @@ pub fn min_route_length_if_within_detour<M: Metric>(
     group: &[Request],
     theta: f64,
 ) -> Option<f64> {
-    let k = group.len();
-    assert!(
-        (1..=MAX_GROUP_SIZE).contains(&k),
-        "group size {k} outside 1..={MAX_GROUP_SIZE}"
-    );
+    check_group_size(group.len());
+    min_route_length_on(&measure_legs(metric, group), group.len(), theta)
+}
+
+/// [`min_route_length_if_within_detour`] over a filled leg matrix of a
+/// `k`-member group: the search itself, which reads every leg it needs
+/// from `leg` and measures nothing.
+pub(crate) fn min_route_length_on(leg: &Legs, k: usize, theta: f64) -> Option<f64> {
     if k == 1 {
         // A lone rider never detours.
-        return Some(metric.distance(group[0].pickup, group[0].dropoff));
+        return Some(leg[0][1]);
     }
-    let n = 2 * k;
-    let loc = |s: usize| {
-        if s < k {
-            group[s].pickup
-        } else {
-            group[s - k].dropoff
-        }
-    };
-    // Fixed-size buffers (MAX_GROUP_SIZE = 4 → at most 8 stops).
-    let mut leg = [[0.0f64; 8]; 8];
-    for (a, row) in leg.iter_mut().enumerate().take(n) {
-        for (b, cell) in row.iter_mut().enumerate().take(n) {
-            if a != b {
-                *cell = metric.distance(loc(a), loc(b));
-            }
-        }
-    }
-    let mut max_onboard = [0.0f64; 4];
-    for (slot, r) in max_onboard.iter_mut().zip(group) {
-        *slot = metric.distance(r.pickup, r.dropoff) + theta;
+    let mut max_onboard = [0.0f64; MAX_GROUP_SIZE];
+    for (m, slot) in max_onboard.iter_mut().enumerate().take(k) {
+        *slot = leg[m][k + m] + theta;
     }
 
-    struct Lean {
+    struct Lean<'a> {
         k: usize,
-        leg: [[f64; 8]; 8],
-        max_onboard: [f64; 4],
+        leg: &'a Legs,
+        max_onboard: [f64; MAX_GROUP_SIZE],
         best_len: f64,
         best_ok: bool,
-        pickup_at: [f64; 4],
-        onboard: [f64; 4],
+        pickup_at: [f64; MAX_GROUP_SIZE],
+        onboard: [f64; MAX_GROUP_SIZE],
         last: usize,
     }
 
-    impl Lean {
+    impl Lean<'_> {
         fn run(&mut self, picked: u32, dropped: u32, depth: usize, length: f64) {
             if length >= self.best_len {
                 return;
@@ -273,13 +259,13 @@ pub fn min_route_length_if_within_detour<M: Metric>(
         max_onboard,
         best_len: f64::INFINITY,
         best_ok: false,
-        pickup_at: [0.0; 4],
-        onboard: [0.0; 4],
+        pickup_at: [0.0; MAX_GROUP_SIZE],
+        onboard: [0.0; MAX_GROUP_SIZE],
         last: 0,
     };
     for first in 0..k {
-        state.pickup_at = [0.0; 4];
-        state.onboard = [0.0; 4];
+        state.pickup_at = [0.0; MAX_GROUP_SIZE];
+        state.onboard = [0.0; MAX_GROUP_SIZE];
         state.last = first;
         state.run(1 << first, 0, 1, 0.0);
     }
@@ -306,31 +292,15 @@ pub fn best_route_within_detour<M: Metric>(
     theta: f64,
 ) -> Option<RoutePlan> {
     let k = group.len();
-    assert!(
-        (1..=MAX_GROUP_SIZE).contains(&k),
-        "group size {k} outside 1..={MAX_GROUP_SIZE}"
-    );
-    let loc = |s: usize| {
-        if s < k {
-            group[s].pickup
-        } else {
-            group[s - k].dropoff
-        }
-    };
+    check_group_size(k);
+    let loc = |s: usize| stop_location(group, s);
     let directs: Vec<f64> = group.iter().map(|r| r.trip_distance(metric)).collect();
     let n = 2 * k;
-    let mut leg = vec![vec![0.0; n]; n];
-    for (a, row) in leg.iter_mut().enumerate() {
-        for (b, cell) in row.iter_mut().enumerate() {
-            if a != b {
-                *cell = metric.distance(loc(a), loc(b));
-            }
-        }
-    }
+    let leg = measure_legs(metric, group);
 
     struct Search<'a> {
         k: usize,
-        leg: &'a [Vec<f64>],
+        leg: &'a Legs,
         directs: &'a [f64],
         theta: f64,
         best_len: f64,
@@ -450,33 +420,20 @@ pub fn best_route_within_detour<M: Metric>(
 /// Panics if the group is empty or larger than [`MAX_GROUP_SIZE`].
 #[must_use]
 pub fn routes_by_first_pickup<M: Metric>(metric: &M, group: &[Request]) -> Vec<RoutePlan> {
+    check_group_size(group.len());
+    routes_by_first_pickup_on(&measure_legs(metric, group), group)
+}
+
+/// [`routes_by_first_pickup`] over a filled leg matrix of `group`: the
+/// search itself, which reads every leg it needs from `leg` and takes
+/// only the stops' locations from `group`.
+pub(crate) fn routes_by_first_pickup_on(leg: &Legs, group: &[Request]) -> Vec<RoutePlan> {
     let k = group.len();
-    assert!(
-        (1..=MAX_GROUP_SIZE).contains(&k),
-        "group size {k} outside 1..={MAX_GROUP_SIZE}"
-    );
-    // Stop i < k is member i's pickup; stop i >= k is member (i−k)'s
-    // dropoff. Precompute the 2k×2k leg matrix.
-    let loc = |s: usize| {
-        if s < k {
-            group[s].pickup
-        } else {
-            group[s - k].dropoff
-        }
-    };
     let n = 2 * k;
-    let mut leg = vec![vec![0.0; n]; n];
-    for (a, row) in leg.iter_mut().enumerate() {
-        for (b, cell) in row.iter_mut().enumerate() {
-            if a != b {
-                *cell = metric.distance(loc(a), loc(b));
-            }
-        }
-    }
 
     struct Search<'a> {
         k: usize,
-        leg: &'a [Vec<f64>],
+        leg: &'a Legs,
         best_len: f64,
         best_seq: Vec<usize>,
         seq: Vec<usize>,
@@ -520,7 +477,7 @@ pub fn routes_by_first_pickup<M: Metric>(metric: &M, group: &[Request]) -> Vec<R
         .map(|first| {
             let mut search = Search {
                 k,
-                leg: &leg,
+                leg,
                 best_len: f64::INFINITY,
                 best_seq: Vec::new(),
                 seq: vec![first],
@@ -551,7 +508,7 @@ pub fn routes_by_first_pickup<M: Metric>(metric: &M, group: &[Request]) -> Vec<R
                     } else {
                         StopKind::Dropoff
                     },
-                    location: loc(s),
+                    location: stop_location(group, s),
                 })
                 .collect();
             RoutePlan {
@@ -562,6 +519,94 @@ pub fn routes_by_first_pickup<M: Metric>(metric: &M, group: &[Request]) -> Vec<R
             }
         })
         .collect()
+}
+
+/// Stop-to-stop distances of a group of at most [`MAX_GROUP_SIZE`]
+/// members: stop `i < k` is member `i`'s pick-up, stop `k + i` its
+/// drop-off, and `leg[x][y]` is `metric.distance(stop x, stop y)`. The
+/// route searches never read a member's own drop-off-to-pick-up entry,
+/// because a drop-off always follows its own pick-up.
+pub(crate) type Legs = [[f64; 2 * MAX_GROUP_SIZE]; 2 * MAX_GROUP_SIZE];
+
+/// The eight directed legs between two requests' end-points, in
+/// [`CROSS_LEGS`] order.
+pub(crate) type PairLegs = [f64; 8];
+
+/// The legs between the members of a pair `[a, b]` that a route search
+/// can read, as `(from, to)` stops of that pair (0 is `a`'s pick-up, 1
+/// `b`'s, 2 `a`'s drop-off, 3 `b`'s): `a_s→b_s`, `b_s→a_s`, `a_s→b_d`,
+/// `b_d→a_s`, `b_s→a_d`, `a_d→b_s`, `a_d→b_d`, `b_d→a_d`. Each member's
+/// own trip is measured once per request. Its own drop-off-to-pick-up leg
+/// is not measured at all: a drop-off always follows its own pick-up, so
+/// no route search reads it, and [`assemble_legs`] leaves it 0.
+const CROSS_LEGS: [(usize, usize); 8] = [
+    (0, 1),
+    (1, 0),
+    (0, 3),
+    (3, 0),
+    (1, 2),
+    (2, 1),
+    (2, 3),
+    (3, 2),
+];
+
+/// The cross legs of `a` and `b`, each one `metric.distance(from, to)`.
+pub(crate) fn measure_pair_legs<M: Metric>(metric: &M, a: &Request, b: &Request) -> PairLegs {
+    let pair = [*a, *b];
+    CROSS_LEGS
+        .map(|(from, to)| metric.distance(stop_location(&pair, from), stop_location(&pair, to)))
+}
+
+/// The [`Legs`] of a `k`-member group from each member's trip, `trip(i)`,
+/// and each member pair's cross legs, `pair(i, j)` for positions
+/// `i < j`: the [`PairLegs`] of the pair `[group[i], group[j]]`.
+pub(crate) fn assemble_legs(
+    k: usize,
+    trip: impl Fn(usize) -> f64,
+    pair: impl Fn(usize, usize) -> PairLegs,
+) -> Legs {
+    let mut leg = [[0.0; 2 * MAX_GROUP_SIZE]; 2 * MAX_GROUP_SIZE];
+    for i in 0..k {
+        leg[i][k + i] = trip(i);
+        for j in i + 1..k {
+            let stop = |s: usize| [i, j, k + i, k + j][s];
+            for (&(from, to), &d) in CROSS_LEGS.iter().zip(&pair(i, j)) {
+                leg[stop(from)][stop(to)] = d;
+            }
+        }
+    }
+    leg
+}
+
+/// Every leg of `group`, measured from `metric`.
+fn measure_legs<M: Metric>(metric: &M, group: &[Request]) -> Legs {
+    let n = 2 * group.len();
+    let mut leg = [[0.0; 2 * MAX_GROUP_SIZE]; 2 * MAX_GROUP_SIZE];
+    for (a, row) in leg.iter_mut().enumerate().take(n) {
+        for (b, cell) in row.iter_mut().enumerate().take(n) {
+            if a != b {
+                *cell = metric.distance(stop_location(group, a), stop_location(group, b));
+            }
+        }
+    }
+    leg
+}
+
+/// Location of stop `s` of `group` in the [`Legs`] numbering.
+fn stop_location(group: &[Request], s: usize) -> Point {
+    let k = group.len();
+    if s < k {
+        group[s].pickup
+    } else {
+        group[s - k].dropoff
+    }
+}
+
+fn check_group_size(k: usize) {
+    assert!(
+        (1..=MAX_GROUP_SIZE).contains(&k),
+        "group size {k} outside 1..={MAX_GROUP_SIZE}"
+    );
 }
 
 #[cfg(test)]

@@ -24,7 +24,10 @@
 //! `(group, taxi)` pair.
 
 use crate::prefs::build_taxi_grid;
-use crate::shared_route::{min_route_length_if_within_detour, routes_by_first_pickup, RoutePlan};
+use crate::shared_route::{
+    assemble_legs, measure_pair_legs, min_route_length_if_within_detour, min_route_length_on,
+    routes_by_first_pickup_on, Legs, PairLegs, RoutePlan,
+};
 use crate::{PreferenceParams, Schedule};
 use o2o_geo::Metric;
 use o2o_matching::{KeyedCandidates, KeyedMatch, Proposing, SetPacking, SetPackingStrategy};
@@ -206,6 +209,35 @@ pub struct SharingDispatcher<M> {
     par: Parallelism,
 }
 
+/// The legs stage 1 measured in one frame: every request's trip and,
+/// for each pair kept after the partner cap, its [`PairLegs`].
+struct FrameLegs {
+    trips: Vec<f64>,
+    /// Kept pairs `(a, b)`, `a < b`, ascending.
+    pairs: Vec<(usize, usize)>,
+    /// `legs[p]` are the cross legs of `pairs[p]`.
+    legs: Vec<PairLegs>,
+}
+
+impl FrameLegs {
+    /// The [`Legs`] of the group at `members` (ascending): a kept pair's
+    /// from the table, any other pair's — one that exhaustive triples
+    /// reach without stage 1 having routed or kept it — from `metric`.
+    fn group_legs<M: Metric>(&self, metric: &M, requests: &[Request], members: &[usize]) -> Legs {
+        assemble_legs(
+            members.len(),
+            |i| self.trips[members[i]],
+            |i, j| {
+                let (a, b) = (members[i], members[j]);
+                match self.pairs.binary_search(&(a, b)) {
+                    Ok(p) => self.legs[p],
+                    Err(_) => measure_pair_legs(metric, &requests[a], &requests[b]),
+                }
+            },
+        )
+    }
+}
+
 struct GroupData {
     members: Vec<usize>,
     plans: Vec<RoutePlan>,
@@ -321,124 +353,142 @@ impl<M: Metric> SharingDispatcher<M> {
     /// Candidate pairs are pruned spatially before routing: if the
     /// length-minimal genuinely-shared route starts at `r_a`'s pick-up, it
     /// visits the other pick-up while `r_a` is on board, so
-    /// `D(r_a^s, r_b^s) ≤ D(r_a^s, r_a^d) + θ` must hold from one side —
-    /// a grid-index radius query per request replaces the all-pairs scan
-    /// without losing any feasible pair.
+    /// `D(r_a^s, r_b^s) ≤ D(r_a^s, r_a^d) + θ` must hold from one side,
+    /// and Euclidean distance lower-bounds the metric. One scan over the
+    /// pairs tests it before any pair is routed.
     #[must_use]
     pub fn feasible_groups(&self, requests: &[Request]) -> Vec<Vec<usize>> {
         self.scored_groups(requests)
+            .1
             .into_iter()
             .map(|(members, _)| members)
             .collect()
     }
 
-    /// [`feasible_groups`](Self::feasible_groups), each group with the
-    /// internal length of its canonical route — the length stage 1's
-    /// feasibility test already computed, kept for `pack`'s ordering.
-    fn scored_groups(&self, requests: &[Request]) -> Vec<(Vec<usize>, f64)> {
-        let _span = obs::span("feasible_groups");
-        let n = requests.len();
-        let mut out = Vec::new();
-        if self.config.max_group_size < 2 || n < 2 {
-            return out;
-        }
-        // Pickup index for the necessary-condition radius query.
-        let bbox =
-            o2o_geo::BBox::from_points(requests.iter().map(|r| r.pickup)).expect("non-empty");
-        let cell = (bbox.width().max(bbox.height()) / 48.0).max(0.1);
-        let mut index = o2o_geo::GridIndex::new(bbox, cell);
-        for (i, r) in requests.iter().enumerate() {
-            index.insert(i, r.pickup);
-        }
+    /// Stage 1's candidate pairs `(a, b)`, `a < b`, ascending: `b`'s
+    /// pick-up lies within `trips[a] + θ` of `a`'s, or `a`'s within
+    /// `trips[b] + θ` of `b`'s (Euclidean, inclusive). A request whose
+    /// radius is not finite pairs with every later request, and with an
+    /// earlier one only through that one's own test. That asymmetry keeps
+    /// the set equal to the grid gather's, the reference the equivalence
+    /// tests hold it to.
+    fn candidate_pairs(&self, requests: &[Request], trips: &[f64]) -> Vec<(usize, usize)> {
         let theta = self.params.detour_threshold;
-        // Gather candidate pairs with the (cheap) radius queries first,
-        // then route them — the expensive part — in one parallel pass.
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for (a, request) in requests.iter().enumerate() {
-            let radius = request.trip_distance(&self.metric) + theta;
-            if !radius.is_finite() {
-                for b in (a + 1)..n {
-                    candidates.push((a, b));
-                }
-            } else {
-                for cand in index.within(request.pickup, radius) {
-                    let b = cand.item;
-                    if b != a {
-                        candidates.push((a.min(b), a.max(b)));
-                    }
+        let radius: Vec<f64> = trips.iter().map(|trip| trip + theta).collect();
+        let mut pairs = Vec::new();
+        for (a, (ra, &rad_a)) in requests.iter().zip(&radius).enumerate() {
+            for (b, (rb, &rad_b)) in requests.iter().zip(&radius).enumerate().skip(a + 1) {
+                if !rad_a.is_finite()
+                    || rb.pickup.within(ra.pickup, rad_a)
+                    || (rad_b.is_finite() && ra.pickup.within(rb.pickup, rad_b))
+                {
+                    pairs.push((a, b));
                 }
             }
         }
-        candidates.sort_unstable();
-        candidates.dedup();
-        // Score every feasible pair once (score = canonical route length).
-        let lens = par_map(self.par, candidates.clone(), |(a, b)| {
-            min_route_length_if_within_detour(&self.metric, &[requests[a], requests[b]], theta)
-        });
-        let pair_score: std::collections::HashMap<(usize, usize), f64> = candidates
-            .iter()
-            .zip(lens)
-            .filter_map(|(&key, len)| len.map(|len| (key, len)))
+        pairs
+    }
+
+    /// [`feasible_groups`](Self::feasible_groups), each group with the
+    /// internal length of its canonical route — the length stage 1's
+    /// feasibility test already computed, kept for `pack`'s ordering —
+    /// and the legs stage 1 measured.
+    ///
+    /// Each candidate pair's cross legs are measured once and every
+    /// route search of the frame reads them: the pair's own, its triples'
+    /// and the packed groups' plans. Legs are kept only for the pairs
+    /// that survive the partner cap, so memory stays linear in them.
+    fn scored_groups(&self, requests: &[Request]) -> (FrameLegs, Vec<(Vec<usize>, f64)>) {
+        let _span = obs::span("feasible_groups");
+        let n = requests.len();
+        let mut frame = FrameLegs {
+            trips: requests
+                .iter()
+                .map(|r| r.trip_distance(&self.metric))
+                .collect(),
+            pairs: Vec::new(),
+            legs: Vec::new(),
+        };
+        let mut out = Vec::new();
+        if self.config.max_group_size < 2 || n < 2 {
+            return (frame, out);
+        }
+        let theta = self.params.detour_threshold;
+        // Score every candidate pair once (score = canonical route length),
+        // keeping the feasible ones with their legs.
+        let trips = &frame.trips;
+        let feasible: Vec<((usize, usize), f64, PairLegs)> =
+            par_map(self.par, self.candidate_pairs(requests, trips), |(a, b)| {
+                let legs = measure_pair_legs(&self.metric, &requests[a], &requests[b]);
+                let pair = assemble_legs(2, |i| trips[[a, b][i]], |_, _| legs);
+                min_route_length_on(&pair, 2, theta).map(|len| ((a, b), len, legs))
+            })
+            .into_iter()
+            .flatten()
             .collect();
         // Bounded candidate generation: keep each request's best partners.
-        let kept: std::collections::HashSet<(usize, usize)> =
-            match self.config.max_partners_per_request {
-                None => pair_score.keys().copied().collect(),
-                Some(cap) => {
-                    let mut per_request: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n];
-                    for (&(a, b), &len) in &pair_score {
-                        per_request[a].push((len, b));
-                        per_request[b].push((len, a));
-                    }
-                    let mut kept = std::collections::HashSet::new();
-                    for (a, list) in per_request.iter_mut().enumerate() {
-                        list.sort_by(|x, y| {
-                            x.0.partial_cmp(&y.0)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(x.1.cmp(&y.1))
-                        });
-                        for &(_, b) in list.iter().take(cap) {
-                            kept.insert((a.min(b), a.max(b)));
-                        }
-                    }
-                    kept
+        let kept = match self.config.max_partners_per_request {
+            None => vec![true; feasible.len()],
+            Some(cap) => {
+                // (length, partner, index into `feasible`) per request.
+                let mut per_request: Vec<Vec<(f64, usize, usize)>> = vec![Vec::new(); n];
+                for (p, &((a, b), len, _)) in feasible.iter().enumerate() {
+                    per_request[a].push((len, b, p));
+                    per_request[b].push((len, a, p));
                 }
-            };
-        let mut pair_ok = vec![Vec::new(); n];
-        for &(a, b) in &kept {
-            pair_ok[a].push(b);
-            out.push((vec![a, b], pair_score[&(a, b)]));
+                let mut kept = vec![false; feasible.len()];
+                for list in &mut per_request {
+                    list.sort_by(|x, y| {
+                        x.0.partial_cmp(&y.0)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(x.1.cmp(&y.1))
+                    });
+                    for &(_, _, p) in list.iter().take(cap) {
+                        kept[p] = true;
+                    }
+                }
+                kept
+            }
+        };
+        for ((pair, len, legs), _) in feasible.into_iter().zip(kept).filter(|(_, keep)| *keep) {
+            frame.pairs.push(pair);
+            frame.legs.push(legs);
+            out.push((vec![pair.0, pair.1], len));
         }
-        for list in &mut pair_ok {
-            list.sort_unstable();
-        }
-        out.sort_unstable_by(|x, y| x.0.cmp(&y.0));
         if self.config.max_group_size >= 3 {
+            let frame = &frame;
             match self.config.triples {
                 TripleCandidates::FromFeasiblePairs => {
+                    // Each request's later kept partners, ascending, with
+                    // the pair's index in `frame.pairs`.
+                    let mut partners: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+                    for (p, &(a, b)) in frame.pairs.iter().enumerate() {
+                        partners[a].push((b, p));
+                    }
                     // Adjacency-closed triples are cheap to enumerate;
-                    // route each candidate in parallel. The gathered order
-                    // (a, then b's rank, then c) matches the sequential
-                    // nesting, so the output order is unchanged.
-                    let mut triple_cand: Vec<[usize; 3]> = Vec::new();
-                    for a in 0..n {
-                        for bi in 0..pair_ok[a].len() {
-                            let b = pair_ok[a][bi];
-                            for &c in &pair_ok[a][bi + 1..] {
-                                if pair_ok[b].binary_search(&c).is_ok() {
-                                    triple_cand.push([a, b, c]);
+                    // route each candidate in parallel from its three
+                    // pairs' legs. The gathered order (a, then b's rank,
+                    // then c) matches the sequential nesting.
+                    let mut triple_cand: Vec<([usize; 3], [usize; 3])> = Vec::new();
+                    for (a, row) in partners.iter().enumerate() {
+                        for (bi, &(b, ab)) in row.iter().enumerate() {
+                            for &(c, ac) in &row[bi + 1..] {
+                                if let Ok(ci) = partners[b].binary_search_by_key(&c, |&(c, _)| c) {
+                                    triple_cand.push(([a, b, c], [ab, ac, partners[b][ci].1]));
                                 }
                             }
                         }
                     }
-                    let lens = par_map(self.par, triple_cand.clone(), |[a, b, c]| {
-                        self.canonical_length(requests, &[a, b, c])
+                    let found = par_map(self.par, triple_cand, |(members, [ab, ac, bc])| {
+                        let legs = assemble_legs(
+                            3,
+                            |i| frame.trips[members[i]],
+                            // Positions (0, 1), (0, 2) and (1, 2).
+                            |i, j| frame.legs[[ab, ac, bc][i + j - 1]],
+                        );
+                        min_route_length_on(&legs, 3, theta).map(|len| (members.to_vec(), len))
                     });
-                    for ([a, b, c], len) in triple_cand.into_iter().zip(lens) {
-                        if let Some(len) = len {
-                            out.push((vec![a, b, c], len));
-                        }
-                    }
+                    out.extend(found.into_iter().flatten());
                 }
                 TripleCandidates::Exhaustive => {
                     // O(n³) route searches: split by leading index so the
@@ -448,7 +498,8 @@ impl<M: Metric> SharingDispatcher<M> {
                         let mut found = Vec::new();
                         for b in (a + 1)..n {
                             for c in (b + 1)..n {
-                                if let Some(len) = self.canonical_length(requests, &[a, b, c]) {
+                                let legs = frame.group_legs(&self.metric, requests, &[a, b, c]);
+                                if let Some(len) = min_route_length_on(&legs, 3, theta) {
                                     found.push((vec![a, b, c], len));
                                 }
                             }
@@ -459,7 +510,7 @@ impl<M: Metric> SharingDispatcher<M> {
                 }
             }
         }
-        out
+        (frame, out)
     }
 
     /// Stages 1–2: the packed partition of the frame — disjoint sharing
@@ -467,7 +518,13 @@ impl<M: Metric> SharingDispatcher<M> {
     /// once.
     #[must_use]
     pub fn pack(&self, requests: &[Request]) -> Vec<Vec<usize>> {
-        let mut scored = self.scored_groups(requests);
+        self.packed(requests).1
+    }
+
+    /// [`pack`](Self::pack), with the legs stage 1 measured for routing
+    /// the packed groups.
+    fn packed(&self, requests: &[Request]) -> (FrameLegs, Vec<Vec<usize>>) {
+        let (frame, mut scored) = self.scored_groups(requests);
         let _span = obs::span("set_packing");
         obs::add("sharing.feasible_groups", scored.len() as u64);
         // Quality-aware ordering: the greedy packer (and the local search
@@ -480,13 +537,17 @@ impl<M: Metric> SharingDispatcher<M> {
                 .partial_cmp(&(b.len(), b_len / b.len() as f64))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let candidates: Vec<Vec<usize>> = scored.into_iter().map(|(members, _)| members).collect();
-        let packing = SetPacking::new(requests.len(), candidates.clone())
-            .expect("feasible groups are valid sets");
+        let packing = SetPacking::new(
+            requests.len(),
+            scored.into_iter().map(|(members, _)| members).collect(),
+        )
+        .expect("feasible groups are valid sets");
         let chosen = match self.config.objective {
             PackingObjective::GroupCount => packing.pack(self.config.packing),
             PackingObjective::CoveredRequests => {
-                let sizes: Vec<f64> = candidates.iter().map(|g| g.len() as f64).collect();
+                let sizes: Vec<f64> = (0..packing.n_sets())
+                    .map(|k| packing.set(k).len() as f64)
+                    .collect();
                 packing.pack_weighted(self.config.packing, &sizes)
             }
         };
@@ -494,10 +555,11 @@ impl<M: Metric> SharingDispatcher<M> {
         let mut metas: Vec<Vec<usize>> = chosen
             .into_iter()
             .map(|k| {
-                for &i in &candidates[k] {
+                let members = packing.set(k);
+                for &i in members {
                     covered[i] = true;
                 }
-                candidates[k].clone()
+                members.to_vec()
             })
             .collect();
         for (i, covered) in covered.iter().enumerate() {
@@ -506,7 +568,7 @@ impl<M: Metric> SharingDispatcher<M> {
             }
         }
         metas.sort();
-        metas
+        (frame, metas)
     }
 
     /// **STD-P**: sharing dispatch with the passenger-optimal stable
@@ -527,13 +589,16 @@ impl<M: Metric> SharingDispatcher<M> {
         self.dispatch(taxis, requests, true)
     }
 
-    fn group_data(&self, requests: &[Request], members: Vec<usize>) -> GroupData {
+    fn group_data(
+        &self,
+        requests: &[Request],
+        frame: &FrameLegs,
+        members: Vec<usize>,
+    ) -> GroupData {
         let group: Vec<Request> = members.iter().map(|&i| requests[i]).collect();
-        let plans = routes_by_first_pickup(&self.metric, &group);
-        let directs: Vec<f64> = group
-            .iter()
-            .map(|r| r.trip_distance(&self.metric))
-            .collect();
+        let legs = frame.group_legs(&self.metric, requests, &members);
+        let plans = routes_by_first_pickup_on(&legs, &group);
+        let directs: Vec<f64> = members.iter().map(|&i| frame.trips[i]).collect();
         let sum_trips = directs.iter().sum();
         let total_passengers = group.iter().map(|r| u16::from(r.passengers)).sum();
         GroupData {
@@ -636,10 +701,10 @@ impl<M: Metric> SharingDispatcher<M> {
                 unserved: requests.iter().map(|r| r.id).collect(),
             };
         }
-        let packed = self.pack(requests);
+        let (frame, packed) = self.packed(requests);
         let span = obs::span("sharing_evaluate");
         let groups: Vec<GroupData> = par_map(self.par, packed, |members| {
-            self.group_data(requests, members)
+            self.group_data(requests, &frame, members)
         });
         // Sparse keyed stage 3: each group evaluates only the taxis its
         // plans' radius queries find, and its row keeps the mutually

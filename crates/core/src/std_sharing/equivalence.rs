@@ -1,16 +1,23 @@
-//! Sparse keyed stage 3 ≡ dense stage 3.
+//! Algorithm 3's production paths against the references they replaced.
 //!
-//! The production stage 3 evaluates a packed group only against the taxis
-//! its per-plan radius queries find, and runs keyed deferred acceptance
-//! on the mutually acceptable pairs. The reference below is the dense
-//! stage 3 it replaced: every group evaluated against every taxi, full
-//! preference lists on both sides, and a rank-table [`StableInstance`].
-//! Every pair the sparse path skips is mutually unacceptable, and such
-//! pairs are no-ops in deferred acceptance, so the two must produce the
-//! same [`SharingSchedule`] — routes, wait distances, detours, both costs
-//! and `unserved` — while the sparse path makes no more proposals.
+//! *Stage 3.* The production stage 3 evaluates a packed group only
+//! against the taxis its per-plan radius queries find, and runs keyed
+//! deferred acceptance on the mutually acceptable pairs. The reference
+//! below is the dense stage 3 it replaced: every group evaluated against
+//! every taxi, full preference lists on both sides, and a rank-table
+//! [`StableInstance`]. Every pair the sparse path skips is mutually
+//! unacceptable, and such pairs are no-ops in deferred acceptance, so the
+//! two must produce the same [`SharingSchedule`] — routes, wait
+//! distances, detours, both costs and `unserved` — while the sparse path
+//! makes no more proposals.
+//!
+//! *Stage 1.* The candidate pairs of the production pair scan must equal
+//! those of the grid gather it replaced, and every length and plan routed
+//! from the frame's leg table must equal a fresh route search on the
+//! metric, bit for bit, on a metric whose legs differ by direction.
 
 use super::*;
+use crate::shared_route::routes_by_first_pickup;
 use o2o_geo::{Euclidean, Point};
 use o2o_matching::{Matching, StableInstance};
 use proptest::prelude::*;
@@ -33,10 +40,10 @@ impl<M: Metric> SharingDispatcher<M> {
                 unserved: requests.iter().map(|r| r.id).collect(),
             };
         }
-        let groups: Vec<GroupData> = self
-            .pack(requests)
+        let (frame, packed) = self.packed(requests);
+        let groups: Vec<GroupData> = packed
             .into_iter()
-            .map(|members| self.group_data(requests, members))
+            .map(|members| self.group_data(requests, &frame, members))
             .collect();
         let evals: Vec<Vec<Eval>> = groups
             .iter()
@@ -88,6 +95,70 @@ impl<M: Metric> SharingDispatcher<M> {
                 (ti, e.plan_idx, e.taxi_cost)
             })
         })
+    }
+}
+
+impl<M: Metric> SharingDispatcher<M> {
+    /// Stage 1's candidate pairs as the grid gather before the pair scan
+    /// found them: a 48 × 48 grid over the pick-ups, one radius query of
+    /// `trip + θ` per request whose radius is finite, every later request
+    /// for one whose radius is not, then a sort and dedup.
+    fn grid_candidate_pairs(&self, requests: &[Request]) -> Vec<(usize, usize)> {
+        let n = requests.len();
+        let Some(bbox) = o2o_geo::BBox::from_points(requests.iter().map(|r| r.pickup)) else {
+            return Vec::new();
+        };
+        let cell = (bbox.width().max(bbox.height()) / 48.0).max(0.1);
+        let mut index = o2o_geo::GridIndex::new(bbox, cell);
+        for (i, r) in requests.iter().enumerate() {
+            index.insert(i, r.pickup);
+        }
+        let mut candidates = Vec::new();
+        for (a, request) in requests.iter().enumerate() {
+            let radius = request.trip_distance(&self.metric) + self.params.detour_threshold;
+            if !radius.is_finite() {
+                candidates.extend((a + 1..n).map(|b| (a, b)));
+            } else {
+                index.visit_within(request.pickup, radius, |&b, _| {
+                    if b != a {
+                        candidates.push((a.min(b), a.max(b)));
+                    }
+                });
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates
+    }
+}
+
+/// Euclidean distance plus a quarter of any eastward progress: legs
+/// differ by direction, and Euclidean distance still lower-bounds every
+/// leg, as the taxi grid's radius queries require.
+#[derive(Debug, Clone, Copy)]
+struct Eastbound;
+
+impl Metric for Eastbound {
+    fn distance(&self, a: Point, b: Point) -> f64 {
+        Euclidean.distance(a, b) + 0.25 * (b.x - a.x).max(0.0)
+    }
+}
+
+/// Euclidean, except that the trip from `from` to `to` measures `trip`.
+#[derive(Debug, Clone, Copy)]
+struct OneTrip {
+    from: Point,
+    to: Point,
+    trip: f64,
+}
+
+impl Metric for OneTrip {
+    fn distance(&self, a: Point, b: Point) -> f64 {
+        if a == self.from && b == self.to {
+            self.trip
+        } else {
+            Euclidean.distance(a, b)
+        }
     }
 }
 
@@ -296,7 +367,8 @@ fn pairs_accepted_exactly_at_a_threshold_are_found() {
             .with_alpha(0.0)
             .with_detour_threshold(f64::INFINITY);
         let d = SharingDispatcher::new(Euclidean, base);
-        let g = d.group_data(&requests, vec![0, 1]);
+        let (frame, _) = d.scored_groups(&requests);
+        let g = d.group_data(&requests, &frame, vec![0, 1]);
         let e = d.evaluate(&g, &taxis[0]);
         let mut pinned = vec![base.with_passenger_threshold(e.passenger_cost)];
         if e.taxi_cost >= 0.0 {
@@ -342,8 +414,130 @@ fn negative_beta_admits_taxis_beyond_the_passenger_threshold() {
     }
 }
 
-/// `pack` orders groups by the canonical lengths stage 1 computed; each
-/// must equal a fresh route search of its group, bit for bit.
+fn request(id: u64, pickup: (f64, f64), dropoff: (f64, f64)) -> Request {
+    Request::new(
+        RequestId(id),
+        0,
+        Point::new(pickup.0, pickup.1),
+        Point::new(dropoff.0, dropoff.1),
+    )
+}
+
+/// The pair scan's candidates against the grid gather's, under `metric`
+/// and detour threshold `theta`.
+fn assert_candidates_match<M: Metric>(metric: M, theta: f64, requests: &[Request]) {
+    let d = SharingDispatcher::new(
+        metric,
+        PreferenceParams::unbounded().with_detour_threshold(theta),
+    );
+    let trips: Vec<f64> = requests
+        .iter()
+        .map(|r| r.trip_distance(d.metric()))
+        .collect();
+    assert_eq!(
+        d.candidate_pairs(requests, &trips),
+        d.grid_candidate_pairs(requests),
+        "theta {theta}, requests {requests:?}"
+    );
+}
+
+/// Pick-ups exactly on, just inside and just outside another request's
+/// `trip + θ`, reached from one side only (a long trip before and after
+/// short ones), coincident pick-ups, zero-length trips, θ = ∞, and a
+/// metric whose trip for one request is not finite — that request pairs
+/// with every later one, but with an earlier one only through that one's
+/// own radius.
+#[test]
+fn candidate_pairs_match_the_grid_gather() {
+    // Request 0's trip is 5, so with θ = 1 its radius is 6; requests 1–5
+    // have trips of 0.5 and cannot reach it. Request 6 mirrors request 0
+    // at the end of the list, around (20, 0).
+    let boundary = vec![
+        request(0, (0.0, 0.0), (3.0, 4.0)),
+        request(1, (6.0, 0.0), (6.5, 0.0)),
+        request(2, (0.0, -6.0), (0.5, -6.0)),
+        request(3, (3.6, 4.8), (3.6, 5.3)),
+        request(4, (6.000_000_001, 0.0), (6.5, 0.0)),
+        request(5, (14.0, 0.0), (14.0, 0.5)),
+        request(6, (20.0, 0.0), (23.0, 4.0)),
+    ];
+    for theta in [0.0, 1.0, 1.5, f64::INFINITY] {
+        assert_candidates_match(Euclidean, theta, &boundary);
+        assert_candidates_match(Eastbound, theta, &boundary);
+    }
+    // Coincident pick-ups and zero-length trips: with θ = 0 only the
+    // coincident pick-ups pair.
+    let coincident = vec![
+        request(0, (1.0, 1.0), (1.0, 1.0)),
+        request(1, (1.0, 1.0), (1.0, 1.0)),
+        request(2, (2.0, 1.0), (2.0, 1.0)),
+        request(3, (1.0, 1.0), (4.0, 5.0)),
+        request(4, (2.0, 1.0), (2.0, 1.0)),
+    ];
+    for theta in [0.0, 1.0, f64::INFINITY] {
+        assert_candidates_match(Euclidean, theta, &coincident);
+    }
+    // A non-finite trip for request 3 of the boundary frame: requests 1,
+    // 2 and 4 lie beyond request 0's radius from it, so the earlier pairs
+    // with request 3 exist only where an earlier radius reaches it.
+    let poisoned = &boundary[3];
+    for trip in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
+        let metric = OneTrip {
+            from: poisoned.pickup,
+            to: poisoned.dropoff,
+            trip,
+        };
+        for theta in [0.0, 1.0] {
+            assert_candidates_match(metric, theta, &boundary);
+        }
+    }
+    for seed in 0..200 {
+        let (_, requests) = random_frame(seed);
+        for theta in [0.0, 0.5, 3.0, f64::INFINITY] {
+            assert_candidates_match(Euclidean, theta, &requests);
+            assert_candidates_match(Eastbound, theta, &requests);
+        }
+    }
+}
+
+/// Every stage-1 length and every packed group's plans, routed from the
+/// frame's leg table, against a fresh route search on `metric`.
+fn assert_stage_one_matches_fresh_search<M: Metric>(
+    metric: M,
+    config: SharingConfig,
+    requests: &[Request],
+) {
+    let d = SharingDispatcher::with_config(
+        metric,
+        PreferenceParams::paper().with_detour_threshold(3.0),
+        config,
+    );
+    let group_of = |members: &[usize]| members.iter().map(|&i| requests[i]).collect::<Vec<_>>();
+    let (_, scored) = d.scored_groups(requests);
+    let groups: Vec<Vec<usize>> = scored.iter().map(|(g, _)| g.clone()).collect();
+    assert_eq!(groups, d.feasible_groups(requests));
+    for (members, len) in &scored {
+        let fresh = min_route_length_if_within_detour(d.metric(), &group_of(members), 3.0)
+            .expect("stage 1 keeps feasible groups only");
+        assert_eq!(len.to_bits(), fresh.to_bits(), "group {members:?}");
+    }
+    let (frame, packed) = d.packed(requests);
+    for members in packed {
+        let group = group_of(&members);
+        let plans = routes_by_first_pickup(d.metric(), &group);
+        let directs: Vec<f64> = group.iter().map(|r| r.trip_distance(d.metric())).collect();
+        let g = d.group_data(requests, &frame, members.clone());
+        // `==` on floats equates 0.0 and -0.0; the debug form does not.
+        assert_eq!(g.plans, plans, "group {members:?}");
+        assert_eq!(format!("{:?}", g.plans), format!("{plans:?}"));
+        assert_eq!(format!("{:?}", g.directs), format!("{directs:?}"));
+    }
+}
+
+/// `pack` orders groups by the canonical lengths stage 1 computed, and
+/// stage 3 routes each packed group's plans from stage 1's legs; each
+/// must equal a fresh route search of its group, bit for bit, on
+/// Euclidean distance and on a metric whose legs differ by direction.
 #[test]
 fn stage_one_lengths_equal_a_fresh_route_search() {
     let mut rng = StdRng::seed_from_u64(0x5C0_12ED);
@@ -352,20 +546,8 @@ fn stage_one_lengths_equal_a_fresh_route_search() {
         for mut config in config_sweep() {
             for cap in [None, Some(2)] {
                 config.max_partners_per_request = cap;
-                let d = SharingDispatcher::with_config(
-                    Euclidean,
-                    PreferenceParams::paper().with_detour_threshold(3.0),
-                    config,
-                );
-                let scored = d.scored_groups(&requests);
-                let groups: Vec<Vec<usize>> = scored.iter().map(|(g, _)| g.clone()).collect();
-                assert_eq!(groups, d.feasible_groups(&requests));
-                for (members, len) in &scored {
-                    let group: Vec<Request> = members.iter().map(|&i| requests[i]).collect();
-                    let fresh = min_route_length_if_within_detour(&Euclidean, &group, 3.0)
-                        .expect("stage 1 keeps feasible groups only");
-                    assert_eq!(len.to_bits(), fresh.to_bits(), "group {members:?}");
-                }
+                assert_stage_one_matches_fresh_search(Euclidean, config, &requests);
+                assert_stage_one_matches_fresh_search(Eastbound, config, &requests);
             }
         }
     }

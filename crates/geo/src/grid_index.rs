@@ -7,7 +7,6 @@
 //! than linear scans across a 700-taxi fleet every frame.
 
 use crate::{BBox, Point};
-use o2o_par::{par_map, Parallelism};
 
 /// Cell side (km) that works well for per-frame taxi indices: the city's
 /// larger extent split into 32 cells, but never below 250 m so tiny boxes
@@ -307,38 +306,14 @@ impl<T: Clone + PartialEq> GridIndex<T> {
         best
     }
 
-    /// All stored items within `radius` kilometres of `query` (inclusive:
-    /// points at exactly `radius` are returned), closest first: the
-    /// unsorted [`visit_within`](Self::visit_within) walk, then a stable
-    /// sort by distance.
-    ///
-    /// Ties in distance keep discovery order (the sort is stable), so the
-    /// result order is fully deterministic. An infinite radius returns
-    /// every stored item.
-    #[must_use]
-    pub fn within(&self, query: Point, radius: f64) -> Vec<Neighbor<T>> {
-        let mut out = Vec::new();
-        self.visit_within(query, radius, |item, loc| {
-            out.push(Neighbor {
-                item: item.clone(),
-                distance: loc.euclidean(query),
-            });
-        });
-        out.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        out
-    }
-
     /// Calls `visit(item, location)` for every stored item within
     /// `radius` of `query` (inclusive: `location.euclidean(query) ≤
     /// radius`, decided by [`Point::within`]), **unsorted**, in discovery
     /// order: rings outward from the query's cell, a ring's cells in a
     /// fixed order, a cell's items in insertion order. Allocates nothing;
     /// callers that re-rank hits by another metric (the sparse candidate
-    /// builder) skip [`within`](Self::within)'s Euclidean sort.
+    /// builder) sort only what they keep. An infinite radius visits every
+    /// stored item; a negative or NaN radius visits none.
     pub fn visit_within(&self, query: Point, radius: f64, mut visit: impl FnMut(&T, Point)) {
         if radius < 0.0 || radius.is_nan() || self.len == 0 {
             return;
@@ -417,24 +392,6 @@ impl<T: Clone + PartialEq> GridIndex<T> {
     }
 }
 
-impl<T: Clone + PartialEq + Send + Sync> GridIndex<T> {
-    /// Answers many radius queries against one immutable index, in
-    /// parallel, preserving query order.
-    ///
-    /// Element `i` of the result is exactly `self.within(queries[i].0,
-    /// queries[i].1)` for every thread count — the parallel map is
-    /// order-preserving — so batched callers (the sparse preference-list
-    /// builder) stay bit-identical to the sequential path.
-    #[must_use]
-    pub fn within_batch(
-        &self,
-        queries: &[(Point, f64)],
-        par: Parallelism,
-    ) -> Vec<Vec<Neighbor<T>>> {
-        par_map(par, queries.to_vec(), |(q, radius)| self.within(q, radius))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,13 +401,35 @@ mod tests {
         BBox::square(Point::ORIGIN, 20.0)
     }
 
+    /// The items `visit_within` reports, in discovery order.
+    fn visited<T: Clone + PartialEq>(idx: &GridIndex<T>, q: Point, radius: f64) -> Vec<T> {
+        let mut out = Vec::new();
+        idx.visit_within(q, radius, |item, _| out.push(item.clone()));
+        out
+    }
+
+    /// `visit_within`'s hits with their distance from `q`, closest first
+    /// and ties by item.
+    fn hits<T: Clone + PartialEq + Ord>(
+        idx: &GridIndex<T>,
+        q: Point,
+        radius: f64,
+    ) -> Vec<(T, f64)> {
+        let mut out = Vec::new();
+        idx.visit_within(q, radius, |item, loc| {
+            out.push((item.clone(), loc.euclidean(q)))
+        });
+        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        out
+    }
+
     #[test]
     fn empty_index_has_no_neighbors() {
         let idx: GridIndex<u32> = GridIndex::new(city(), 1.0);
         assert!(idx.is_empty());
         assert!(idx.nearest(Point::ORIGIN).is_none());
         assert!(idx.k_nearest(Point::ORIGIN, 3).is_empty());
-        assert!(idx.within(Point::ORIGIN, 5.0).is_empty());
+        assert!(hits(&idx, Point::ORIGIN, 5.0).is_empty());
     }
 
     #[test]
@@ -487,9 +466,9 @@ mod tests {
         for i in 0..20 {
             idx.insert(i, Point::new(i as f64 - 10.0, 0.0));
         }
-        let got = idx.within(Point::ORIGIN, 2.5);
+        let got = hits(&idx, Point::ORIGIN, 2.5);
         assert_eq!(got.len(), 5); // -2, -1, 0, 1, 2
-        assert!(got.iter().all(|n| n.distance <= 2.5));
+        assert!(got.iter().all(|&(_, d)| d <= 2.5));
     }
 
     #[test]
@@ -534,8 +513,7 @@ mod tests {
         idx.insert(1u32, Point::new(2.5, 0.0)); // exactly on the radius
         idx.insert(2u32, Point::new(0.0, 2.5)); // exactly on the radius
         idx.insert(3u32, Point::new(2.6, 0.0)); // just outside
-        let got = idx.within(Point::ORIGIN, 2.5);
-        let mut items: Vec<_> = got.iter().map(|n| n.item).collect();
+        let mut items = visited(&idx, Point::ORIGIN, 2.5);
         items.sort_unstable();
         assert_eq!(
             items,
@@ -561,10 +539,8 @@ mod tests {
         let n = idx.nearest(outside).unwrap();
         assert_eq!(n.item, 1);
         assert!((n.distance - outside.euclidean(Point::new(9.0, 9.0))).abs() < 1e-12);
-        let got = idx.within(outside, 60.0);
-        assert_eq!(got.iter().map(|n| n.item).collect::<Vec<_>>(), vec![1]);
-        let got = idx.within(outside, 100.0);
-        assert_eq!(got.len(), 2);
+        assert_eq!(visited(&idx, outside, 60.0), vec![1]);
+        assert_eq!(visited(&idx, outside, 100.0).len(), 2);
     }
 
     #[test]
@@ -595,10 +571,10 @@ mod tests {
         for i in 0..7 {
             idx.insert(i, Point::new(i as f64 - 3.0, 2.0));
         }
-        let got = idx.within(Point::ORIGIN, f64::INFINITY);
-        assert_eq!(got.len(), 7);
-        assert!(idx.within(Point::ORIGIN, f64::NAN).is_empty());
-        assert_eq!(idx.within(Point::ORIGIN, f64::MAX).len(), 7);
+        assert_eq!(visited(&idx, Point::ORIGIN, f64::INFINITY).len(), 7);
+        assert!(visited(&idx, Point::ORIGIN, f64::NAN).is_empty());
+        assert!(visited(&idx, Point::ORIGIN, -1.0).is_empty());
+        assert_eq!(visited(&idx, Point::ORIGIN, f64::MAX).len(), 7);
     }
 
     #[test]
@@ -619,9 +595,11 @@ mod tests {
         assert_eq!(bulk.len(), incr.len());
         let q = Point::new(0.3, -0.7);
         for radius in [0.5, 2.0, 7.0, f64::INFINITY] {
-            let a: Vec<_> = bulk.within(q, radius).iter().map(|n| n.item).collect();
-            let b: Vec<_> = incr.within(q, radius).iter().map(|n| n.item).collect();
-            assert_eq!(a, b, "radius = {radius}");
+            assert_eq!(
+                visited(&bulk, q, radius),
+                visited(&incr, q, radius),
+                "radius = {radius}"
+            );
         }
         assert_eq!(
             bulk.k_nearest(q, 9)
@@ -656,42 +634,6 @@ mod tests {
         fresh.insert(12u32, Point::new(0.0, 1.0));
         fresh.insert(13u32, Point::new(0.0, -1.0));
         assert_eq!(idx, fresh);
-    }
-
-    #[test]
-    fn within_batch_matches_single_queries_for_every_thread_count() {
-        let pts: Vec<(u32, Point)> = (0..120)
-            .map(|i| {
-                (
-                    i,
-                    Point::new((i as f64 * 1.7) % 18.0 - 9.0, (i as f64 * 2.9) % 17.0 - 8.5),
-                )
-            })
-            .collect();
-        let idx = GridIndex::bulk_build(city(), heuristic_cell_size(city()), pts);
-        let queries: Vec<(Point, f64)> = (0..40)
-            .map(|j| {
-                (
-                    Point::new(
-                        (j as f64 * 3.3) % 20.0 - 10.0,
-                        (j as f64 * 1.1) % 20.0 - 10.0,
-                    ),
-                    (j as f64 * 0.37) % 6.0,
-                )
-            })
-            .collect();
-        let expect: Vec<Vec<u32>> = queries
-            .iter()
-            .map(|&(q, r)| idx.within(q, r).iter().map(|n| n.item).collect())
-            .collect();
-        for threads in [1, 2, 4, 7] {
-            let got = idx.within_batch(&queries, Parallelism::fixed(threads));
-            let got: Vec<Vec<u32>> = got
-                .iter()
-                .map(|ns| ns.iter().map(|n| n.item).collect())
-                .collect();
-            assert_eq!(got, expect, "threads = {threads}");
-        }
     }
 
     proptest! {
@@ -740,7 +682,7 @@ mod tests {
             }
         }
 
-        /// `within` finds exactly the brute-force in-radius set.
+        /// `visit_within` finds exactly the brute-force in-radius set.
         #[test]
         fn within_matches_brute_force(
             pts in proptest::collection::vec((-10.0..10.0f64, -10.0..10.0f64), 0..40),
@@ -751,12 +693,12 @@ mod tests {
                 idx.insert(i, Point::new(x, y));
             }
             let q = Point::new(1.0, -1.0);
-            let got = idx.within(q, radius);
-            let expect = pts
-                .iter()
-                .filter(|&&(x, y)| Point::new(x, y).euclidean(q) <= radius)
-                .count();
-            prop_assert_eq!(got.len(), expect);
+            let mut got = visited(&idx, q, radius);
+            got.sort_unstable();
+            let expect: Vec<usize> = (0..pts.len())
+                .filter(|&i| Point::new(pts[i].0, pts[i].1).euclidean(q) <= radius)
+                .collect();
+            prop_assert_eq!(got, expect);
         }
     }
 }

@@ -88,56 +88,55 @@ impl std::error::Error for SetPackingError {}
 pub struct SetPacking {
     n_items: usize,
     sets: Vec<Vec<usize>>,
-    /// `conflicts[k]` = indices of sets sharing an item with set `k`.
-    conflicts: Vec<Vec<usize>>,
+    /// The sets containing item `i`, ascending, are
+    /// `by_item[item_start[i]..item_start[i + 1]]`.
+    item_start: Vec<usize>,
+    by_item: Vec<usize>,
 }
 
 impl SetPacking {
-    /// Builds an instance, validating the sets and precomputing the
-    /// pairwise conflict graph.
+    /// Builds an instance, validating the sets and indexing them by item.
     ///
     /// # Errors
     ///
     /// Returns [`SetPackingError`] for out-of-range items, duplicate items
     /// within a set, or empty sets.
     pub fn new(n_items: usize, sets: Vec<Vec<usize>>) -> Result<Self, SetPackingError> {
+        // `stamp[item] == k` once set `k` has listed `item`; afterwards the
+        // buffer is each item's fill cursor into `by_item`.
+        let mut stamp = vec![usize::MAX; n_items];
+        let mut item_start = vec![0usize; n_items + 1];
         for (k, set) in sets.iter().enumerate() {
             if set.is_empty() {
                 return Err(SetPackingError::EmptySet { set: k });
             }
-            let mut seen = vec![false; n_items];
             for &item in set {
                 if item >= n_items {
                     return Err(SetPackingError::ItemOutOfRange { set: k, item });
                 }
-                if seen[item] {
+                if stamp[item] == k {
                     return Err(SetPackingError::DuplicateItem { set: k, item });
                 }
-                seen[item] = true;
+                stamp[item] = k;
+                item_start[item + 1] += 1;
             }
         }
-        // item -> sets containing it
-        let mut by_item: Vec<Vec<usize>> = vec![Vec::new(); n_items];
+        for i in 0..n_items {
+            item_start[i + 1] += item_start[i];
+        }
+        stamp.copy_from_slice(&item_start[..n_items]);
+        let mut by_item = vec![0; item_start[n_items]];
         for (k, set) in sets.iter().enumerate() {
             for &item in set {
-                by_item[item].push(k);
+                by_item[stamp[item]] = k;
+                stamp[item] += 1;
             }
-        }
-        let mut conflicts: Vec<Vec<usize>> = vec![Vec::new(); sets.len()];
-        for (k, set) in sets.iter().enumerate() {
-            let mut cs: Vec<usize> = set
-                .iter()
-                .flat_map(|&item| by_item[item].iter().copied())
-                .filter(|&other| other != k)
-                .collect();
-            cs.sort_unstable();
-            cs.dedup();
-            conflicts[k] = cs;
         }
         Ok(SetPacking {
             n_items,
             sets,
-            conflicts,
+            item_start,
+            by_item,
         })
     }
 
@@ -272,6 +271,7 @@ impl SetPacking {
                 item_owner[item] = Some(k);
             }
         }
+        let mut partners = Vec::new();
         loop {
             let mut improved = false;
             // (0 → 1): add any conflict-free set with positive weight.
@@ -312,7 +312,8 @@ impl SetPacking {
                     break 'outer;
                 }
                 // (1 → 2)
-                for &b in self.conflicts_complement_candidates(w) {
+                self.conflicts(w, &mut partners);
+                for &b in &partners {
                     if in_pack[b] || b == a || self.sets_conflict(a, b) {
                         continue;
                     }
@@ -427,6 +428,7 @@ impl SetPacking {
         // Repeat until no improving move. Moves:
         //  (0 → 1) add any conflict-free set (keeps the packing maximal);
         //  (1 → 2) remove one chosen set to admit two new disjoint sets.
+        let mut partners = Vec::new();
         loop {
             let mut improved = false;
             // (0 → 1)
@@ -451,7 +453,8 @@ impl SetPacking {
                     [w] => *w,
                     _ => continue,
                 };
-                for &b in self.conflicts_complement_candidates(w) {
+                self.conflicts(w, &mut partners);
+                for &b in &partners {
                     if in_pack[b] || b == a || self.sets_conflict(a, b) {
                         continue;
                     }
@@ -490,8 +493,9 @@ impl SetPacking {
         out
     }
 
-    /// Candidate partners for a `(1 → 2)` swap that removes blocker `w`:
-    /// the sets adjacent to `w` in the conflict graph, ascending.
+    /// Candidate partners for a `(1 → 2)` swap that removes blocker `w`,
+    /// written to `out`: the other sets sharing an item with `w`,
+    /// ascending and without repeats.
     ///
     /// This is exhaustive, not a heuristic. When the swap is examined, the
     /// `(0 → 1)` phase has just run, so every unchosen set has at least one
@@ -499,15 +503,23 @@ impl SetPacking {
     /// zero-blocker partner with weight ≤ 0 can never make the swap
     /// improving once `(1 → 1)` has been ruled out). A partner `b` must
     /// have blockers ⊆ `{w}`, hence exactly `{w}` — so `b` shares an item
-    /// with `w` and is in `conflicts[w]`. The list is sorted ascending, the
-    /// same order as the previous `0..n_sets` scan, so the first qualifying
-    /// `b` — and therefore the whole search trajectory — is unchanged.
-    fn conflicts_complement_candidates(&self, w: usize) -> &[usize] {
-        &self.conflicts[w]
+    /// with `w`. The list is sorted ascending, the same order as a
+    /// `0..n_sets` scan, so the first qualifying `b` — and therefore the
+    /// whole search trajectory — is the scan's. It is built only when a
+    /// swap asks for it: most sets never become a lone blocker.
+    fn conflicts(&self, w: usize, out: &mut Vec<usize>) {
+        out.clear();
+        for &item in &self.sets[w] {
+            let with_item = &self.by_item[self.item_start[item]..self.item_start[item + 1]];
+            out.extend(with_item.iter().filter(|&&k| k != w));
+        }
+        out.sort_unstable();
+        out.dedup();
     }
 
+    /// Whether sets `a` and `b` share an item.
     fn sets_conflict(&self, a: usize, b: usize) -> bool {
-        self.conflicts[a].binary_search(&b).is_ok()
+        self.sets[a].iter().any(|item| self.sets[b].contains(item))
     }
 
     fn exact(&self) -> Vec<usize> {
@@ -602,11 +614,41 @@ mod tests {
         assert!(inst.is_valid_packing(&ls));
     }
 
-    /// The pre-optimisation `(1 → 2)` local search, scanning **all** sets
-    /// for the swap partner instead of only `w`'s conflict neighbours.
-    /// Kept verbatim (modulo the scan) as the oracle for
-    /// `restricted_candidate_scan_matches_full_scan`.
-    fn reference_local_search(inst: &SetPacking, start: Vec<usize>) -> Vec<usize> {
+    /// The conflict graph `SetPacking::new` used to precompute for every
+    /// set: the other sets sharing an item with it, ascending.
+    fn reference_conflict_graph(inst: &SetPacking) -> Vec<Vec<usize>> {
+        let mut by_item: Vec<Vec<usize>> = vec![Vec::new(); inst.n_items];
+        for (k, set) in inst.sets.iter().enumerate() {
+            for &item in set {
+                by_item[item].push(k);
+            }
+        }
+        inst.sets
+            .iter()
+            .enumerate()
+            .map(|(k, set)| {
+                let mut cs: Vec<usize> = set
+                    .iter()
+                    .flat_map(|&item| by_item[item].iter().copied())
+                    .filter(|&other| other != k)
+                    .collect();
+                cs.sort_unstable();
+                cs.dedup();
+                cs
+            })
+            .collect()
+    }
+
+    /// The `(1 → 2)` local search over a precomputed conflict `graph`,
+    /// trying as swap partners for blocker `w` the sets `partners(w)`:
+    /// `graph[w]`, as before conflicts were found on demand, or every set.
+    /// Kept as the oracle for `restricted_candidate_scan_matches_full_scan`.
+    fn reference_local_search(
+        inst: &SetPacking,
+        graph: &[Vec<usize>],
+        partners: impl Fn(usize) -> Vec<usize>,
+        start: Vec<usize>,
+    ) -> Vec<usize> {
         let mut in_pack = vec![false; inst.sets.len()];
         for &k in &start {
             in_pack[k] = true;
@@ -637,8 +679,8 @@ mod tests {
                     [w] => *w,
                     _ => continue,
                 };
-                for b in 0..inst.sets.len() {
-                    if in_pack[b] || b == a || inst.sets_conflict(a, b) {
+                for b in partners(w) {
+                    if in_pack[b] || b == a || graph[a].binary_search(&b).is_ok() {
                         continue;
                     }
                     let blockers_b = inst.blockers(b, &item_owner);
@@ -670,6 +712,8 @@ mod tests {
     /// Weighted counterpart of [`reference_local_search`].
     fn reference_local_search_weighted(
         inst: &SetPacking,
+        graph: &[Vec<usize>],
+        partners: impl Fn(usize) -> Vec<usize>,
         start: Vec<usize>,
         weights: &[f64],
     ) -> Vec<usize> {
@@ -718,8 +762,8 @@ mod tests {
                     improved = true;
                     break 'outer;
                 }
-                for b in 0..inst.sets.len() {
-                    if in_pack[b] || b == a || inst.sets_conflict(a, b) {
+                for b in partners(w) {
+                    if in_pack[b] || b == a || graph[a].binary_search(&b).is_ok() {
                         continue;
                     }
                     let blockers_b = inst.blockers(b, &item_owner);
@@ -750,42 +794,123 @@ mod tests {
         chosen
     }
 
+    /// Random instances of one to three items per set, items shared
+    /// between sets often.
+    fn random_sets(rng: &mut StdRng) -> SetPacking {
+        let n_items = rng.gen_range(1..=14);
+        let n_sets = rng.gen_range(0..=16);
+        let sets: Vec<Vec<usize>> = (0..n_sets)
+            .map(|_| {
+                let size = rng.gen_range(1..=3.min(n_items));
+                let mut items: Vec<usize> = (0..n_items).collect();
+                for i in (1..items.len()).rev() {
+                    items.swap(i, rng.gen_range(0..=i));
+                }
+                items.truncate(size);
+                items
+            })
+            .collect();
+        SetPacking::new(n_items, sets).unwrap()
+    }
+
     #[test]
     fn restricted_candidate_scan_matches_full_scan() {
-        // The conflict-neighbour candidate scan must retrace the full-scan
-        // search exactly — same packing, element for element — on both the
-        // unweighted and the weighted local search.
+        // The on-demand conflict scan must retrace the search over the
+        // precomputed conflict graph, and that one the full scan, exactly
+        // — same packing, element for element — on both the unweighted
+        // and the weighted local search, through `pack` as callers use it.
         let mut rng = StdRng::seed_from_u64(0xCAFE5E7);
         for case in 0..300 {
-            let n_items = rng.gen_range(1..=14);
-            let n_sets = rng.gen_range(0..=16);
-            let sets: Vec<Vec<usize>> = (0..n_sets)
-                .map(|_| {
-                    let size = rng.gen_range(1..=3.min(n_items));
-                    let mut items: Vec<usize> = (0..n_items).collect();
-                    for i in (1..items.len()).rev() {
-                        items.swap(i, rng.gen_range(0..=i));
-                    }
-                    items.truncate(size);
-                    items
-                })
-                .collect();
-            let inst = SetPacking::new(n_items, sets).unwrap();
+            let inst = random_sets(&mut rng);
+            let graph = reference_conflict_graph(&inst);
+            let neighbours = |w: usize| graph[w].clone();
+            let every = |_| (0..inst.n_sets()).collect();
             let start = inst.greedy();
+            let got = inst.pack(SetPackingStrategy::LocalSearch);
             assert_eq!(
-                inst.local_search(start.clone()),
-                reference_local_search(&inst, start.clone()),
-                "case {case}: unweighted results diverged"
+                got,
+                reference_local_search(&inst, &graph, neighbours, start.clone()),
+                "case {case}: unweighted results diverged from the conflict graph"
+            );
+            assert_eq!(
+                got,
+                reference_local_search(&inst, &graph, every, start),
+                "case {case}: unweighted results diverged from the full scan"
             );
             let weights: Vec<f64> = (0..inst.n_sets())
                 .map(|_| rng.gen_range(-1.0..4.0f64))
                 .collect();
+            let start = inst.greedy_weighted(&weights);
+            let got = inst.local_search_weighted(start.clone(), &weights);
             assert_eq!(
-                inst.local_search_weighted(start.clone(), &weights),
-                reference_local_search_weighted(&inst, start, &weights),
-                "case {case}: weighted results diverged"
+                got,
+                reference_local_search_weighted(&inst, &graph, neighbours, start.clone(), &weights),
+                "case {case}: weighted results diverged from the conflict graph"
+            );
+            assert_eq!(
+                got,
+                reference_local_search_weighted(&inst, &graph, every, start, &weights),
+                "case {case}: weighted results diverged from the full scan"
             );
         }
+    }
+
+    #[test]
+    fn on_demand_conflicts_match_the_precomputed_graph() {
+        let mut rng = StdRng::seed_from_u64(0x0C0F_11C7);
+        let mut partners = Vec::new();
+        for case in 0..300 {
+            let inst = random_sets(&mut rng);
+            let graph = reference_conflict_graph(&inst);
+            for (w, expect) in graph.iter().enumerate() {
+                inst.conflicts(w, &mut partners);
+                assert_eq!(&partners, expect, "case {case}: conflicts of set {w}");
+                for b in (0..inst.n_sets()).filter(|&b| b != w) {
+                    assert_eq!(
+                        inst.sets_conflict(w, b),
+                        expect.binary_search(&b).is_ok(),
+                        "case {case}: sets {w} and {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_item_shared_by_two_sets_is_not_a_duplicate() {
+        let inst = SetPacking::new(3, vec![vec![0, 1], vec![1, 2], vec![2, 1]]).unwrap();
+        let mut partners = Vec::new();
+        inst.conflicts(0, &mut partners);
+        assert_eq!(partners, vec![1, 2]);
+        assert!(inst.sets_conflict(1, 2));
+        assert_eq!(inst.pack(SetPackingStrategy::LocalSearch).len(), 1);
+    }
+
+    #[test]
+    fn validation_errors_keep_their_precedence() {
+        // Sets are checked in order; within a set, items in order, each
+        // for its range before its repetition.
+        let err = |n_items, sets: Vec<Vec<usize>>| SetPacking::new(n_items, sets).unwrap_err();
+        assert_eq!(
+            err(3, vec![vec![0, 0, 5]]),
+            SetPackingError::DuplicateItem { set: 0, item: 0 }
+        );
+        assert_eq!(
+            err(3, vec![vec![5, 0, 0]]),
+            SetPackingError::ItemOutOfRange { set: 0, item: 5 }
+        );
+        assert_eq!(
+            err(3, vec![vec![1], vec![], vec![9]]),
+            SetPackingError::EmptySet { set: 1 }
+        );
+        assert_eq!(
+            err(3, vec![vec![1, 2], vec![2, 1, 7], vec![]]),
+            SetPackingError::ItemOutOfRange { set: 1, item: 7 }
+        );
+        assert_eq!(
+            err(0, vec![vec![0]]),
+            SetPackingError::ItemOutOfRange { set: 0, item: 0 }
+        );
     }
 
     #[test]
