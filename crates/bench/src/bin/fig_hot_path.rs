@@ -1,6 +1,7 @@
 //! Hot-path pass: per-frame dispatch wall-clock for the flattened
-//! pipeline (carried candidate rows + keyed deferred acceptance +
-//! batched distance kernels) against the cold pipelines it replaced.
+//! pipeline (candidate rows from the stability certificate + keyed
+//! deferred acceptance + batched distance kernels) against the cold
+//! pipelines it replaced.
 //!
 //! Replays rolling frame sequences (fixed fleet, churned locations and
 //! request turnover) at the paper's thresholds and measures each frame's
@@ -12,8 +13,11 @@
 //! * **sparse_cold** — threshold-pruned candidates, fresh grid, cold
 //!   deferred acceptance every frame;
 //! * **hot** — threshold-pruned candidates over the batched distance
-//!   kernel, fresh grid, carried candidate rows, keyed deferred
-//!   acceptance on the flat candidate buffer (no rank tables).
+//!   kernel, fresh grid, rows built from the previous frame's stability
+//!   certificate, keyed deferred acceptance on the flat candidate buffer
+//!   (no rank tables). These frames do not apply their schedules, so a
+//!   request matched in one frame is still pending in the next and
+//!   builds a fresh row there.
 //!
 //! Every frame of every row first asserts all three schedules **equal**
 //! — the speedup is exact, not approximate. Two further sections isolate
@@ -105,8 +109,9 @@ fn run_cold(
         .collect()
 }
 
-/// Runs the hot arm (fresh grid, carried rows, keyed deferred
-/// acceptance) over the sequence; per-frame times into `samples`.
+/// Runs the hot arm (fresh grid, rows from the certificate, keyed
+/// deferred acceptance) over the sequence; per-frame times into
+/// `samples`.
 fn run_hot(
     d: &NonSharingDispatcher<Euclidean>,
     seq: &[Frame],

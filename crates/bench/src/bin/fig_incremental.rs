@@ -1,22 +1,27 @@
 //! Incremental cross-frame dispatch vs the cold per-frame pipeline.
 //!
-//! Replays rolling frame sequences — a fixed fleet whose taxis relocate
-//! and whose requests turn over at a swept churn rate — through two
-//! arms over a road-network metric:
+//! Replays rolling frame sequences of a dispatch loop — a fixed fleet
+//! whose matched taxis leave the idle set and come back at their
+//! passengers' drop-offs, whose served requests leave the queue, and
+//! whose idle taxis and waiting requests also turn over at a swept churn
+//! rate — through two arms over a road-network metric:
 //!
 //! * **cold** (the previous pipeline): every frame clears the distance
 //!   cache, rebuilds the idle-taxi grid from scratch and runs deferred
 //!   acceptance cold;
 //! * **warm** (the incremental pipeline): the distance cache is cleared
-//!   and the grid rebuilt per frame as in the cold arm, unchanged
-//!   requests patch their candidate rows from the previous frame instead
-//!   of re-querying grid and metric, and keyed deferred acceptance runs
-//!   on those rows directly (no rank tables).
+//!   and the grid rebuilt per frame as in the cold arm; a request the
+//!   previous frame left unchanged and unmatched tests only the taxis
+//!   that are new, moved or were matched — the stability certificate —
+//!   instead of walking the grid and querying the metric, and keyed
+//!   deferred acceptance runs on the rows directly (no rank tables).
 //!
-//! Every frame of every row first asserts the warm schedule **equal** to
-//! the cold one — the speedup is exact, not approximate. Reported per
-//! row: frame-loop wall-clock for both arms, the speedup, and both arms'
-//! metric query counts.
+//! Each frame applies its schedule as the engine does, so the sequence
+//! is generated by dispatching it once (the cold arm's schedules, which
+//! the warm arm must reproduce). Every frame of every row first asserts
+//! the warm schedule **equal** to the cold one — the speedup is exact,
+//! not approximate. Reported per row: frame-loop wall-clock for both
+//! arms, the speedup, and both arms' metric query counts.
 //!
 //! Output: `results/BENCH_incremental.json`.
 
@@ -29,12 +34,15 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A rolling frame sequence: each frame, every taxi relocates with
-/// probability `churn` (dispatched away and returned elsewhere) and every
-/// request is replaced by a fresh arrival with probability `churn`
-/// (served; a new passenger appears). At churn 0 everything is
-/// stationary; at churn 1 every frame is brand new.
+/// A rolling dispatch loop of `frames` frames over a fleet of `n_taxis`
+/// and a queue refilled to `n_requests`. Each frame is dispatched with
+/// NSTD-P on `d` and its schedule applied: matched taxis leave the idle
+/// set for two to five frames and return at the drop-off, served requests
+/// leave the queue. Then every idle taxi relocates with probability
+/// `churn`, every waiting request is replaced by a fresh arrival with
+/// probability `churn`, and new arrivals refill the queue.
 fn rolling_frames(
+    d: &NonSharingDispatcher<Cache>,
     seed: u64,
     frames: usize,
     n_taxis: usize,
@@ -44,34 +52,59 @@ fn rolling_frames(
 ) -> Vec<(Vec<Taxi>, Vec<Request>)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let pt = |rng: &mut StdRng| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
-    let mut taxis: Vec<Taxi> = (0..n_taxis)
+    let mut idle: Vec<Taxi> = (0..n_taxis)
         .map(|i| Taxi::new(TaxiId(i as u64), pt(&mut rng)))
         .collect();
-    let mut next_id = n_requests as u64;
-    let new_request = |rng: &mut StdRng, id: u64| {
+    let mut busy: Vec<(usize, Taxi)> = Vec::new();
+    let mut next_id = 0u64;
+    let mut new_request = |rng: &mut StdRng| {
         let pickup = pt(rng);
         let len = rng.gen_range(1.0..6.0);
         let angle = rng.gen_range(0.0..std::f64::consts::TAU);
         let dropoff = Point::new(pickup.x + len * angle.cos(), pickup.y + len * angle.sin());
-        Request::new(RequestId(id), 0, pickup, dropoff)
+        next_id += 1;
+        Request::new(RequestId(next_id - 1), 0, pickup, dropoff)
     };
-    let mut requests: Vec<Request> = (0..n_requests as u64)
-        .map(|j| new_request(&mut rng, j))
-        .collect();
+    let mut pending: Vec<Request> = (0..n_requests).map(|_| new_request(&mut rng)).collect();
 
     let mut out = Vec::with_capacity(frames);
     for _ in 0..frames {
-        out.push((taxis.clone(), requests.clone()));
-        for t in &mut taxis {
+        let grid = build_taxi_grid(&idle);
+        let schedule = d.passenger_optimal_with_grid(&idle, &pending, Some(&grid));
+        out.push((idle.clone(), pending.clone()));
+        // Apply the schedule; busy taxis count down and come back.
+        let mut kept = Vec::with_capacity(idle.len());
+        for mut t in idle.drain(..) {
+            match schedule.request_of(t.id) {
+                Some(rid) => {
+                    let r = pending.iter().find(|r| r.id == rid).expect("pending");
+                    t.location = r.dropoff;
+                    busy.push((rng.gen_range(2..6), t));
+                }
+                None => kept.push(t),
+            }
+        }
+        pending.retain(|r| schedule.assignment_of(r.id).taxi().is_none());
+        busy.retain_mut(|(left, t)| {
+            *left -= 1;
+            if *left == 0 {
+                kept.push(*t);
+            }
+            *left > 0
+        });
+        idle = kept;
+        for t in &mut idle {
             if rng.gen_bool(churn) {
                 t.location = pt(&mut rng);
             }
         }
-        for r in &mut requests {
+        for r in &mut pending {
             if rng.gen_bool(churn) {
-                *r = new_request(&mut rng, next_id);
-                next_id += 1;
+                *r = new_request(&mut rng);
             }
+        }
+        while pending.len() < n_requests {
+            pending.push(new_request(&mut rng));
         }
     }
     out
@@ -108,10 +141,11 @@ fn run_cold(
     (out, stats.hits + stats.misses)
 }
 
-/// The incremental pipeline: per-frame cache clear, fresh grid,
-/// carried candidate rows, keyed DA. Returns the schedules and the total
-/// metric queries issued (the carry answers unchanged pairs from the
-/// previous frame's rows without touching the metric at all).
+/// The incremental pipeline: per-frame cache clear, fresh grid, rows
+/// from the previous frame's stability certificate, keyed DA. Returns the
+/// schedules and the total metric queries issued (a request left
+/// unchanged and unmatched queries only the taxis that are new, moved or
+/// were matched, and reuses its trip).
 fn run_warm(
     net: &Arc<RoadNetwork>,
     params: PreferenceParams,
@@ -170,11 +204,15 @@ fn main() {
     for (fi, &frames) in frame_counts.iter().enumerate() {
         for (ci, &churn) in churns.iter().enumerate() {
             let seed = opts.seed.wrapping_add((fi * churns.len() + ci) as u64);
-            let seq = rolling_frames(seed, frames, n_taxis, n_requests, side, churn);
             // A synthetic street grid, rebuilt per row so its internal
             // shortest-path memo starts identically for every row; road
             // distances make every cache miss pay a genuine query, as in
             // the trace-driven figures.
+            let net = Arc::new(RoadNetwork::grid(25, 25, side / 24.0));
+            let seq = {
+                let (_, d) = fresh_arm(&net, params);
+                rolling_frames(&d, seed, frames, n_taxis, n_requests, side, churn)
+            };
             let net = Arc::new(RoadNetwork::grid(25, 25, side / 24.0));
 
             // Exactness first: the warm pipeline must be bit-identical to

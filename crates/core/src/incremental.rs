@@ -1,61 +1,71 @@
 //! Cross-frame incremental dispatch for the NSTD algorithms.
 //!
 //! A rolling frame loop re-solves almost the same frame every tick: most
-//! idle taxis did not move and most pending requests carried over, so most
-//! of a frame's candidate pairs — and their pick-up distances and driver
-//! scores — are the previous frame's. [`IncrementalState`] carries the
-//! previous frame's sparse candidate rows ([`crate::CandidateCarry`]): a
-//! request unchanged between frames patches its row from the carry —
-//! dropping moved taxis, merging in moved-in ones — instead of
-//! re-querying the grid and the metric for every stationary taxi. The
-//! rows then feed keyed deferred acceptance
-//! ([`o2o_matching::KeyedMatch`]) directly, so a warm frame builds no
-//! rank table and no [`o2o_matching::StableInstance`].
+//! idle taxis did not move and most pending requests carried over.
+//! [`IncrementalState`] keeps the stability certificate of the last
+//! solved frame ([`crate::RowCertificate`]). A stable matching leaves no
+//! mutually acceptable pair between a request and a taxi it leaves both
+//! unmatched, so a request that stayed unchanged and unmatched tests only
+//! the taxis that are new, moved, re-seated or were matched, instead of
+//! walking the taxi grid and querying the metric for every taxi near it.
+//! In the dispatch loop every matched taxi leaves the idle set and every
+//! served request the queue, so such a request tests only the taxis that
+//! became idle since the last frame. The rows then feed keyed deferred
+//! acceptance ([`o2o_matching::KeyedMatch`]) directly, so a warm frame
+//! builds no rank table and no [`o2o_matching::StableInstance`]; they
+//! are sorted only when requests propose.
 //!
-//! The state carries no matching. A warm-start seed from the previous
-//! frame's matching never applied in a dispatch loop: every matched taxi
-//! is dispatched and leaves the idle set, so no carried pair survives into
-//! the next frame.
+//! The state carries no matching to seed the next solve with: every
+//! matched taxi is dispatched and leaves the idle set, so no matched pair
+//! survives into the next frame. It records only *which* requests and
+//! taxis were matched, which is what the certificate needs.
 //!
-//! The carry stores exact metric distances, so one [`IncrementalState`]
-//! must stay with one dispatcher (one metric); the params are revalidated
-//! per frame, and any id/position/seat change falls back to the fresh
-//! path. Warm and cold schedules are bit-identical for every frame delta;
-//! the property suite in `tests/warm_equivalence.rs` pins this the same
-//! way `tests/sparse_equivalence.rs` pins sparse == dense.
+//! The certificate reuses each unchanged request's trip, so one
+//! [`IncrementalState`] must stay with one dispatcher (one metric); the
+//! params are revalidated per frame, any id/position/seat change sends a
+//! taxi to the tested set or a request to the fresh path, and a frame
+//! whose solve is not recorded (the greedy rung) leaves the next frame
+//! uncertified. Warm and cold schedules are bit-identical for every frame
+//! delta; the property suites in `tests/warm_equivalence.rs` and
+//! `tests/row_certificate.rs` pin this the same way
+//! `tests/sparse_equivalence.rs` pins sparse == dense.
 
 use o2o_matching::KeyedMatch;
 
-/// Whether an NSTD dispatch reuses the previous frame's candidate rows.
+/// Whether an NSTD dispatch builds its candidate rows from the previous
+/// frame's stability certificate and solves them with keyed deferred
+/// acceptance.
 ///
 /// Both modes produce **bit-identical schedules**; they differ only in
 /// how much candidate generation is redone per frame and in the matching
 /// engine (keyed deferred acceptance warm, rank-table instances cold).
-/// `Cold` exists for A/B benchmarking and as the escape hatch if the carry ever costs more than it saves on a workload.
+/// `Cold` is the rank-table reference the warm path is measured and
+/// property-tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IncrementalMode {
-    /// Patch the previous frame's candidate rows and run keyed deferred
-    /// acceptance (the default).
+    /// Build rows from the certificate and run keyed deferred acceptance
+    /// (the default).
     #[default]
     Warm,
-    /// Re-run every frame from scratch.
+    /// Re-run every frame from scratch on rank tables.
     Cold,
 }
 
-/// The warm NSTD path's cross-frame state: the previous frame's candidate
-/// rows, keyed by stable identities so index churn between frames (taxis
-/// leaving/entering the idle set, requests being served or arriving)
-/// never mis-maps an entry, and the keyed solver's working memory.
+/// The warm NSTD path's cross-frame state: the stability certificate of
+/// the last solved frame, keyed by stable identities so index churn
+/// between frames (taxis leaving/entering the idle set, requests being
+/// served or arriving) never mis-maps a taxi or request, and the keyed
+/// solver's working memory.
 ///
-/// Because the rows store exact metric distances, a state must only ever
-/// be fed to **one** dispatcher (one metric). Once its buffers have grown
-/// to the steady-state frame shape, the warm path allocates only the
+/// Because the certificate reuses metric trips, a state must only ever be
+/// fed to **one** dispatcher (one metric). Once its buffers have grown to
+/// the steady-state frame shape, the warm path allocates only the
 /// schedule it returns.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalState {
-    /// Previous frame's sparse candidate rows (see
-    /// [`crate::prefs::CandidateCarry`]).
-    pub(crate) rows: crate::prefs::CandidateCarry,
+    /// The last frame's certificate and the row buffer (see
+    /// [`crate::RowCertificate`]).
+    pub(crate) cert: crate::RowCertificate,
     /// Keyed deferred-acceptance working memory. Not cleared by
     /// [`IncrementalState::clear`]: it carries no frame content, only
     /// buffer capacity.
@@ -69,9 +79,8 @@ impl IncrementalState {
         IncrementalState::default()
     }
 
-    /// Forgets the carried candidate rows (the next frame takes the fresh
-    /// path).
+    /// Forgets the certificate (the next frame takes the fresh path).
     pub fn clear(&mut self) {
-        self.rows.clear();
+        self.cert.clear();
     }
 }

@@ -53,7 +53,7 @@ pub use nstd::{AnytimeOutcome, CandidateMode, NonSharingDispatcher};
 pub use o2o_matching::{TimeBudget, TimeBudgetSpec};
 pub use params::PreferenceParams;
 pub use prefs::{
-    build_taxi_grid, candidate_radius, CandidateCarry, PickupDistances, PreferenceModel,
+    build_taxi_grid, candidate_radius, PickupDistances, PreferenceModel, RowCertificate,
     SparsePickupDistances, SparsePreferenceModel,
 };
 pub use schedule::{DispatchOutcome, Schedule};

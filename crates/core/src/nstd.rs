@@ -3,8 +3,7 @@
 use crate::company::CompanyObjective;
 use crate::degrade::{DegradeReason, Degraded, DispatchTier};
 use crate::prefs::{
-    build_taxi_grid, CandidateCarry, PickupDistances, PreferenceModel, SparsePickupDistances,
-    SparsePreferenceModel,
+    build_taxi_grid, PickupDistances, PreferenceModel, SparsePickupDistances, SparsePreferenceModel,
 };
 use crate::{PreferenceParams, Schedule};
 use o2o_geo::{GridIndex, Metric};
@@ -224,17 +223,18 @@ impl<M: Metric> NonSharingDispatcher<M> {
     }
 
     /// The warm path's candidate rows: this frame's mutually acceptable
-    /// pairs, patched from `carry` (see
-    /// [`SparsePickupDistances::compute_incremental`]) under the
-    /// `preference_build` span, which also covers building a taxi grid
-    /// when none is shared.
+    /// pairs for `proposing` to propose on, built from the certificate in
+    /// `state` (see [`SparsePickupDistances::compute_incremental`]) under
+    /// the `preference_build` span, which also covers building a taxi
+    /// grid when none is shared.
     fn warm_candidates<'c>(
         &self,
         taxis: &[Taxi],
         requests: &[Request],
         taxi_grid: Option<&GridIndex<usize>>,
-        carry: &'c mut CandidateCarry,
-    ) -> &'c SparsePickupDistances {
+        proposing: Proposing,
+        state: &'c mut crate::IncrementalState,
+    ) -> &'c mut SparsePickupDistances {
         let _span = obs::span("preference_build");
         let owned;
         let grid = match taxi_grid {
@@ -251,13 +251,30 @@ impl<M: Metric> NonSharingDispatcher<M> {
             requests,
             grid,
             self.par,
-            carry,
+            proposing,
+            &mut state.cert,
         )
     }
 
-    /// One warm frame: patched candidate rows, then keyed deferred
-    /// acceptance with `proposing` proposing. Dense mode has no candidate
-    /// rows to carry and runs the cold dense path instead.
+    /// Keyed deferred acceptance on the rows
+    /// [`warm_candidates`](Self::warm_candidates) just built, with
+    /// `proposing` proposing; records the result so it certifies the next
+    /// frame.
+    fn warm_solve(
+        taxis: &[Taxi],
+        requests: &[Request],
+        state: &mut crate::IncrementalState,
+        proposing: Proposing,
+    ) -> Schedule {
+        let crate::IncrementalState { cert, solver } = state;
+        let schedule = keyed_schedule(taxis, requests, cert.rows(), solver, proposing);
+        cert.record_solve(solver);
+        schedule
+    }
+
+    /// One warm frame: candidate rows from the certificate, then keyed
+    /// deferred acceptance with `proposing` proposing. Dense mode has no
+    /// candidate rows and runs the cold dense path instead.
     fn warm(
         &self,
         taxis: &[Taxi],
@@ -272,8 +289,8 @@ impl<M: Metric> NonSharingDispatcher<M> {
                 Proposing::Columns => self.taxi_optimal_with_grid(taxis, requests, taxi_grid),
             };
         }
-        let spd = self.warm_candidates(taxis, requests, taxi_grid, &mut state.rows);
-        keyed_schedule(taxis, requests, spd, &mut state.solver, proposing)
+        self.warm_candidates(taxis, requests, taxi_grid, proposing, state);
+        Self::warm_solve(taxis, requests, state, proposing)
     }
 
     /// Builds the frame model in the configured [`CandidateMode`].
@@ -335,16 +352,18 @@ impl<M: Metric> NonSharingDispatcher<M> {
     }
 
     /// [`passenger_optimal`](Self::passenger_optimal) on the warm path:
-    /// candidate rows patched from the previous frame's carry in `state`,
-    /// then keyed deferred acceptance on them (requests propose) — no
-    /// rank table or [`StableInstance`] is built.
+    /// candidate rows built from the previous solved frame's stability
+    /// certificate in `state`, then keyed deferred acceptance on them
+    /// (requests propose) — no rank table or [`StableInstance`] is built.
+    /// The solve is recorded in `state` and certifies the next frame.
     ///
     /// Bit-identical to the cold
     /// [`passenger_optimal_with_grid`](Self::passenger_optimal_with_grid)
-    /// for **every** frame delta: the patched rows equal fresh ones, and
-    /// keyed deferred acceptance compares the same keys the rank lists are
-    /// sorted by (see [`o2o_matching::KeyedMatch`]). Property-tested in
-    /// `tests/warm_equivalence.rs`.
+    /// for **every** frame delta: the rows hold exactly the fresh rows'
+    /// entries, and keyed deferred acceptance compares the same keys the
+    /// rank lists are sorted by (see [`o2o_matching::KeyedMatch`]).
+    /// Property-tested in `tests/warm_equivalence.rs` and
+    /// `tests/row_certificate.rs`.
     #[must_use]
     pub fn passenger_optimal_incremental(
         &self,
@@ -394,9 +413,9 @@ impl<M: Metric> NonSharingDispatcher<M> {
         self.to_schedule(taxis, requests, &model, &m)
     }
 
-    /// [`taxi_optimal`](Self::taxi_optimal) on the warm path: patched
-    /// candidate rows, then keyed deferred acceptance with taxis proposing.
-    /// Bit-identical to the cold
+    /// [`taxi_optimal`](Self::taxi_optimal) on the warm path: candidate
+    /// rows from the certificate, left unsorted, then keyed deferred
+    /// acceptance with taxis proposing. Bit-identical to the cold
     /// [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid) for every
     /// frame delta (see
     /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental)).
@@ -487,11 +506,10 @@ impl<M: Metric> NonSharingDispatcher<M> {
     ///
     /// `state` selects the warm incremental path (as in
     /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental)).
-    /// A greedy fallback leaves the carry as it is: it holds exact
-    /// candidate rows keyed by identity and position, not a matching, so
-    /// the next warm frame stays bit-identical to a cold one. With an
-    /// unlimited budget the result is bit-identical to the corresponding
-    /// unbudgeted call.
+    /// A greedy fallback clears it: its schedule is not stable, so it
+    /// certifies nothing, and the next warm frame builds fresh rows. With
+    /// an unlimited budget the result is bit-identical to the
+    /// corresponding unbudgeted call.
     #[must_use]
     pub fn passenger_optimal_budgeted(
         &self,
@@ -503,6 +521,9 @@ impl<M: Metric> NonSharingDispatcher<M> {
         budget: &TimeBudget,
     ) -> (Schedule, Option<Degraded>) {
         if budget.exhausted() {
+            if let Some(state) = state {
+                state.clear();
+            }
             let degraded = Degraded {
                 from: DispatchTier::NstdP,
                 to: DispatchTier::GreedyNearest,
@@ -525,11 +546,13 @@ impl<M: Metric> NonSharingDispatcher<M> {
 
     /// [`taxi_optimal`](Self::taxi_optimal) under a per-frame
     /// [`TimeBudget`] — the full ladder. Deadline already passed at
-    /// entry: greedy-nearest (the carry is kept, as in
-    /// [`passenger_optimal_budgeted`](Self::passenger_optimal_budgeted)). Deadline passed
-    /// after preference construction: NSTD-P on the just-built model —
-    /// the passenger-optimal matching is one deferred-acceptance pass,
-    /// the cheapest stable answer the model affords. Otherwise: NSTD-T.
+    /// entry: greedy-nearest (clearing `state`, as in
+    /// [`passenger_optimal_budgeted`](Self::passenger_optimal_budgeted)).
+    /// Deadline passed after preference construction: NSTD-P on the
+    /// just-built model — the passenger-optimal matching is one
+    /// deferred-acceptance pass, the cheapest stable answer the model
+    /// affords; the warm path sorts its rows first, since they were built
+    /// for taxis to propose. Otherwise: NSTD-T.
     /// Each step down is reported as a [`Degraded`] marker; with an
     /// unlimited budget the result is bit-identical to the corresponding
     /// unbudgeted call.
@@ -544,6 +567,9 @@ impl<M: Metric> NonSharingDispatcher<M> {
         budget: &TimeBudget,
     ) -> (Schedule, Option<Degraded>) {
         if budget.exhausted() {
+            if let Some(state) = state {
+                state.clear();
+            }
             let degraded = Degraded {
                 from: DispatchTier::NstdT,
                 to: DispatchTier::GreedyNearest,
@@ -570,10 +596,16 @@ impl<M: Metric> NonSharingDispatcher<M> {
         // Dense mode carries nothing and takes the stateless rungs.
         match state.filter(|_| self.mode == CandidateMode::Sparse) {
             Some(state) => {
-                let spd = self.warm_candidates(taxis, requests, taxi_grid, &mut state.rows);
+                let rows =
+                    self.warm_candidates(taxis, requests, taxi_grid, Proposing::Columns, state);
                 let (proposing, degraded) = rung(budget);
-                let schedule = keyed_schedule(taxis, requests, spd, &mut state.solver, proposing);
-                (schedule, degraded)
+                if proposing == Proposing::Rows {
+                    rows.sort_rows();
+                }
+                (
+                    Self::warm_solve(taxis, requests, state, proposing),
+                    degraded,
+                )
             }
             None => {
                 let model = self.frame_model(taxis, requests, pickup_distances, taxi_grid);
@@ -1178,8 +1210,8 @@ mod tests {
             assert_eq!(degraded.from, tier);
             assert_eq!(degraded.to, DispatchTier::GreedyNearest);
             assert_eq!(budgeted(None, &expired).0, s);
-            // The greedy frame leaves the carried rows usable: the next
-            // warm frame is still the exact stable schedule.
+            // The greedy frame certifies nothing: the next warm frame
+            // builds fresh rows and is still the exact stable schedule.
             let (after, none) = budgeted(Some(&mut state), &unlimited);
             assert_eq!(none, None);
             assert_eq!(after, warm);

@@ -15,7 +15,7 @@
 
 use crate::PreferenceParams;
 use o2o_geo::{heuristic_cell_size, BBox, GridIndex, Metric, Point};
-use o2o_matching::{KeyedCandidates, KeyedEntry, StableInstance};
+use o2o_matching::{KeyedCandidates, KeyedEntry, KeyedMatch, Proposing, StableInstance};
 use o2o_obs as obs;
 use o2o_par::{par_map, try_par_map, Parallelism, WorkerPanic};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -290,9 +290,9 @@ impl PreferenceModel {
 /// `min(θ_p, θ_t + α·trip)`; the bound is inflated by a relative `1e-9`
 /// slack so the float rounding of `d − α·trip` can never exclude a taxi
 /// the dense filter would admit (see [`SparsePickupDistances`]). This is
-/// the **single source of truth** for that radius — the sparse candidate
-/// builder and the incremental row patcher must agree on it bit-for-bit,
-/// or a carried row could differ from a fresh one.
+/// the **single source of truth** for that radius — the fresh grid walk
+/// and the certified rows must agree on it bit-for-bit, or a certified
+/// row could differ from a fresh one.
 ///
 /// Returns a negative value or `NaN` only when the thresholds themselves
 /// are (callers treat that as "no candidates"); `+∞` means unbounded.
@@ -354,23 +354,24 @@ pub fn build_taxi_grid(taxis: &[Taxi]) -> GridIndex<usize> {
 /// identical to the dense path.
 ///
 /// Each entry carries both preference keys — the pick-up distance (the
-/// passenger's key) and the driver score `d − α·trip` (the driver's key) —
-/// and each row is sorted by `(distance, taxi index)`, the passenger list
-/// order. That is exactly the input of keyed deferred acceptance
-/// ([`o2o_matching::KeyedMatch`]); building the buffer also performs the
-/// range and duplicate checks a [`StableInstance`] constructor would.
+/// passenger's key) and the driver score `d − α·trip` (the driver's key).
+/// [`compute`](Self::compute) sorts each row by `(distance, taxi index)`,
+/// the passenger list order, which is exactly the input of keyed deferred
+/// acceptance ([`o2o_matching::KeyedMatch`]) with either side proposing;
+/// building the buffer also performs the range and duplicate checks a
+/// [`StableInstance`] constructor would.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparsePickupDistances {
     /// Row `j`: `(taxi i, D(t_i, r_j^s), driver score)` for every mutually
-    /// acceptable taxi, sorted by `(distance, taxi index)`; one column per
-    /// taxi of the frame.
+    /// acceptable taxi; one column per taxi of the frame.
     pairs: KeyedCandidates,
     /// `trips[j]` = `D(r_j^s, r_j^d)`.
     trips: Vec<f64>,
 }
 
 impl SparsePickupDistances {
-    /// Computes candidate rows for every request, in parallel.
+    /// Computes candidate rows for every request, in parallel, each sorted
+    /// by `(distance, taxi index)`.
     ///
     /// `grid` must index `0..taxis.len()` at the taxis' current locations
     /// (see [`build_taxi_grid`]).
@@ -400,14 +401,14 @@ impl SparsePickupDistances {
             taxis.len(),
             par,
             &mut RowScratch::default(),
-            |j, s, pairs| fresh_row(metric, params, taxis, &requests[j], grid, s, pairs),
+            |j, s, pairs| fresh_row(metric, params, taxis, &requests[j], grid, true, s, pairs),
         );
         out
     }
 
     /// Candidate entries of request `j` — taxi (`col`), pick-up distance
     /// (`row_key`) and driver score (`col_key`) — sorted by `(distance,
-    /// taxi index)`.
+    /// taxi index)` unless they were built for taxis to propose.
     #[must_use]
     pub fn row(&self, request: usize) -> &[KeyedEntry] {
         self.pairs.row(request)
@@ -417,6 +418,12 @@ impl SparsePickupDistances {
     #[must_use]
     pub fn pairs(&self) -> &KeyedCandidates {
         &self.pairs
+    }
+
+    /// Sorts every row by `(distance, taxi index)`, so requests can
+    /// propose on rows that were built for taxis to propose.
+    pub fn sort_rows(&mut self) {
+        self.pairs.sort_rows();
     }
 
     /// `D(r_j^s, r_j^d)` for request `j`.
@@ -480,43 +487,41 @@ impl SparsePickupDistances {
         }
     }
 
-    /// [`compute`](Self::compute), patching the previous frame's candidate
-    /// rows instead of re-querying the grid and the metric for pairs that
-    /// cannot have changed. Returns this frame's rows, which now live in
-    /// `carry` (moved there, not copied) for the next call.
+    /// This frame's candidate rows for `proposing` to propose on, built
+    /// with the help of the stability certificate the previous recorded
+    /// solve left in `cert`. Returns the rows, which live in `cert`'s
+    /// buffer; the solve on them certifies the next frame only once
+    /// [`RowCertificate::record_solve`] records its result.
     ///
-    /// A candidate row is a pure function of `(pickup, drop-off, party,
-    /// params, taxi positions and seats)`: membership is the grid's
-    /// inclusive Euclidean test `‖t_i − r_j^s‖ ≤ radius` followed by the
-    /// mutual filter on exact metric distances, and the order is the
-    /// `(distance, index)` sort. So for a request carried unchanged from
-    /// the previous frame (same id, bit-identical pickup and drop-off, same
-    /// party — hence the same trip and radius), the new row is the old row
-    /// with
+    /// The certificate rests on stability. A stable matching leaves no
+    /// mutually acceptable pair between a request and a taxi that are
+    /// both unmatched, because such a pair would block. Membership in a
+    /// row is a pure function of `(pickup, drop-off, party, params, taxi
+    /// position and seats)`: the grid's inclusive Euclidean test `‖t_i −
+    /// r_j^s‖ ≤ radius` followed by the mutual filter on exact metric
+    /// distances. So for a request that the certified frame held
+    /// unchanged (same id, bit-identical pickup and drop-off, same party)
+    /// and left unmatched, no taxi it also held unchanged (same id,
+    /// bit-identical position, same seats) and left unmatched can be in
+    /// the row. Such a request tests only the other taxis — new, moved,
+    /// re-seated, or matched in the certified frame — against the same
+    /// radius and filter, and reuses its recorded trip. Every other
+    /// request takes the fresh grid path. This holds for any frame delta,
+    /// any id repetition and any order of the taxis, so the rows hold
+    /// exactly the entries of a fresh [`compute`](Self::compute).
     ///
-    /// 1. entries of departed, moved or re-seated taxis dropped, the rest
-    ///    re-indexed (same distance, same score), and
-    /// 2. every such changed or new taxi re-tested against the same radius
-    ///    and filter, its metric distance computed fresh on admission,
-    ///    merged in by `(distance, index)`.
-    ///
-    /// The merge needs the re-indexed carried entries to stay sorted, which
-    /// holds whenever the frame lists its surviving taxis in the previous
-    /// frame's relative order (the engine keeps idle taxis in fleet order);
-    /// a linear check catches any other order and sorts the row instead.
-    /// Either way the row is bit-identical to a fresh
-    /// [`compute`](Self::compute), at the cost of the *changed* taxis
-    /// rather than the whole candidate set. Requests that are new, moved,
-    /// or carried under different [`PreferenceParams`] fall back to the
-    /// fresh grid path, as does the entire frame when a taxi id is
-    /// ambiguous (repeated in the carry, or claimed twice). Exactness
-    /// requires only that the carry is always fed through the **same
-    /// metric** (it revalidates params itself).
+    /// Rows are sorted by `(distance, taxi index)` only when
+    /// [`Proposing::Rows`]; when taxis propose, the keyed solver compares
+    /// keys and a row keeps the order its taxis were found in. Changed
+    /// [`PreferenceParams`], or no recorded solve since the last call,
+    /// leave every row fresh. Exactness requires only that the
+    /// certificate is always fed through the **same metric**.
     ///
     /// # Panics
     ///
     /// Panics if `params` fail [`PreferenceParams::validate`]. Debug
     /// builds assert that `grid` holds one entry per taxi.
+    #[allow(clippy::too_many_arguments)]
     pub fn compute_incremental<'c, M: Metric>(
         metric: &M,
         params: &PreferenceParams,
@@ -524,132 +529,127 @@ impl SparsePickupDistances {
         requests: &[Request],
         grid: &GridIndex<usize>,
         par: Parallelism,
-        carry: &'c mut CandidateCarry,
-    ) -> &'c SparsePickupDistances {
+        proposing: Proposing,
+        cert: &'c mut RowCertificate,
+    ) -> &'c mut SparsePickupDistances {
         params.validate().expect("invalid preference parameters");
         debug_assert_eq!(
             grid.len(),
             taxis.len(),
             "taxi grid does not match the taxi slice"
         );
-        let CandidateCarry {
-            params: carried_params,
+        let sorted = proposing == Proposing::Rows;
+        let RowCertificate {
+            params: recorded_params,
+            solved,
             taxis: old_taxis,
             requests: old_requests,
-            current,
-            spare,
+            rows,
             taxi_at,
             request_at,
-            stable_new,
-            changed,
+            tested,
             scratch,
-        } = carry;
+        } = cert;
 
-        // Map the carried frame onto this one. `stable_new[old]` is the
-        // current index of an old taxi still at the bit-identical position
-        // with the same seats; `changed` lists current taxis that are new,
-        // moved or re-seated. An id repeated in the carry, or claimed by
-        // two current taxis, disables reuse for the whole frame — it could
-        // map one old row entry to the wrong taxi.
-        let mut unambiguous = *carried_params == Some(*params);
-        taxi_at.clear();
-        for (i, &(id, _, _)) in old_taxis.iter().enumerate() {
-            if taxi_at.insert(id, i).is_some() {
-                unambiguous = false;
-            }
-        }
-        stable_new.clear();
-        stable_new.resize(old_taxis.len(), NO_TAXI);
-        changed.clear();
-        for (i, t) in taxis.iter().enumerate() {
-            match taxi_at.get(&t.id) {
-                Some(&oi)
-                    if same_bits(old_taxis[oi].1, t.location) && old_taxis[oi].2 == t.seats =>
-                {
-                    unambiguous &= stable_new[oi] == NO_TAXI;
-                    stable_new[oi] = i;
-                }
-                _ => changed.push((i, t.location)),
-            }
-        }
-        // Duplicate *request* ids are harmless: the carried row is keyed
-        // by bit-identical pickup/drop-off/party, and any old request
-        // passing that check carries the right row for this request.
+        // Map the certified frame onto this one: `tested` lists the
+        // current taxis the certificate does not cover (new, moved,
+        // re-seated or matched), `request_at` the requests it does.
+        let certified = *solved && *recorded_params == Some(*params);
+        tested.clear();
         request_at.clear();
-        request_at.extend(
-            old_requests
-                .iter()
-                .enumerate()
-                .map(|(j, &(id, ..))| (id, j)),
-        );
-
-        let prev = &*current;
-        let (stable_new, changed, request_at, carried_requests) =
-            (&*stable_new, &*changed, &*request_at, &*old_requests);
-        spare.fill(requests.len(), taxis.len(), par, scratch, |j, s, pairs| {
-            let r = &requests[j];
-            if unambiguous {
-                if let Some(&oj) = request_at.get(&r.id) {
-                    let (_, pickup, dropoff, party) = carried_requests[oj];
-                    if same_bits(pickup, r.pickup)
-                        && same_bits(dropoff, r.dropoff)
-                        && party == r.passengers
-                    {
-                        let trip = prev.trips[oj];
-                        let carried = prev.pairs.row(oj);
-                        patched_row(
-                            metric, params, taxis, r, trip, carried, stable_new, changed, s, pairs,
-                        );
-                        return trip;
-                    }
+        if certified {
+            taxi_at.clear();
+            taxi_at.extend(old_taxis.iter().enumerate().map(|(i, t)| (t.id, i)));
+            for (i, t) in taxis.iter().enumerate() {
+                let covered = taxi_at.get(&t.id).is_some_and(|&oi| {
+                    let old = &old_taxis[oi];
+                    !old.matched && same_bits(old.location, t.location) && old.seats == t.seats
+                });
+                if !covered {
+                    tested.push((i, t.location));
                 }
             }
-            fresh_row(metric, params, taxis, r, grid, s, pairs)
+            request_at.extend(
+                old_requests
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| !r.matched)
+                    .map(|(j, r)| (r.id, j)),
+            );
+        }
+
+        let (tested, request_at, recorded) = (&*tested, &*request_at, &*old_requests);
+        rows.fill(requests.len(), taxis.len(), par, scratch, |j, s, pairs| {
+            let r = &requests[j];
+            if let Some(old) = request_at.get(&r.id).map(|&oj| &recorded[oj]) {
+                if same_bits(old.pickup, r.pickup)
+                    && same_bits(old.dropoff, r.dropoff)
+                    && old.party == r.passengers
+                {
+                    certified_row(metric, params, taxis, r, old.trip, tested, sorted, s, pairs);
+                    return old.trip;
+                }
+            }
+            fresh_row(metric, params, taxis, r, grid, sorted, s, pairs)
         });
-        std::mem::swap(current, spare);
-        *carried_params = Some(*params);
+
+        // Record this frame, uncertified until its solve is recorded.
+        *solved = false;
+        *recorded_params = Some(*params);
         old_taxis.clear();
-        old_taxis.extend(taxis.iter().map(|t| (t.id, t.location, t.seats)));
+        old_taxis.extend(taxis.iter().map(|t| RecordedTaxi {
+            id: t.id,
+            location: t.location,
+            seats: t.seats,
+            matched: false,
+        }));
         old_requests.clear();
         old_requests.extend(
             requests
                 .iter()
-                .map(|r| (r.id, r.pickup, r.dropoff, r.passengers)),
+                .zip(&rows.trips)
+                .map(|(r, &trip)| RecordedRequest {
+                    id: r.id,
+                    pickup: r.pickup,
+                    dropoff: r.dropoff,
+                    party: r.passengers,
+                    trip,
+                    matched: false,
+                }),
         );
-        current
+        rows
     }
 }
-
-/// "Not in this frame" in [`CandidateCarry`]'s old → new taxi map.
-const NO_TAXI: usize = usize::MAX;
 
 /// Per-thread working memory for building candidate rows.
 #[derive(Debug, Clone, Default)]
 struct RowScratch {
-    /// Taxi indices to measure (grid hits or changed taxis in range).
+    /// Taxi indices to measure (grid hits or tested taxis in range).
     hits: Vec<usize>,
     /// Their locations, contiguous for the batched metric kernel.
     locations: Vec<Point>,
     /// Their metric pick-up distances.
     dists: Vec<f64>,
-    /// Admitted `(distance, taxi)` pairs, sorted before they are written.
+    /// Admitted `(distance, taxi)` pairs, in hit order unless sorted.
     admitted: Vec<(f64, usize)>,
-    /// A carried row being patched: survivors merged with `admitted`.
-    row: Vec<(f64, usize)>,
 }
 
 impl RowScratch {
     /// Measures every hit with the batched one-to-many kernel (the pickup
-    /// as the shared origin; see [`PickupDistances::compute`]) and keeps
-    /// the mutually acceptable ones in `admitted`, sorted by `(distance,
-    /// taxi index)` — the dense row order.
-    fn measure_and_admit<M: Metric>(
+    /// as the shared origin; see [`PickupDistances::compute`]) and writes
+    /// the mutually acceptable ones as one finished row of `pairs`, each
+    /// with its driver score `d − α·trip` — sorted by `(distance, taxi
+    /// index)`, the dense row order, when `sorted`.
+    #[allow(clippy::too_many_arguments)]
+    fn admit_row<M: Metric>(
         &mut self,
         metric: &M,
         params: &PreferenceParams,
         taxis: &[Taxi],
         r: &Request,
         trip: f64,
+        sorted: bool,
+        pairs: &mut KeyedCandidates,
     ) {
         self.dists.clear();
         self.dists.resize(self.locations.len(), 0.0);
@@ -660,30 +660,18 @@ impl RowScratch {
                 self.admitted.push((d, i));
             }
         }
-        self.admitted.sort_unstable_by(row_order);
+        if sorted {
+            self.admitted.sort_unstable_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.1.cmp(&b.1))
+            });
+        }
+        for &(d, i) in &self.admitted {
+            pairs.push(i, d, d - params.alpha * trip);
+        }
+        pairs.finish_row();
     }
-}
-
-/// The passenger-list order of `(distance, taxi)` entries: distance, ties
-/// by taxi index — the dense row sort's comparator.
-fn row_order(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
-    a.0.partial_cmp(&b.0)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.1.cmp(&b.1))
-}
-
-/// Writes `(distance, taxi)` entries, in order, as one finished row of
-/// `pairs`, each with its driver score `d − α·trip`.
-fn push_row(
-    pairs: &mut KeyedCandidates,
-    params: &PreferenceParams,
-    trip: f64,
-    entries: impl IntoIterator<Item = (f64, usize)>,
-) {
-    for (d, i) in entries {
-        pairs.push(i, d, d - params.alpha * trip);
-    }
-    pairs.finish_row();
 }
 
 /// The dense path's acceptance filters for one pair: the party fits, the
@@ -701,15 +689,16 @@ fn mutually_acceptable(
 }
 
 /// Writes one request's fresh candidate row into `pairs` — grid walk,
-/// exact metric distances, mutual filter, `(distance, index)` sort — and
-/// returns its trip. Shared by [`SparsePickupDistances::compute`] and the
-/// fallback path of [`SparsePickupDistances::compute_incremental`].
+/// exact metric distances, mutual filter, and the `(distance, index)`
+/// sort when `sorted` — and returns its trip.
+#[allow(clippy::too_many_arguments)]
 fn fresh_row<M: Metric>(
     metric: &M,
     params: &PreferenceParams,
     taxis: &[Taxi],
     r: &Request,
     grid: &GridIndex<usize>,
+    sorted: bool,
     s: &mut RowScratch,
     pairs: &mut KeyedCandidates,
 ) -> f64 {
@@ -724,121 +713,132 @@ fn fresh_row<M: Metric>(
         s.hits.push(i);
         s.locations.push(taxis[i].location);
     });
-    s.measure_and_admit(metric, params, taxis, r, trip);
-    push_row(pairs, params, trip, s.admitted.iter().copied());
+    s.admit_row(metric, params, taxis, r, trip, sorted, pairs);
     trip
 }
 
-/// Writes a carried request's row into `pairs`: its previous row minus
-/// departed/changed taxis, re-indexed, merged with the changed taxis the
-/// radius and filter admit (see
-/// [`SparsePickupDistances::compute_incremental`]).
+/// Writes the row of a request the certificate covers into `pairs`: only
+/// the `tested` taxis, through the grid's inclusive membership test and
+/// the mutual filter (see [`SparsePickupDistances::compute_incremental`]).
 #[allow(clippy::too_many_arguments)]
-fn patched_row<M: Metric>(
+fn certified_row<M: Metric>(
     metric: &M,
     params: &PreferenceParams,
     taxis: &[Taxi],
     r: &Request,
     trip: f64,
-    carried: &[KeyedEntry],
-    stable_new: &[usize],
-    changed: &[(usize, Point)],
+    tested: &[(usize, Point)],
+    sorted: bool,
     s: &mut RowScratch,
     pairs: &mut KeyedCandidates,
 ) {
     let radius = candidate_radius(params, trip);
-    // The grid's inclusive membership test on the changed taxis.
     s.hits.clear();
     s.locations.clear();
-    if radius >= 0.0 {
-        for &(i, pos) in changed {
-            if pos.within(r.pickup, radius) {
-                s.hits.push(i);
-                s.locations.push(pos);
-            }
+    for &(i, pos) in tested {
+        if pos.within(r.pickup, radius) {
+            s.hits.push(i);
+            s.locations.push(pos);
         }
     }
-    s.measure_and_admit(metric, params, taxis, r, trip);
-    // Surviving entries keep their distance (and so their score); once
-    // re-indexed they stay in row order when the survivors kept their
-    // relative order, and the admitted changed taxis merge in.
-    let survivors = carried.iter().filter_map(|e| {
-        let i = stable_new[e.col as usize];
-        (i != NO_TAXI).then_some((e.row_key, i))
-    });
-    let in_order = survivors
-        .clone()
-        .zip(survivors.clone().skip(1))
-        .all(|(a, b)| row_order(&a, &b).is_lt());
-    s.row.clear();
-    if in_order {
-        let mut fresh = s.admitted.iter().copied().peekable();
-        for old in survivors {
-            while let Some(new) = fresh.next_if(|new| row_order(new, &old).is_lt()) {
-                s.row.push(new);
-            }
-            s.row.push(old);
-        }
-        s.row.extend(fresh);
-    } else {
-        s.row.extend(survivors);
-        s.row.extend_from_slice(&s.admitted);
-        s.row.sort_unstable_by(row_order);
-    }
-    push_row(pairs, params, trip, s.row.iter().copied());
+    s.admit_row(metric, params, taxis, r, trip, sorted, pairs);
 }
 
 /// `true` when two points are bit-identical on both coordinates — the
-/// carry's notion of "did not move" (any representational change, `-0.0`
-/// vs `0.0` included, conservatively counts as moved).
+/// certificate's notion of "did not move" (any representational change,
+/// `-0.0` vs `0.0` included, conservatively counts as moved).
 fn same_bits(a: Point, b: Point) -> bool {
     a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
-/// Cross-frame carry of sparse candidate rows for
-/// [`SparsePickupDistances::compute_incremental`]: the last frame's
-/// taxis, requests and flat candidate buffer, keyed by stable identities
-/// so index churn between frames never mis-maps an entry, plus the
-/// working memory the patch reuses every frame.
+/// A taxi of the recorded frame.
+#[derive(Debug, Clone)]
+struct RecordedTaxi {
+    id: TaxiId,
+    location: Point,
+    seats: u8,
+    /// Matched by the recorded solve.
+    matched: bool,
+}
+
+/// A request of the recorded frame.
+#[derive(Debug, Clone)]
+struct RecordedRequest {
+    id: RequestId,
+    pickup: Point,
+    dropoff: Point,
+    party: u8,
+    /// `D(r_j^s, r_j^d)`, reused while the request stays unchanged.
+    trip: f64,
+    /// Matched by the recorded solve.
+    matched: bool,
+}
+
+/// The stability certificate a warm NSTD frame leaves for the next one
+/// (see [`SparsePickupDistances::compute_incremental`]): the last frame's
+/// taxis and requests, each request's trip, and which of them its
+/// deferred acceptance matched, plus the row buffer and working memory
+/// every frame reuses.
 ///
-/// Owned by [`crate::IncrementalState`]; an empty carry (or one recorded
-/// under different [`PreferenceParams`]) simply makes every request take
-/// the fresh grid path.
+/// Owned by [`crate::IncrementalState`]. The certificate is valid only
+/// once the solve on the recorded frame's rows is recorded
+/// ([`record_solve`](Self::record_solve)); until then, or under
+/// different [`PreferenceParams`], every request takes the fresh grid
+/// path.
 #[derive(Debug, Clone, Default)]
-pub struct CandidateCarry {
+pub struct RowCertificate {
+    /// The params the recorded frame was built under.
     params: Option<PreferenceParams>,
-    /// Last frame's `(id, location, seats)` per taxi index.
-    taxis: Vec<(TaxiId, Point, u8)>,
-    /// Last frame's `(id, pickup, dropoff, party)` per request index.
-    requests: Vec<(RequestId, Point, Point, u8)>,
-    /// Last frame's candidate rows (its taxi indices).
-    current: SparsePickupDistances,
-    /// The buffer the next frame is built into (then swapped with
-    /// `current`), so steady-state frames reuse two allocations.
-    spare: SparsePickupDistances,
-    /// Old taxi id → old index.
+    /// Whether the recorded frame's solve is recorded.
+    solved: bool,
+    /// The recorded frame's taxis, by index.
+    taxis: Vec<RecordedTaxi>,
+    /// The recorded frame's requests, by index.
+    requests: Vec<RecordedRequest>,
+    /// The rows of the last frame built.
+    rows: SparsePickupDistances,
+    /// Recorded taxi id → recorded index.
     taxi_at: HashMap<TaxiId, usize>,
-    /// Old request id → old index.
+    /// Recorded id → recorded index of each request left unmatched.
     request_at: HashMap<RequestId, usize>,
-    /// Old taxi index → current index, or [`NO_TAXI`].
-    stable_new: Vec<usize>,
-    /// Current taxis that are new, moved or re-seated.
-    changed: Vec<(usize, Point)>,
+    /// Current taxis the certificate does not cover.
+    tested: Vec<(usize, Point)>,
     /// Row-building scratch of the sequential path.
     scratch: RowScratch,
 }
 
-impl CandidateCarry {
-    /// An empty carry (the first frame takes the fresh grid path).
+impl RowCertificate {
+    /// An empty certificate (the first frame takes the fresh path).
     #[must_use]
     pub fn new() -> Self {
-        CandidateCarry::default()
+        RowCertificate::default()
     }
 
-    /// Forgets the carried rows (the next frame takes the fresh path).
+    /// Records which requests and taxis `solver` matched on the rows the
+    /// last [`SparsePickupDistances::compute_incremental`] call returned,
+    /// certifying that frame for the next one. `solver` must hold a
+    /// deferred-acceptance result on exactly those rows: any such result
+    /// is stable, whichever side proposed.
+    pub(crate) fn record_solve(&mut self, solver: &KeyedMatch) {
+        for (j, r) in self.requests.iter_mut().enumerate() {
+            r.matched = solver.row_entry(j).is_some();
+        }
+        for (i, t) in self.taxis.iter_mut().enumerate() {
+            t.matched = solver.col_entry(i).is_some();
+        }
+        self.solved = true;
+    }
+
+    /// The rows of the last frame built.
+    pub(crate) fn rows(&self) -> &SparsePickupDistances {
+        &self.rows
+    }
+
+    /// Forgets the recorded frame (the next frame takes the fresh path).
     /// Buffer capacity is kept.
     pub fn clear(&mut self) {
         self.params = None;
+        self.solved = false;
         self.taxis.clear();
         self.requests.clear();
     }
@@ -1265,82 +1265,75 @@ mod tests {
         assert!(m.instance.proposer_list(0).is_empty());
     }
 
-    #[test]
-    fn incremental_rows_match_fresh_compute_under_churn() {
-        // Roll frames with every kind of delta — taxis moving, departing,
-        // arriving; requests replaced — and pin the patched rows to a
-        // fresh compute each frame.
-        let params = PreferenceParams::paper();
-        let mut taxis: Vec<Taxi> = (0..14)
-            .map(|i| {
-                taxi(
-                    i,
-                    (i as f64 * 2.3) % 9.0 - 4.0,
-                    (i as f64 * 1.7) % 8.0 - 4.0,
-                )
-            })
-            .collect();
-        let mut requests: Vec<Request> = (0..10)
-            .map(|j| {
-                request(
-                    j,
-                    (j as f64 * 3.1) % 8.0 - 4.0,
-                    (j as f64 * 1.3) % 7.0 - 3.0,
-                    (j as f64 * 2.9) % 9.0 - 4.5,
-                    (j as f64 * 0.7) % 6.0 - 3.0,
-                )
-            })
-            .collect();
-        let mut carry = CandidateCarry::new();
-        for frame in 0..8 {
-            let grid = build_taxi_grid(&taxis);
-            let fresh = SparsePickupDistances::compute(
-                &Euclidean,
-                &params,
-                &taxis,
-                &requests,
-                &grid,
-                Parallelism::sequential(),
-            );
-            let patched = SparsePickupDistances::compute_incremental(
-                &Euclidean,
-                &params,
-                &taxis,
-                &requests,
-                &grid,
-                Parallelism::sequential(),
-                &mut carry,
-            );
-            assert_eq!(patched, &fresh, "frame {frame} diverged");
+    /// Keyed deferred acceptance on `rows`, recorded in `cert`.
+    fn solve_and_record(cert: &mut RowCertificate, proposing: Proposing) {
+        let mut solver = KeyedMatch::new();
+        solver.solve(cert.rows().pairs(), proposing);
+        cert.record_solve(&solver);
+    }
 
-            // Mutate for the next frame: move one taxi, re-seat one, drop
-            // one, add one, replace one request; every third frame also
-            // reverses the fleet order, so re-indexed carried rows fall
-            // out of order and take the sorting fallback.
-            let k = frame % taxis.len();
-            taxis[k].location = Point::new(frame as f64 - 2.0, 1.5 - frame as f64 * 0.5);
-            let k2 = (frame + 5) % taxis.len();
-            taxis[k2].seats = 1 + (taxis[k2].seats % 4);
-            let jp = (frame + 1) % requests.len();
-            requests[jp].passengers = 1 + (frame % 3) as u8;
-            if frame % 3 == 2 {
-                taxis.reverse();
-            }
-            taxis.remove((frame + 3) % taxis.len());
-            taxis.push(taxi(
-                14 + frame as u64,
-                frame as f64 * 0.9 - 3.0,
-                2.0 - frame as f64,
-            ));
-            let jr = frame % requests.len();
-            requests[jr] = request(
-                10 + frame as u64,
-                frame as f64 * 1.1 - 3.0,
-                2.5 - frame as f64 * 0.7,
-                frame as f64 * 0.3,
-                frame as f64 * 0.2 - 1.0,
-            );
+    /// A metric that counts its evaluations.
+    #[derive(Debug, Default)]
+    struct Counting(std::sync::atomic::AtomicUsize);
+
+    impl Metric for Counting {
+        fn distance(&self, a: Point, b: Point) -> f64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Euclidean.distance(a, b)
         }
+    }
+
+    impl Counting {
+        /// Evaluations since the last call.
+        fn take(&self) -> usize {
+            self.0.swap(0, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn unrecorded_solve_leaves_every_row_fresh() {
+        // More requests than taxis, so a recorded solve leaves requests
+        // unmatched and the certificate would skip their trips and taxis.
+        let params = PreferenceParams::unbounded();
+        let taxis: Vec<Taxi> = (0..4).map(|i| taxi(i, i as f64 - 1.5, 0.3)).collect();
+        let requests: Vec<Request> = (0..10)
+            .map(|j| request(j, j as f64 * 0.4 - 2.0, -0.5, j as f64, 2.0))
+            .collect();
+        let grid = build_taxi_grid(&taxis);
+        let seq = Parallelism::sequential();
+        let metric = Counting::default();
+        let fresh = SparsePickupDistances::compute(&metric, &params, &taxis, &requests, &grid, seq);
+        let fresh_queries = metric.take();
+        let mut cert = RowCertificate::new();
+        for call in 0..3 {
+            let rows = SparsePickupDistances::compute_incremental(
+                &metric,
+                &params,
+                &taxis,
+                &requests,
+                &grid,
+                seq,
+                Proposing::Rows,
+                &mut cert,
+            );
+            assert_eq!(rows, &fresh, "call {call}");
+            assert_eq!(metric.take(), fresh_queries, "call {call} is not fresh");
+        }
+        // The control: once the solve is recorded, the same frame
+        // queries less and still builds the same rows.
+        solve_and_record(&mut cert, Proposing::Rows);
+        let rows = SparsePickupDistances::compute_incremental(
+            &metric,
+            &params,
+            &taxis,
+            &requests,
+            &grid,
+            seq,
+            Proposing::Rows,
+            &mut cert,
+        );
+        assert_eq!(rows, &fresh);
+        assert!(metric.take() < fresh_queries);
     }
 
     #[test]
@@ -1350,7 +1343,7 @@ mod tests {
             .map(|j| request(j, j as f64 - 1.0, -0.5, j as f64, 2.0))
             .collect();
         let grid = build_taxi_grid(&taxis);
-        let mut carry = CandidateCarry::new();
+        let mut cert = RowCertificate::new();
         let a = PreferenceParams::paper();
         let b = PreferenceParams::paper().with_passenger_threshold(1.5);
         let _ = SparsePickupDistances::compute_incremental(
@@ -1360,18 +1353,21 @@ mod tests {
             &requests,
             &grid,
             Parallelism::sequential(),
-            &mut carry,
+            Proposing::Rows,
+            &mut cert,
         );
-        // Same frame, different params: the carried rows (computed under
-        // `a`'s radius) must not leak into `b`'s rows.
-        let patched = SparsePickupDistances::compute_incremental(
+        solve_and_record(&mut cert, Proposing::Rows);
+        // Same frame, different params: the certificate (recorded under
+        // `a`'s rows) must not shape `b`'s rows.
+        let rows = SparsePickupDistances::compute_incremental(
             &Euclidean,
             &b,
             &taxis,
             &requests,
             &grid,
             Parallelism::sequential(),
-            &mut carry,
+            Proposing::Rows,
+            &mut cert,
         );
         let fresh = SparsePickupDistances::compute(
             &Euclidean,
@@ -1381,54 +1377,14 @@ mod tests {
             &grid,
             Parallelism::sequential(),
         );
-        assert_eq!(patched, &fresh);
-    }
-
-    #[test]
-    fn incremental_rows_reorder_tied_taxis_when_the_fleet_order_changes() {
-        // Four taxis at exactly the same distance from the pickup: their
-        // row order is by index alone. Reversing the fleet re-indexes the
-        // carried entries out of order, so the patch must sort, not merge.
-        let params = PreferenceParams::unbounded();
-        let mut taxis = vec![
-            taxi(0, 1.0, 0.0),
-            taxi(1, 0.0, 1.0),
-            taxi(2, -1.0, 0.0),
-            taxi(3, 0.0, -1.0),
-        ];
-        let requests = vec![request(0, 0.0, 0.0, 3.0, 4.0)];
-        let mut carry = CandidateCarry::new();
-        for frame in 0..3 {
-            let grid = build_taxi_grid(&taxis);
-            let fresh = SparsePickupDistances::compute(
-                &Euclidean,
-                &params,
-                &taxis,
-                &requests,
-                &grid,
-                Parallelism::sequential(),
-            );
-            let patched = SparsePickupDistances::compute_incremental(
-                &Euclidean,
-                &params,
-                &taxis,
-                &requests,
-                &grid,
-                Parallelism::sequential(),
-                &mut carry,
-            );
-            assert_eq!(patched, &fresh, "frame {frame}");
-            let order: Vec<u32> = patched.row(0).iter().map(|e| e.col).collect();
-            assert_eq!(order, vec![0, 1, 2, 3], "ties keep index order");
-            taxis.reverse();
-        }
+        assert_eq!(rows, &fresh);
     }
 
     #[test]
     fn incremental_rows_hold_only_mutually_acceptable_pairs_in_order() {
         // Stationary taxis under a tight taxi threshold, re-seated every
-        // frame: the carried rows are the filtered ones, never the raw
-        // grid hits, a seat change re-tests the taxi, and rows stay sorted.
+        // frame: the rows are the filtered ones, never the raw grid hits,
+        // a seat change re-tests the taxi, and rows stay sorted.
         let params = PreferenceParams::paper()
             .with_passenger_threshold(3.0)
             .with_taxi_threshold(0.5);
@@ -1442,7 +1398,7 @@ mod tests {
             })
             .collect();
         let grid = build_taxi_grid(&taxis);
-        let mut carry = CandidateCarry::new();
+        let mut cert = RowCertificate::new();
         for frame in 0..4 {
             let spd = SparsePickupDistances::compute_incremental(
                 &Euclidean,
@@ -1451,7 +1407,8 @@ mod tests {
                 &requests,
                 &grid,
                 Parallelism::sequential(),
-                &mut carry,
+                Proposing::Rows,
+                &mut cert,
             );
             let fresh = SparsePickupDistances::compute(
                 &Euclidean,
@@ -1476,6 +1433,7 @@ mod tests {
                     .windows(2)
                     .all(|w| (w[0].row_key, w[0].col) < (w[1].row_key, w[1].col)));
             }
+            solve_and_record(&mut cert, Proposing::Rows);
             for t in &mut taxis {
                 t.seats = if t.seats == 4 { 2 } else { 4 };
             }

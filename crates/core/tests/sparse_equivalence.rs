@@ -174,10 +174,11 @@ proptest! {
         }
     }
 
-    /// The production warm path — candidate rows patched across frames,
-    /// keyed deferred acceptance, a shared per-frame taxi grid — agrees
-    /// with the dense cold reference over churned frame sequences, for
-    /// NSTD-P and NSTD-T, across thresholds and thread counts.
+    /// The production warm path — candidate rows from the previous
+    /// frame's stability certificate, keyed deferred acceptance, a shared
+    /// per-frame taxi grid — agrees with the dense cold reference over
+    /// churned frame sequences, for NSTD-P and NSTD-T, across thresholds
+    /// and thread counts.
     #[test]
     fn warm_path_matches_dense_over_churned_frames(seed in any::<u64>()) {
         let frames = churned_frames(seed, 6);

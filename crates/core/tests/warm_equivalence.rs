@@ -1,26 +1,28 @@
 //! Warm ≡ cold: incremental dispatch must not change a single bit.
 //!
-//! The incremental NSTD path patches the previous frame's candidate rows
-//! (carried across frames by `IncrementalState`) and runs keyed deferred
-//! acceptance on them instead of building rank tables. Correctness never
-//! rests on the carry being current: a row is reused only for a request
-//! whose id, pickup, drop-off and party are unchanged, entries of taxis
-//! that moved, left or changed seats are dropped and re-tested, and keyed
+//! The incremental NSTD path builds each frame's candidate rows from the
+//! stability certificate of the last solved frame (kept across frames by
+//! `IncrementalState`) and runs keyed deferred acceptance on them instead
+//! of building rank tables. Correctness never rests on the frames being
+//! related: a request skips a taxi only when the certified frame held both
+//! unchanged — same id, bit-identical positions, same party and seats —
+//! and left both unmatched, which stability rules out as a pair; every
+//! other taxi is re-tested and every other request built fresh, and keyed
 //! deferred acceptance compares the same keys the rank lists are sorted
 //! by. So any frame delta — taxis moving, leaving or joining the idle set,
-//! requests served, expired or newly arrived — yields schedules, and
-//! proposal counts, bit-identical to a cold start, at every threshold
-//! setting and thread count.
+//! requests served, expired or newly arrived, matched pairs left in place
+//! — yields schedules, and proposal counts, bit-identical to a cold start,
+//! at every threshold setting and thread count. `tests/row_certificate.rs`
+//! rolls frames that apply their schedules, as the dispatch loop does.
 
 use o2o_core::{CandidateMode, IncrementalState, NonSharingDispatcher, PreferenceParams};
-use o2o_geo::{Euclidean, Metric, Point};
+use o2o_geo::{Euclidean, Point};
 use o2o_obs as obs;
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One rolling run: a sequence of frames where each frame is a random
 /// delta of the previous one (taxi moves/leaves/joins, request
@@ -157,9 +159,9 @@ proptest! {
         }
     }
 
-    /// The carry holds candidate rows, not a matching: one state may
-    /// serve both proposing sides in turn, and clearing it mid-run (a
-    /// cold restart) changes nothing.
+    /// The certificate holds which requests and taxis were matched, not
+    /// the matching: one state may serve both proposing sides in turn,
+    /// and clearing it mid-run (a cold restart) changes nothing.
     #[test]
     fn carry_serves_both_sides_and_clear_is_harmless(seed in any::<u64>()) {
         let frames = rolling_frames(seed, 5, 8.0, 0.3);
@@ -207,35 +209,4 @@ proptest! {
             }
         }
     }
-}
-
-/// A metric that counts its evaluations.
-#[derive(Debug, Default)]
-struct Counting(AtomicUsize);
-
-impl Metric for Counting {
-    fn distance(&self, a: Point, b: Point) -> f64 {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        Euclidean.distance(a, b)
-    }
-}
-
-/// A stationary frame reuses every candidate row: the point of the carry.
-/// With no frame delta at all, the second frame queries the metric not
-/// once (carried rows keep their distances and trips) and dispatches the
-/// same schedule.
-#[test]
-fn stationary_frames_reuse_every_row() {
-    let (taxis, requests) = {
-        let frames = rolling_frames(0xF1F0, 1, 8.0, 0.0);
-        frames.into_iter().next().unwrap()
-    };
-    let d = NonSharingDispatcher::new(Counting::default(), PreferenceParams::paper());
-    let mut state = IncrementalState::new();
-    let first = d.taxi_optimal_incremental(&taxis, &requests, None, &mut state);
-    assert!(d.metric().0.load(Ordering::Relaxed) > 0);
-    d.metric().0.store(0, Ordering::Relaxed);
-    let second = d.taxi_optimal_incremental(&taxis, &requests, None, &mut state);
-    assert_eq!(first, second);
-    assert_eq!(d.metric().0.load(Ordering::Relaxed), 0);
 }

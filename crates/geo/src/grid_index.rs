@@ -183,13 +183,8 @@ impl<T: Clone + PartialEq> GridIndex<T> {
     /// Shared edges/corners give a bound of exactly `0`, never a spurious
     /// positive value that could prune a touching cell.
     fn cell_lower_bound(&self, query: Point, col: usize, row: usize) -> f64 {
-        self.clamped_lower_bound(self.bbox.clamp(query), col, row)
-    }
-
-    /// [`Self::cell_lower_bound`] for a query already clamped onto the
-    /// covered bbox (hoisted out of per-cell loops).
-    fn clamped_lower_bound(&self, clamped: Point, col: usize, row: usize) -> f64 {
-        self.cell_bbox(col, row).distance_to_point(clamped)
+        self.cell_bbox(col, row)
+            .distance_to_point(self.bbox.clamp(query))
     }
 
     /// Inserts `item` at `location`. Duplicate items are allowed; `remove`
@@ -309,42 +304,55 @@ impl<T: Clone + PartialEq> GridIndex<T> {
     /// Calls `visit(item, location)` for every stored item within
     /// `radius` of `query` (inclusive: `location.euclidean(query) ≤
     /// radius`, decided by [`Point::within`]), **unsorted**, in discovery
-    /// order: rings outward from the query's cell, a ring's cells in a
-    /// fixed order, a cell's items in insertion order. Allocates nothing;
-    /// callers that re-rank hits by another metric (the sparse candidate
-    /// builder) sort only what they keep. An infinite radius visits every
+    /// order: grid rows bottom to top, a row's cells left to right, a
+    /// cell's items in insertion order. Allocates nothing; callers that
+    /// re-rank hits by another metric (the sparse candidate builder) sort
+    /// only what they keep, if anything. An infinite radius visits every
     /// stored item; a negative or NaN radius visits none.
+    ///
+    /// The walk visits the rows the disk reaches and, in each, the cells
+    /// the disk's chord crosses, with one cell of slack on each side (and
+    /// one row above and below) so float rounding in the chord or in an
+    /// item's cell can never drop a cell. The disk is centred on the
+    /// query clamped onto the covered bbox: clamping is a contraction, so
+    /// `‖q − p‖ ≥ ‖clamp(q) − clamp(p)‖`, and every stored item is keyed
+    /// by its clamped position — the walk is exact for queries and items
+    /// outside the bbox too.
     pub fn visit_within(&self, query: Point, radius: f64, mut visit: impl FnMut(&T, Point)) {
         if radius < 0.0 || radius.is_nan() || self.len == 0 {
             return;
         }
-        let (qc, qr) = self.cell_of(query);
-        // `radius / cell_size` can overflow usize for huge or infinite
-        // radii (`as usize` saturates to usize::MAX, and a plain `+ 1`
-        // would wrap); saturate and let the `min` below cap the scan at
-        // the whole grid.
-        let rings = (radius / self.cell_size).ceil();
-        let max_ring = if rings < usize::MAX as f64 {
-            (rings as usize).saturating_add(1)
-        } else {
-            usize::MAX
-        };
-        let clamped = self.bbox.clamp(query);
-        for ring in 0..=max_ring.min(self.cols.max(self.rows)) {
-            self.for_each_ring_cell(qc, qr, ring, |c, r| {
-                let cell = &self.cells[r * self.cols + c];
-                // Skip empty cells, then cells provably outside the disk.
-                // Strict `>` keeps cells touching the radius exactly
-                // (membership below is inclusive: `d ≤ radius`).
-                if cell.is_empty() || self.clamped_lower_bound(clamped, c, r) > radius {
-                    return;
-                }
+        let min = self.bbox.min();
+        let centre = self.bbox.clamp(query);
+        let (qx, qy) = (centre.x - min.x, centre.y - min.y);
+        let s = self.cell_size;
+        // Grid coordinates as isize: `as` saturates on huge or infinite
+        // values, and the slack steps saturate too.
+        let index = |v: f64| (v / s).floor() as isize;
+        let (cols, rows) = (self.cols as isize, self.rows as isize);
+        let r_lo = index(qy - radius).saturating_sub(1).max(0);
+        let r_hi = index(qy + radius).saturating_add(1).min(rows - 1);
+        for r in r_lo..=r_hi {
+            // The row's vertical gap to the centre, then the half chord
+            // there: `(radius − dy)(radius + dy)` keeps its precision near
+            // the disk's top and bottom, overflows to +∞ for huge radii
+            // (the whole row) and is clamped to 0 on the slack rows.
+            let band = r as f64 * s;
+            let dy = (band - qy).max(qy - (band + s)).max(0.0);
+            let half = ((radius - dy) * (radius + dy)).max(0.0).sqrt();
+            let c_lo = index(qx - half).saturating_sub(1).max(0);
+            let c_hi = index(qx + half).saturating_add(1).min(cols - 1);
+            if c_lo > c_hi {
+                continue;
+            }
+            let base = r as usize * self.cols;
+            for cell in &self.cells[base + c_lo as usize..=base + c_hi as usize] {
                 for (item, loc) in cell {
                     if loc.within(query, radius) {
                         visit(item, *loc);
                     }
                 }
-            });
+            }
         }
     }
 
@@ -682,23 +690,44 @@ mod tests {
             }
         }
 
-        /// `visit_within` finds exactly the brute-force in-radius set.
+        /// `visit_within` finds exactly the brute-force in-radius set, in
+        /// any order: for queries and stored points inside and outside the
+        /// bbox, radii ending exactly on a cell edge, huge and infinite
+        /// radii, and a zero-width bbox.
         #[test]
         fn within_matches_brute_force(
-            pts in proptest::collection::vec((-10.0..10.0f64, -10.0..10.0f64), 0..40),
+            pts in proptest::collection::vec((-14.0..14.0f64, -14.0..14.0f64), 0..40),
+            qx in -16.0..16.0f64, qy in -16.0..16.0f64,
             radius in 0.0..15.0f64,
+            edge in 0i32..21, kind in 0usize..7, zero_width in any::<bool>(),
         ) {
-            let mut idx = GridIndex::new(city(), 1.0);
+            let bbox = if zero_width {
+                BBox::new(Point::new(0.0, -10.0), Point::new(0.0, 10.0))
+            } else {
+                city()
+            };
+            let mut idx = GridIndex::new(bbox, 1.0);
             for (i, &(x, y)) in pts.iter().enumerate() {
                 idx.insert(i, Point::new(x, y));
             }
-            let q = Point::new(1.0, -1.0);
+            let q = Point::new(qx, qy);
+            // A grid line's offset from the query along one axis is a
+            // radius that ends exactly on a cell edge.
+            let line = bbox.min() + Point::new(f64::from(edge), f64::from(edge));
+            let radius = match kind {
+                0 | 1 => radius,
+                2 => (q.x - line.x).abs(),
+                3 => (q.y - line.y).abs(),
+                4 => 1e300,
+                5 => f64::MAX,
+                _ => f64::INFINITY,
+            };
             let mut got = visited(&idx, q, radius);
             got.sort_unstable();
             let expect: Vec<usize> = (0..pts.len())
                 .filter(|&i| Point::new(pts[i].0, pts[i].1).euclidean(q) <= radius)
                 .collect();
-            prop_assert_eq!(got, expect);
+            prop_assert_eq!(got, expect, "radius {}", radius);
         }
     }
 }

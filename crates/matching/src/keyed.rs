@@ -9,17 +9,18 @@
 //! answers from the keys directly — no [`crate::StableInstance`], no rank
 //! table, no sorted column lists and no role-swapped copy is built.
 //!
-//! [`KeyedCandidates`] is the flat row-major (CSR) pair set, each row
-//! sorted by `(row key, column)`; [`KeyedMatch`] runs deferred acceptance
-//! with either side proposing:
+//! [`KeyedCandidates`] is the flat row-major (CSR) pair set; [`KeyedMatch`]
+//! runs deferred acceptance with either side proposing:
 //!
-//! * **rows propose** (NSTD-P): each row walks its already-sorted entries;
-//!   a column holds the proposal with the smallest `(column key, row)`;
+//! * **rows propose** (NSTD-P): each row walks its entries, which must be
+//!   sorted by `(row key, column)`; a column holds the proposal with the
+//!   smallest `(column key, row)`;
 //! * **columns propose** (NSTD-T): a counting-scatter transpose buckets
 //!   the entries by column in row order, and each column orders only as
 //!   much of its bucket as it actually proposes through (chunked
 //!   `select_nth_unstable_by`, then a sort of the chunk); a row holds the
-//!   proposal earliest in its own sorted row.
+//!   proposal with the smallest `(row key, column)`, so its entries may
+//!   stand in any order.
 //!
 //! The matching equals [`crate::StableInstance::propose`] /
 //! [`crate::StableInstance::reviewer_optimal`] on the lists the keys
@@ -72,11 +73,14 @@ fn key_less(a_key: f64, a_idx: u32, b_key: f64, b_idx: u32) -> bool {
 /// [`KeyedMatch::solve`].
 ///
 /// Built row by row with [`push`](Self::push) and
-/// [`finish_row`](Self::finish_row). Each row must list its entries in
-/// ascending `(row_key, col)` order, and no key may be NaN (the solver
-/// compares keys instead of reading ranks; debug builds check both). A
-/// column out of range or repeated within a row panics at `push` — the
-/// same lists a [`crate::StableInstance`] constructor would reject.
+/// [`finish_row`](Self::finish_row). No key may be NaN (the solver
+/// compares keys instead of reading ranks). Row order matters only when
+/// rows propose: [`Proposing::Rows`] needs every row in ascending
+/// `(row_key, col)` order ([`sort_rows`](Self::sort_rows) puts it there;
+/// debug builds check it), while [`Proposing::Columns`] compares keys and
+/// accepts any order. A column out of range or repeated within a row
+/// panics at `push` — the same lists a [`crate::StableInstance`]
+/// constructor would reject.
 #[derive(Debug, Clone)]
 pub struct KeyedCandidates {
     cols: usize,
@@ -148,13 +152,19 @@ impl KeyedCandidates {
     /// Closes the row being built; the next [`push`](Self::push) starts
     /// the following row.
     pub fn finish_row(&mut self) {
-        debug_assert!(
-            self.row(self.offsets.len() - 1)
-                .windows(2)
-                .all(|w| key_less(w[0].row_key, w[0].col, w[1].row_key, w[1].col)),
-            "row entries must ascend by (row_key, col)"
-        );
         self.offsets.push(self.entries.len() as u32);
+    }
+
+    /// Sorts every row by `(row_key, col)`, the order rows propose in.
+    pub fn sort_rows(&mut self) {
+        for w in self.offsets.windows(2) {
+            self.entries[w[0] as usize..w[1] as usize].sort_unstable_by(|a, b| {
+                a.row_key
+                    .partial_cmp(&b.row_key)
+                    .unwrap_or(Ordering::Equal)
+                    .then(a.col.cmp(&b.col))
+            });
+        }
     }
 
     /// Appends every row of `other` (over the same columns) after this
@@ -244,6 +254,9 @@ struct ColEntry {
 pub struct KeyedMatch {
     /// Row → held entry, or [`NONE`].
     row_entry: Vec<u32>,
+    /// Row → `(row_key, col)` of the held entry when columns propose, so
+    /// a row weighs a proposal without reading its holder from the pool.
+    row_held: Vec<(f64, u32)>,
     /// Column → held entry, or [`NONE`].
     col_entry: Vec<u32>,
     /// Per proposer: next position to propose from.
@@ -290,6 +303,15 @@ impl KeyedMatch {
     /// Rows propose down their sorted rows; a column keeps the smallest
     /// `(col_key, row)`.
     fn rows_propose(&mut self, c: &KeyedCandidates) -> (u64, u64) {
+        debug_assert!(
+            (0..c.rows()).all(|r| c.row(r).windows(2).all(|w| key_less(
+                w[0].row_key,
+                w[0].col,
+                w[1].row_key,
+                w[1].col
+            ))),
+            "proposing rows must ascend by (row_key, col)"
+        );
         let (mut proposals, mut rejections) = (0u64, 0u64);
         let rows = c.rows();
         self.next.clear();
@@ -326,10 +348,13 @@ impl KeyedMatch {
     }
 
     /// Columns propose from a lazily ordered transpose; a row keeps the
-    /// entry earliest in its own (sorted) row.
+    /// proposal with the smallest `(row_key, col)`, whatever the order of
+    /// its entries.
     fn columns_propose(&mut self, c: &KeyedCandidates) -> (u64, u64) {
         let (mut proposals, mut rejections) = (0u64, 0u64);
         let cols = c.cols();
+        self.row_held.clear();
+        self.row_held.resize(c.rows(), (0.0, NONE));
         // Counting-scatter transpose: bucket starts, then each entry at its
         // column's fill cursor (row order within a bucket).
         self.col_start.clear();
@@ -377,18 +402,19 @@ impl KeyedMatch {
                 k += 1;
                 proposals += 1;
                 let j = cand.row as usize;
-                let held = self.row_entry[j];
-                if held != NONE {
+                let row_key = c.entries[cand.entry as usize].row_key;
+                if self.row_entry[j] != NONE {
                     // Either this proposal or the holder is turned away.
                     rejections += 1;
-                    if cand.entry > held {
+                    let (held_key, bumped) = self.row_held[j];
+                    if !key_less(row_key, i, held_key, bumped) {
                         continue;
                     }
-                    let bumped = c.entries[held as usize].col;
                     self.col_entry[bumped as usize] = NONE;
                     self.free.push(bumped);
                 }
                 self.row_entry[j] = cand.entry;
+                self.row_held[j] = (row_key, i);
                 self.col_entry[i as usize] = cand.entry;
                 break;
             }
@@ -440,6 +466,7 @@ mod tests {
     use crate::{Matching, StableInstance};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     /// A random keyed set: each pair present with probability `density`,
@@ -463,6 +490,23 @@ mod tests {
             set.finish_row();
         }
         set
+    }
+
+    /// `set` with each row's entries in a random order — the input
+    /// columns may propose on.
+    fn shuffled(set: &KeyedCandidates, seed: u64) -> KeyedCandidates {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = KeyedCandidates::new();
+        out.reset(set.cols());
+        for r in 0..set.rows() {
+            let mut row = set.row(r).to_vec();
+            row.shuffle(&mut rng);
+            for e in row {
+                out.push(e.col as usize, e.row_key, e.col_key);
+            }
+            out.finish_row();
+        }
+        out
     }
 
     /// The rank-list instance the keys induce: rows sorted by
@@ -554,6 +598,18 @@ mod tests {
                     prop_assert_eq!(via_entry, keyed.reviewer_partner(c));
                 }
             }
+            // Columns propose on rows in any order: the same matching and
+            // counts; sorting the rows gives back the sorted set.
+            let mut unsorted = shuffled(&set, seed ^ 0x5EED);
+            let (keyed, kp, kr) = counted(|| {
+                solver.solve(&unsorted, Proposing::Columns);
+                matching(&solver, &unsorted)
+            });
+            let (reference, rp, rr) = counted(|| sparse.reviewer_optimal());
+            prop_assert_eq!(&keyed, &reference, "unsorted rows");
+            prop_assert_eq!((kp, kr), (rp, rr), "unsorted rows' counters");
+            unsorted.sort_rows();
+            prop_assert_eq!(&unsorted, &set);
         }
     }
 

@@ -304,9 +304,9 @@ macro_rules! nstd_policy {
         /// and generates candidates through it; in
         /// [`CandidateMode::Dense`] it consumes the precomputed pick-up
         /// matrix as before. On the sparse path the policy additionally
-        /// patches each frame's candidate rows from the previous frame and
-        /// runs keyed deferred acceptance on them
-        /// ([`IncrementalMode::Warm`], the default); toggle to
+        /// builds each frame's candidate rows from the previous frame's
+        /// stability certificate and runs keyed deferred acceptance on
+        /// them ([`IncrementalMode::Warm`], the default); toggle to
         /// [`IncrementalMode::Cold`] for A/B benchmarking. The schedules
         /// are bit-identical across every mode combination.
         pub struct $struct_name<M> {
@@ -336,9 +336,9 @@ macro_rules! nstd_policy {
                 &self.inner
             }
 
-            /// Sets whether the sparse path reuses the previous frame's
-            /// candidate rows (results are bit-identical either way).
-            /// Resets any carried state.
+            /// Sets whether the sparse path builds rows from the previous
+            /// frame's stability certificate (results are bit-identical
+            /// either way). Resets the certificate.
             #[must_use]
             pub fn with_incremental_mode(mut self, mode: IncrementalMode) -> Self {
                 self.incremental = mode;
