@@ -15,13 +15,19 @@
 //!    `D_ck(t, r^s) + β·[D_ck(r^s, r^d) − D(r^s, r^d)]` averaged over the
 //!    group, driver key `D_ck(t) − (α+1)·Σ_j D(r_j^s, r_j^d)`.
 //!
-//! Stage 3 is sparse and keyed: each group evaluates only the taxis a
-//! grid query finds within [`SharingDispatcher`]'s per-plan candidate
-//! radius, keeps the mutually acceptable pairs, and deferred acceptance
-//! runs on those pairs' two keys. Pairs outside the radius cannot be
+//! Stage 3 is sparse, keyed and banded. A group's row holds the mutually
+//! acceptable taxis within a per-plan radius of the plan's first stop,
+//! keyed by both agents' keys; pairs outside the radius cannot be
 //! mutually acceptable, and non-mutual pairs are no-ops in deferred
 //! acceptance, so the matching equals the dense one over every
-//! `(group, taxi)` pair.
+//! `(group, taxi)` pair. When taxis propose (STD-T) every row is built
+//! whole. When groups propose (STD-P) a row is built a band at a time: a
+//! group evaluates only the taxis whose Euclidean lower bound on its
+//! passenger key lies in its band, and a group that runs out of entries
+//! widens its band while deferred acceptance resumes from its held state.
+//! Deferred acceptance never reads a row past the proposal that ends its
+//! group's search, so the matching and the proposals it makes equal one
+//! solve on the full rows.
 
 use crate::prefs::build_taxi_grid;
 use crate::shared_route::{
@@ -29,7 +35,7 @@ use crate::shared_route::{
     routes_by_first_pickup_on, Legs, PairLegs, RoutePlan,
 };
 use crate::{PreferenceParams, Schedule};
-use o2o_geo::Metric;
+use o2o_geo::{GridIndex, Metric, Point};
 use o2o_matching::{KeyedCandidates, KeyedMatch, Proposing, SetPacking, SetPackingStrategy};
 use o2o_obs as obs;
 use o2o_par::{par_map, Parallelism};
@@ -244,12 +250,94 @@ struct GroupData {
     directs: Vec<f64>,
     sum_trips: f64,
     total_passengers: u16,
+    /// The plans a taxi may drive for the group, in plan order.
+    allowed: Vec<PlanBound>,
 }
 
+/// An allowed plan of a packed group with the bounds stage 3 reads.
+struct PlanBound {
+    /// Index into [`GroupData::plans`].
+    plan: usize,
+    /// The plan's first stop.
+    first: Point,
+    /// `c_p`: the plan's passenger key less its approach leg.
+    cost: f64,
+    /// The magnitude of the float sum that gives `cost`.
+    magnitude: f64,
+    /// Every taxi mutually acceptable with the group through this plan
+    /// lies within this Euclidean radius of `first`
+    /// ([`SharingDispatcher::plan_bound`]).
+    radius: f64,
+}
+
+#[derive(Clone, Copy)]
 struct Eval {
     plan_idx: usize,
     passenger_cost: f64,
     taxi_cost: f64,
+}
+
+/// How far stage 3 has looked through one group's taxis.
+///
+/// A taxi `t` is *in* the band once it lies within `min(reach − c_p, r_p)`
+/// of some allowed plan's first stop: once the lower bound
+/// `min_p (‖t − first_p‖ + c_p)` on the group's passenger key for it is
+/// at most `reach`, except past a plan's radius `r_p`, beyond which no
+/// taxi that plan serves is mutually acceptable. Each widening visits the
+/// taxis that join, evaluates them and keeps the mutually acceptable
+/// ones; those whose key is at most `reach`, less a float slack, are
+/// final.
+struct Band {
+    /// The smallest `c_p` of the group's allowed plans.
+    base: f64,
+    /// The largest magnitude behind an allowed plan's `c_p`.
+    magnitude: f64,
+    /// How far past `base` the next widening reaches: a grid cell at
+    /// first, doubling each time; infinite when the first widening goes
+    /// straight to every plan's radius.
+    width: f64,
+    /// The band's upper end; −∞ before the first widening.
+    reach: f64,
+    /// Taxis visited so far.
+    visited: usize,
+    /// Every plan has reached its radius, or every taxi has been visited:
+    /// all the group's entries are known.
+    complete: bool,
+    /// Mutually acceptable entries found but not yet final.
+    waiting: Vec<(usize, Eval)>,
+}
+
+impl Band {
+    /// A band of `g` whose first widening reaches `width` past its
+    /// smallest `c_p`. A party larger than `seats`, the most seats of any
+    /// taxi in the frame, fits no taxi: its band is complete and empty.
+    fn new(g: &GroupData, width: f64, seats: u8) -> Band {
+        let (base, magnitude) = g
+            .allowed
+            .iter()
+            .fold((f64::INFINITY, 0.0f64), |(base, magnitude), b| {
+                (base.min(b.cost), magnitude.max(b.magnitude))
+            });
+        Band {
+            base,
+            magnitude,
+            width,
+            reach: f64::NEG_INFINITY,
+            visited: 0,
+            complete: g.total_passengers > u16::from(seats),
+            waiting: Vec::new(),
+        }
+    }
+}
+
+/// The frame's taxis as banded stage 3 reads them.
+struct TaxiSide<'a> {
+    taxis: &'a [Taxi],
+    grid: GridIndex<usize>,
+    /// Per taxi: the last widening whose queries found it.
+    seen: Vec<u32>,
+    /// The current widening.
+    stamp: u32,
 }
 
 impl<M: Metric> SharingDispatcher<M> {
@@ -287,7 +375,8 @@ impl<M: Metric> SharingDispatcher<M> {
 
     /// Sets the thread budget for the route searches: stage 1's
     /// candidate pairs and triples, and the per-first-pickup plans of
-    /// each packed group. Packing and the sparse stage 3 run on the
+    /// each packed group. Packing and the banded stage 3 — its grid
+    /// queries, evaluations and resumed deferred acceptance — run on the
     /// calling thread.
     ///
     /// Results are bit-identical for every setting: the parallel maps
@@ -350,12 +439,11 @@ impl<M: Metric> SharingDispatcher<M> {
     /// Stage 1: all feasible sharing groups (size ≥ 2), as index sets into
     /// `requests`.
     ///
-    /// Candidate pairs are pruned spatially before routing: if the
-    /// length-minimal genuinely-shared route starts at `r_a`'s pick-up, it
-    /// visits the other pick-up while `r_a` is on board, so
-    /// `D(r_a^s, r_b^s) ≤ D(r_a^s, r_a^d) + θ` must hold from one side,
-    /// and Euclidean distance lower-bounds the metric. One scan over the
-    /// pairs tests it before any pair is routed.
+    /// Candidate pairs are pruned spatially before routing (see
+    /// [`may_join`]): a shared pair route visits the second pick-up while
+    /// the first rider is on board, so that rider's ride bounds where the
+    /// other pick-up can lie. One scan over the pairs tests it before any
+    /// pair is routed.
     #[must_use]
     pub fn feasible_groups(&self, requests: &[Request]) -> Vec<Vec<usize>> {
         self.scored_groups(requests)
@@ -365,22 +453,22 @@ impl<M: Metric> SharingDispatcher<M> {
             .collect()
     }
 
-    /// Stage 1's candidate pairs `(a, b)`, `a < b`, ascending: `b`'s
-    /// pick-up lies within `trips[a] + θ` of `a`'s, or `a`'s within
-    /// `trips[b] + θ` of `b`'s (Euclidean, inclusive). A request whose
-    /// radius is not finite pairs with every later request, and with an
-    /// earlier one only through that one's own test. That asymmetry keeps
-    /// the set equal to the grid gather's, the reference the equivalence
-    /// tests hold it to.
+    /// Stage 1's candidate pairs `(a, b)`, `a < b`, ascending: `b` may
+    /// join `a`'s ride within `trips[a] + θ`, or `a` may join `b`'s within
+    /// `trips[b] + θ` ([`may_join`]). A request whose bound `trip + θ` is
+    /// not finite pairs with every other request: when its bound is +∞, a
+    /// route that starts at its pick-up never breaks its detour, wherever
+    /// the other pick-up lies.
     fn candidate_pairs(&self, requests: &[Request], trips: &[f64]) -> Vec<(usize, usize)> {
         let theta = self.params.detour_threshold;
-        let radius: Vec<f64> = trips.iter().map(|trip| trip + theta).collect();
+        let ride: Vec<f64> = trips.iter().map(|trip| trip + theta).collect();
         let mut pairs = Vec::new();
-        for (a, (ra, &rad_a)) in requests.iter().zip(&radius).enumerate() {
-            for (b, (rb, &rad_b)) in requests.iter().zip(&radius).enumerate().skip(a + 1) {
-                if !rad_a.is_finite()
-                    || rb.pickup.within(ra.pickup, rad_a)
-                    || (rad_b.is_finite() && ra.pickup.within(rb.pickup, rad_b))
+        for (a, (ra, &ride_a)) in requests.iter().zip(&ride).enumerate() {
+            for (b, (rb, &ride_b)) in requests.iter().zip(&ride).enumerate().skip(a + 1) {
+                if !ride_a.is_finite()
+                    || !ride_b.is_finite()
+                    || may_join(ra, rb, ride_a)
+                    || may_join(rb, ra, ride_b)
                 {
                     pairs.push((a, b));
                 }
@@ -601,13 +689,19 @@ impl<M: Metric> SharingDispatcher<M> {
         let directs: Vec<f64> = members.iter().map(|&i| frame.trips[i]).collect();
         let sum_trips = directs.iter().sum();
         let total_passengers = group.iter().map(|r| u16::from(r.passengers)).sum();
-        GroupData {
+        let mut g = GroupData {
             members,
             plans,
             directs,
             sum_trips,
             total_passengers,
-        }
+            allowed: Vec::new(),
+        };
+        g.allowed = (0..g.plans.len())
+            .filter(|&p| self.plan_allowed(&g, &g.plans[p]))
+            .map(|p| self.plan_bound(&g, p))
+            .collect();
+        g
     }
 
     /// Whether a taxi may drive `plan` for `g`: any plan of a singleton,
@@ -618,9 +712,9 @@ impl<M: Metric> SharingDispatcher<M> {
                 .all(|m| plan.detour(m, g.directs[m]) <= self.params.detour_threshold + 1e-9)
     }
 
-    /// The inclusive Euclidean radius around `plan`'s first stop within
-    /// which every taxi that is mutually acceptable with `g` through
-    /// `plan` lies.
+    /// Plan `p` of `g` with its `c_p` and the inclusive Euclidean radius
+    /// around its first stop within which every taxi that is mutually
+    /// acceptable with `g` through the plan lies.
     ///
     /// With approach `a = D(t, first stop)`, the passenger key is
     /// `a + c_p` with `c_p = Σ_m (pickup_offset_m + β·detour_m) / k`, and
@@ -632,7 +726,8 @@ impl<M: Metric> SharingDispatcher<M> {
     /// a taxi outside the disk. `c_p` is negative for some plans when
     /// β < 0, which is why the radius is per plan and not `θ_p` around
     /// every pick-up.
-    fn plan_radius(&self, g: &GroupData, plan: &RoutePlan) -> f64 {
+    fn plan_bound(&self, g: &GroupData, p: usize) -> PlanBound {
+        let plan = &g.plans[p];
         let k = g.members.len() as f64;
         let (mut cost, mut magnitude) = (0.0, 0.0);
         for m in 0..g.members.len() {
@@ -645,7 +740,14 @@ impl<M: Metric> SharingDispatcher<M> {
         let trips = (self.params.alpha + 1.0) * g.sum_trips;
         let bound = (self.params.passenger_threshold - cost)
             .min(self.params.taxi_threshold + trips - plan.internal_length);
-        bound + 1e-9 * (1.0 + bound.abs() + magnitude + trips.abs() + plan.internal_length.abs())
+        PlanBound {
+            plan: p,
+            first: plan.first_stop(),
+            cost,
+            magnitude,
+            radius: bound
+                + 1e-9 * (1.0 + bound.abs() + magnitude + trips.abs() + plan.internal_length.abs()),
+        }
     }
 
     fn evaluate(&self, g: &GroupData, taxi: &Taxi) -> Eval {
@@ -655,11 +757,12 @@ impl<M: Metric> SharingDispatcher<M> {
         // the approach leg depends on the taxi, so pick among the
         // per-first-pickup plans.
         let (plan_idx, plan, approach) = g
-            .plans
+            .allowed
             .iter()
-            .enumerate()
-            .filter(|(_, p)| self.plan_allowed(g, p))
-            .map(|(i, p)| (i, p, self.metric.distance(taxi.location, p.first_stop())))
+            .map(|b| {
+                let plan = &g.plans[b.plan];
+                (b.plan, plan, self.metric.distance(taxi.location, b.first))
+            })
             .min_by(|a, b| {
                 (a.2 + a.1.internal_length)
                     .partial_cmp(&(b.2 + b.1.internal_length))
@@ -689,6 +792,106 @@ impl<M: Metric> SharingDispatcher<M> {
         g.total_passengers <= u16::from(taxi.seats)
     }
 
+    /// `taxi` evaluated for `g`, if the two are mutually acceptable.
+    fn acceptable(&self, g: &GroupData, taxi: &Taxi) -> Option<Eval> {
+        if !Self::fits(g, taxi) {
+            return None;
+        }
+        let e = self.evaluate(g, taxi);
+        (e.passenger_cost <= self.params.passenger_threshold
+            && e.taxi_cost <= self.params.taxi_threshold)
+            .then_some(e)
+    }
+
+    /// Widens `band` of `g` one step and appends the entries that became
+    /// final to `row`, in `(passenger key, taxi)` order.
+    ///
+    /// Each plan queries the grid around its first stop out to
+    /// `min(reach − c_p, radius)`, and a taxi found is new unless an
+    /// earlier widening's query found it. A taxi left outside
+    /// every query is either beyond the radius of the plan it would be
+    /// driven by — not mutually acceptable — or has a passenger key above
+    /// `reach`, since Euclidean distance lower-bounds the approach leg.
+    /// So once the band is complete every entry is final, and until then
+    /// every entry at most `reach` is, less a relative `1e-9` over the
+    /// magnitudes of the key's terms (the slack
+    /// [`plan_bound`](Self::plan_bound) uses) so that the rounding of
+    /// [`evaluate`](Self::evaluate)'s sums cannot bring an unvisited
+    /// taxi's key below a final one.
+    fn widen(
+        &self,
+        g: &GroupData,
+        band: &mut Band,
+        side: &mut TaxiSide,
+        row: &mut Vec<(usize, Eval)>,
+    ) {
+        let (before, reach) = (band.reach, band.base + band.width);
+        band.width *= 2.0;
+        side.stamp += 1;
+        let TaxiSide {
+            taxis,
+            grid,
+            seen,
+            stamp,
+        } = side;
+        let disk = |b: &PlanBound, reach: f64| (reach - b.cost).min(b.radius);
+        for b in &g.allowed {
+            grid.visit_within(b.first, disk(b, reach), |&ti, location| {
+                if seen[ti] == *stamp {
+                    return;
+                }
+                seen[ti] = *stamp;
+                if g.allowed
+                    .iter()
+                    .any(|o| location.within(o.first, disk(o, before)))
+                {
+                    return;
+                }
+                band.visited += 1;
+                if let Some(e) = self.acceptable(g, &taxis[ti]) {
+                    band.waiting.push((ti, e));
+                }
+            });
+        }
+        band.reach = reach;
+        band.complete =
+            band.visited == taxis.len() || g.allowed.iter().all(|b| reach - b.cost >= b.radius);
+        let last = if band.complete {
+            f64::INFINITY
+        } else {
+            reach - 1e-9 * (1.0 + reach.abs() + band.magnitude)
+        };
+        let start = row.len();
+        band.waiting.retain(|&(ti, e)| {
+            let fresh = e.passenger_cost <= last;
+            if fresh {
+                row.push((ti, e));
+            }
+            !fresh
+        });
+        row[start..].sort_unstable_by(|(a, ea), (b, eb)| {
+            ea.passenger_cost
+                .partial_cmp(&eb.passenger_cost)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(b))
+        });
+    }
+
+    /// Widens `band` until it has final entries not yet in `g`'s row, or
+    /// is complete; leaves those entries in `row`, replacing its contents.
+    fn grow(
+        &self,
+        g: &GroupData,
+        band: &mut Band,
+        side: &mut TaxiSide,
+        row: &mut Vec<(usize, Eval)>,
+    ) {
+        row.clear();
+        while row.is_empty() && !band.complete {
+            self.widen(g, band, side, row);
+        }
+    }
+
     fn dispatch(
         &self,
         taxis: &[Taxi],
@@ -706,63 +909,73 @@ impl<M: Metric> SharingDispatcher<M> {
         let groups: Vec<GroupData> = par_map(self.par, packed, |members| {
             self.group_data(requests, &frame, members)
         });
-        // Sparse keyed stage 3: each group evaluates only the taxis its
-        // plans' radius queries find, and its row keeps the mutually
-        // acceptable ones by (passenger key, taxi), with the taxi key as
-        // the column key and the chosen plan alongside each entry.
-        let grid = build_taxi_grid(taxis);
+        // Banded keyed stage 3: each group's row holds the mutually
+        // acceptable taxis by (passenger key, taxi), with the taxi key as
+        // the column key. When groups propose, a row starts with the
+        // group's first band that has an entry, and a group that runs out
+        // of entries widens its band and proposes on; when taxis propose,
+        // every row is built whole.
+        let mut side = TaxiSide {
+            taxis,
+            grid: build_taxi_grid(taxis),
+            seen: vec![0; taxis.len()],
+            stamp: 0,
+        };
+        let width = if taxi_optimal {
+            f64::INFINITY
+        } else {
+            side.grid.cell_size()
+        };
+        let seats = taxis.iter().map(|t| t.seats).max().unwrap_or(0);
+        let mut bands: Vec<Band> = groups.iter().map(|g| Band::new(g, width, seats)).collect();
         let mut cands = KeyedCandidates::new();
         cands.reset(taxis.len());
-        let mut plan_of: Vec<usize> = Vec::new();
-        let mut seen = vec![usize::MAX; taxis.len()];
-        let mut hits: Vec<usize> = Vec::new();
         let mut row: Vec<(usize, Eval)> = Vec::new();
-        for (gi, g) in groups.iter().enumerate() {
-            hits.clear();
-            for plan in g.plans.iter().filter(|p| self.plan_allowed(g, p)) {
-                grid.visit_within(plan.first_stop(), self.plan_radius(g, plan), |&ti, _| {
-                    if seen[ti] != gi {
-                        seen[ti] = gi;
-                        hits.push(ti);
-                    }
-                });
-            }
-            row.clear();
-            row.extend(
-                hits.iter()
-                    .filter(|&&ti| Self::fits(g, &taxis[ti]))
-                    .map(|&ti| (ti, self.evaluate(g, &taxis[ti])))
-                    .filter(|(_, e)| {
-                        e.passenger_cost <= self.params.passenger_threshold
-                            && e.taxi_cost <= self.params.taxi_threshold
-                    }),
-            );
-            row.sort_unstable_by(|(a, ea), (b, eb)| {
-                ea.passenger_cost
-                    .partial_cmp(&eb.passenger_cost)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(b))
-            });
-            for (ti, e) in &row {
+        let push_row = |cands: &mut KeyedCandidates, row: &[(usize, Eval)]| {
+            for (ti, e) in row {
                 cands.push(*ti, e.passenger_cost, e.taxi_cost);
-                plan_of.push(e.plan_idx);
             }
             cands.finish_row();
+        };
+        for (g, band) in groups.iter().zip(&mut bands) {
+            self.grow(g, band, &mut side, &mut row);
+            push_row(&mut cands, &row);
+        }
+        let mut matcher = KeyedMatch::new();
+        if taxi_optimal {
+            matcher.solve(&cands, Proposing::Columns);
+        } else {
+            matcher.solve(&cands, Proposing::Rows);
+            // Deferred acceptance never reads a row past the proposal
+            // that ends its group's search, so a group that ran out of
+            // entries is the only one whose band must widen.
+            let mut woken: Vec<u32> = Vec::new();
+            loop {
+                woken.clear();
+                for (gi, (g, band)) in groups.iter().zip(&mut bands).enumerate() {
+                    if band.complete || matcher.row_entry(gi).is_some() {
+                        continue;
+                    }
+                    self.grow(g, band, &mut side, &mut row);
+                    if !row.is_empty() {
+                        cands.reopen_row(gi);
+                        push_row(&mut cands, &row);
+                        woken.push(gi as u32);
+                    }
+                }
+                if woken.is_empty() {
+                    break;
+                }
+                matcher.resume_rows(&cands, &woken);
+            }
         }
         drop(span);
-        let mut matcher = KeyedMatch::new();
-        matcher.solve(
-            &cands,
-            if taxi_optimal {
-                Proposing::Columns
-            } else {
-                Proposing::Rows
-            },
-        );
         self.schedule(taxis, requests, &groups, |gi| {
             matcher.row_entry(gi).map(|e| {
                 let entry = cands.entry(e);
-                (entry.col as usize, plan_of[e], entry.col_key)
+                let ti = entry.col as usize;
+                let plan_idx = self.evaluate(&groups[gi], &taxis[ti]).plan_idx;
+                (ti, plan_idx, entry.col_key)
             })
         })
     }
@@ -855,6 +1068,22 @@ impl<M: Metric> SharingDispatcher<M> {
             passenger_cost,
             taxi_cost,
         )
+    }
+}
+
+/// Whether `b` can share a ride that starts at `a`'s pick-up with `a`
+/// riding at most `ride` (its trip plus θ): `b`'s pick-up lies within
+/// `ride` of `a`'s (the disk, a cheap first test), and
+/// `‖a_s − b_s‖ + ‖b_s − a_d‖ ≤ ride` (the ellipse). A shared pair route
+/// is never empty between its first pick-up and its last drop-off, so it
+/// picks `b` up while `a` is on board, and `a` rides at least that far;
+/// Euclidean distance lower-bounds every leg. The ellipse allows the
+/// `1e-9` that the route search's detour test does, plus a relative
+/// `1e-9` for the rounding of the sums on either side.
+fn may_join(a: &Request, b: &Request, ride: f64) -> bool {
+    b.pickup.within(a.pickup, ride) && {
+        let least = a.pickup.euclidean(b.pickup) + b.pickup.euclidean(a.dropoff);
+        least <= ride + 1e-9 * (1.0 + ride + least)
     }
 }
 

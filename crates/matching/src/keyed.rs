@@ -27,7 +27,16 @@
 //! induce, and so do the proposal and rejection counts: the proposer-
 //! optimal matching and the set of proposals deferred acceptance makes do
 //! not depend on the order proposers are served (McVitie–Wilson). The
-//! property test below pins both.
+//! property tests below pin both.
+//!
+//! A rows-proposing solve can also be *resumed* on rows revealed a prefix
+//! at a time ([`KeyedCandidates::reopen_row`], [`KeyedMatch::resume_rows`]):
+//! a row that runs out of entries waits, its caller appends the next part
+//! of it, and it proposes on from where it stopped while every hold
+//! stands. That is deferred acceptance on the full rows with some
+//! proposers served later, so by the same order independence it ends in
+//! the same matching with the same proposals — as long as every row left
+//! unmatched at the end has been revealed in full.
 
 use o2o_obs as obs;
 use std::cmp::Ordering;
@@ -73,7 +82,8 @@ fn key_less(a_key: f64, a_idx: u32, b_key: f64, b_idx: u32) -> bool {
 /// [`KeyedMatch::solve`].
 ///
 /// Built row by row with [`push`](Self::push) and
-/// [`finish_row`](Self::finish_row). No key may be NaN (the solver
+/// [`finish_row`](Self::finish_row); a finished row can be extended later
+/// with [`reopen_row`](Self::reopen_row). No key may be NaN (the solver
 /// compares keys instead of reading ranks). Row order matters only when
 /// rows propose: [`Proposing::Rows`] needs every row in ascending
 /// `(row_key, col)` order ([`sort_rows`](Self::sort_rows) puts it there;
@@ -81,30 +91,27 @@ fn key_less(a_key: f64, a_idx: u32, b_key: f64, b_idx: u32) -> bool {
 /// accepts any order. A column out of range or repeated within a row
 /// panics at `push` — the same lists a [`crate::StableInstance`]
 /// constructor would reject.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct KeyedCandidates {
     cols: usize,
-    /// Row start offsets into `entries`; `rows + 1` values.
-    offsets: Vec<u32>,
+    /// Per finished row: the range of `entries` it occupies.
+    spans: Vec<(u32, u32)>,
+    /// The row being built and the index of its first entry.
+    open: (u32, u32),
     entries: Vec<KeyedEntry>,
+    /// Entries left behind in the pool by reopened rows.
+    dead: usize,
     /// Per column: the last row that pushed it (duplicate check).
     stamp: Vec<u32>,
 }
 
-impl Default for KeyedCandidates {
-    fn default() -> Self {
-        KeyedCandidates {
-            cols: 0,
-            offsets: vec![0],
-            entries: Vec::new(),
-            stamp: Vec::new(),
-        }
-    }
-}
-
+/// Two sets are equal when they have the same columns and the same rows,
+/// wherever in the pool each row lies.
 impl PartialEq for KeyedCandidates {
     fn eq(&self, other: &Self) -> bool {
-        self.cols == other.cols && self.offsets == other.offsets && self.entries == other.entries
+        self.cols == other.cols
+            && self.rows() == other.rows()
+            && (0..self.rows()).all(|r| self.row(r) == other.row(r))
     }
 }
 
@@ -118,9 +125,10 @@ impl KeyedCandidates {
     /// Clears to no rows over `cols` columns, keeping the buffers.
     pub fn reset(&mut self, cols: usize) {
         self.cols = cols;
-        self.offsets.clear();
-        self.offsets.push(0);
+        self.spans.clear();
+        self.open = (0, 0);
         self.entries.clear();
+        self.dead = 0;
         self.stamp.clear();
         self.stamp.resize(cols, NONE);
     }
@@ -132,7 +140,7 @@ impl KeyedCandidates {
     /// Panics when `col` is out of range or already in this row.
     #[inline]
     pub fn push(&mut self, col: usize, row_key: f64, col_key: f64) {
-        let row = (self.offsets.len() - 1) as u32;
+        let row = self.open.0;
         assert!(
             col < self.cols,
             "row {row} ranks out-of-range column {col} (of {})",
@@ -150,15 +158,49 @@ impl KeyedCandidates {
     }
 
     /// Closes the row being built; the next [`push`](Self::push) starts
-    /// the following row.
+    /// a new row after the last one.
     pub fn finish_row(&mut self) {
-        self.offsets.push(self.entries.len() as u32);
+        let (row, start) = self.open;
+        let span = (start, self.entries.len() as u32);
+        match self.spans.get_mut(row as usize) {
+            Some(reopened) => *reopened = span,
+            None => self.spans.push(span),
+        }
+        self.open = (self.spans.len() as u32, span.1);
+    }
+
+    /// Reopens finished row `r`: its entries move to the end of the pool,
+    /// the following [`push`](Self::push)es extend it, and
+    /// [`finish_row`](Self::finish_row) closes it again. Every other row's
+    /// entries keep their indices — the ones a [`KeyedMatch`] holds, which
+    /// [`KeyedMatch::resume_rows`] relies on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not a finished row, or if the row being built
+    /// already has entries.
+    pub fn reopen_row(&mut self, r: usize) {
+        assert!(r < self.rows(), "reopening unfinished row {r}");
+        assert_eq!(
+            self.open.1 as usize,
+            self.entries.len(),
+            "reopening row {r} while another is being built"
+        );
+        let (start, end) = self.spans[r];
+        let moved = self.entries.len();
+        self.entries
+            .extend_from_within(start as usize..end as usize);
+        self.dead += (end - start) as usize;
+        for e in &self.entries[moved..] {
+            self.stamp[e.col as usize] = r as u32;
+        }
+        self.open = (r as u32, moved as u32);
     }
 
     /// Sorts every row by `(row_key, col)`, the order rows propose in.
     pub fn sort_rows(&mut self) {
-        for w in self.offsets.windows(2) {
-            self.entries[w[0] as usize..w[1] as usize].sort_unstable_by(|a, b| {
+        for &(start, end) in &self.spans {
+            self.entries[start as usize..end as usize].sort_unstable_by(|a, b| {
                 a.row_key
                     .partial_cmp(&b.row_key)
                     .unwrap_or(Ordering::Equal)
@@ -175,21 +217,27 @@ impl KeyedCandidates {
     /// Panics if the column counts differ.
     pub fn append(&mut self, other: &KeyedCandidates) {
         assert_eq!(self.cols, other.cols, "appending a set over other columns");
-        let row_base = (self.offsets.len() - 1) as u32;
+        let row_base = self.spans.len() as u32;
         let entry_base = self.entries.len() as u32;
         self.entries
             .extend(other.entries.iter().map(|&e| KeyedEntry {
                 row: e.row + row_base,
                 ..e
             }));
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|&o| o + entry_base));
+        self.spans.extend(
+            other
+                .spans
+                .iter()
+                .map(|&(start, end)| (start + entry_base, end + entry_base)),
+        );
+        self.dead += other.dead;
+        self.open = (self.spans.len() as u32, self.entries.len() as u32);
     }
 
     /// Number of finished rows.
     #[must_use]
     pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
+        self.spans.len()
     }
 
     /// Number of columns.
@@ -198,26 +246,27 @@ impl KeyedCandidates {
         self.cols
     }
 
-    /// Total number of entries.
+    /// Total number of entries in the rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() - self.dead
     }
 
     /// `true` when the set holds no entry.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// The entries of row `r` (finished or being built), in order.
     #[must_use]
     pub fn row(&self, r: usize) -> &[KeyedEntry] {
-        let end = self
-            .offsets
-            .get(r + 1)
-            .map_or(self.entries.len(), |&e| e as usize);
-        &self.entries[self.offsets[r] as usize..end]
+        let (start, end) = if r == self.open.0 as usize {
+            (self.open.1, self.entries.len() as u32)
+        } else {
+            self.spans[r]
+        };
+        &self.entries[start as usize..end as usize]
     }
 
     /// Entry `e` of the flat pool (indices as returned by [`KeyedMatch`]).
@@ -259,7 +308,9 @@ pub struct KeyedMatch {
     row_held: Vec<(f64, u32)>,
     /// Column → held entry, or [`NONE`].
     col_entry: Vec<u32>,
-    /// Per proposer: next position to propose from.
+    /// Per proposer: next position to propose from — relative to its row's
+    /// start when rows propose, so a reopened row resumes where it
+    /// stopped.
     next: Vec<u32>,
     /// Proposers that still need to propose.
     free: Vec<u32>,
@@ -269,6 +320,8 @@ pub struct KeyedMatch {
     ordered: Vec<u32>,
     /// The entries bucketed by column, in row order until ordered.
     by_col: Vec<ColEntry>,
+    /// The side that proposed in the last solve.
+    proposing: Option<Proposing>,
 }
 
 impl KeyedMatch {
@@ -284,24 +337,67 @@ impl KeyedMatch {
     /// rank-table solver does.
     pub fn solve(&mut self, cands: &KeyedCandidates, proposing: Proposing) {
         let _span = obs::span("deferred_acceptance");
+        self.proposing = Some(proposing);
         self.row_entry.clear();
         self.row_entry.resize(cands.rows(), NONE);
         self.col_entry.clear();
         self.col_entry.resize(cands.cols(), NONE);
-        let (proposals, rejections) = match proposing {
-            Proposing::Rows => self.rows_propose(cands),
+        let counts = match proposing {
+            Proposing::Rows => {
+                self.next.clear();
+                self.next.resize(cands.rows(), 0);
+                self.free.clear();
+                self.free.extend((0..cands.rows() as u32).rev());
+                self.rows_propose(cands)
+            }
             Proposing::Columns => self.columns_propose(cands),
         };
-        if proposals > 0 {
-            obs::add_many(&[
-                ("match.proposals", proposals),
-                ("match.rejections", rejections),
-            ]);
-        }
+        record(counts);
     }
 
-    /// Rows propose down their sorted rows; a column keeps the smallest
-    /// `(col_key, row)`.
+    /// Resumes the last solve, which rows proposed, after the rows in
+    /// `woken` were extended with [`KeyedCandidates::reopen_row`]: each
+    /// proposes on from the first entry it has not proposed to, and every
+    /// hold stands. Records the new proposals and rejections as
+    /// [`solve`](Self::solve) does.
+    ///
+    /// Only rows the solver left unmatched — rows that ran out of entries
+    /// — may have been reopened, and each must be woken; the matching then
+    /// equals one solve on the extended rows, with the same proposals in
+    /// total (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last solve was not rows proposing on a set of this
+    /// shape, or if a woken row is matched.
+    pub fn resume_rows(&mut self, cands: &KeyedCandidates, woken: &[u32]) {
+        let _span = obs::span("deferred_acceptance");
+        assert_eq!(
+            self.proposing,
+            Some(Proposing::Rows),
+            "no rows solve to resume"
+        );
+        assert!(
+            self.row_entry.len() == cands.rows() && self.col_entry.len() == cands.cols(),
+            "resuming on a set of another shape"
+        );
+        debug_assert!(
+            self.col_entry.iter().filter(|&&e| e != NONE).all(|&e| {
+                let (start, end) = cands.spans[cands.entries[e as usize].row as usize];
+                (start..end).contains(&e)
+            }),
+            "a held row was reopened"
+        );
+        self.free.clear();
+        for &j in woken.iter().rev() {
+            assert_eq!(self.row_entry[j as usize], NONE, "woken row {j} is matched");
+            self.free.push(j);
+        }
+        record(self.rows_propose(cands));
+    }
+
+    /// Rows in `free` propose down their sorted rows from their cursors;
+    /// a column keeps the smallest `(col_key, row)`.
     fn rows_propose(&mut self, c: &KeyedCandidates) -> (u64, u64) {
         debug_assert!(
             (0..c.rows()).all(|r| c.row(r).windows(2).all(|w| key_less(
@@ -313,14 +409,9 @@ impl KeyedMatch {
             "proposing rows must ascend by (row_key, col)"
         );
         let (mut proposals, mut rejections) = (0u64, 0u64);
-        let rows = c.rows();
-        self.next.clear();
-        self.next.extend_from_slice(&c.offsets[..rows]);
-        self.free.clear();
-        self.free.extend((0..rows as u32).rev());
         while let Some(j) = self.free.pop() {
-            let end = c.offsets[j as usize + 1];
-            let mut k = self.next[j as usize];
+            let (start, end) = c.spans[j as usize];
+            let mut k = start + self.next[j as usize];
             while k < end {
                 let cand = c.entries[k as usize];
                 k += 1;
@@ -342,7 +433,7 @@ impl KeyedMatch {
                 self.row_entry[j as usize] = k - 1;
                 break;
             }
-            self.next[j as usize] = k;
+            self.next[j as usize] = k - start;
         }
         (proposals, rejections)
     }
@@ -359,8 +450,10 @@ impl KeyedMatch {
         // column's fill cursor (row order within a bucket).
         self.col_start.clear();
         self.col_start.resize(cols + 1, 0);
-        for e in &c.entries {
-            self.col_start[e.col as usize + 1] += 1;
+        for &(start, end) in &c.spans {
+            for e in &c.entries[start as usize..end as usize] {
+                self.col_start[e.col as usize + 1] += 1;
+            }
         }
         for i in 0..cols {
             self.col_start[i + 1] += self.col_start[i];
@@ -369,15 +462,18 @@ impl KeyedMatch {
         self.next.clear();
         self.next.extend_from_slice(&self.col_start[..cols]);
         self.by_col.clear();
-        self.by_col.resize(c.entries.len(), ColEntry::default());
-        for (idx, e) in c.entries.iter().enumerate() {
-            let slot = &mut self.next[e.col as usize];
-            self.by_col[*slot as usize] = ColEntry {
-                key: e.col_key,
-                row: e.row,
-                entry: idx as u32,
-            };
-            *slot += 1;
+        self.by_col.resize(c.len(), ColEntry::default());
+        for &(start, end) in &c.spans {
+            for idx in start..end {
+                let e = &c.entries[idx as usize];
+                let slot = &mut self.next[e.col as usize];
+                self.by_col[*slot as usize] = ColEntry {
+                    key: e.col_key,
+                    row: e.row,
+                    entry: idx,
+                };
+                *slot += 1;
+            }
         }
         self.next.clear();
         self.next.extend_from_slice(&self.col_start[..cols]);
@@ -436,6 +532,16 @@ impl KeyedMatch {
     pub fn col_entry(&self, c: usize) -> Option<usize> {
         let e = self.col_entry[c];
         (e != NONE).then_some(e as usize)
+    }
+}
+
+/// Adds one solve's proposals and rejections to the current recorder.
+fn record((proposals, rejections): (u64, u64)) {
+    if proposals > 0 {
+        obs::add_many(&[
+            ("match.proposals", proposals),
+            ("match.rejections", rejections),
+        ]);
     }
 }
 
@@ -611,6 +717,115 @@ mod tests {
             unsorted.sort_rows();
             prop_assert_eq!(&unsorted, &set);
         }
+    }
+
+    /// Solves `full` with rows proposing while revealing each row a random
+    /// prefix at a time: every row starts with a prefix (possibly empty),
+    /// and after each solve every unmatched row with entries still hidden
+    /// is reopened, shown a longer prefix and woken. Returns the set the
+    /// solver saw.
+    fn solve_revealed(
+        full: &KeyedCandidates,
+        seed: u64,
+        solver: &mut KeyedMatch,
+    ) -> KeyedCandidates {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut set = KeyedCandidates::new();
+        set.reset(full.cols());
+        let mut shown: Vec<usize> = (0..full.rows())
+            .map(|r| rng.gen_range(0..=full.row(r).len()))
+            .collect();
+        for (r, &n) in shown.iter().enumerate() {
+            for e in &full.row(r)[..n] {
+                set.push(e.col as usize, e.row_key, e.col_key);
+            }
+            set.finish_row();
+        }
+        solver.solve(&set, Proposing::Rows);
+        loop {
+            let mut woken = Vec::new();
+            for (r, shown) in shown.iter_mut().enumerate() {
+                let len = full.row(r).len();
+                if solver.row_entry(r).is_some() || *shown == len {
+                    continue;
+                }
+                let more = rng.gen_range(*shown + 1..=len);
+                set.reopen_row(r);
+                for e in &full.row(r)[*shown..more] {
+                    set.push(e.col as usize, e.row_key, e.col_key);
+                }
+                set.finish_row();
+                *shown = more;
+                woken.push(r as u32);
+            }
+            if woken.is_empty() {
+                return set;
+            }
+            solver.resume_rows(&set, &woken);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A rows-proposing solve resumed over random row prefixes equals
+        /// one solve on the full rows and rank-table deferred acceptance:
+        /// the matching, the entries each row and column holds, and the
+        /// proposals and rejections recorded over all the resumes — under
+        /// exact key ties, empty rows and unequal side sizes.
+        #[test]
+        fn resumed_rows_match_one_solve_on_full_rows(
+            seed in any::<u64>(), rows in 0usize..14, cols in 0usize..14, dens in 0usize..=4,
+        ) {
+            let full = random_set(seed, rows, cols, dens as f64 / 4.0);
+            let (p_lists, r_lists) = reference_lists(&full);
+            let inst = StableInstance::new_sparse(p_lists, r_lists).unwrap();
+            let mut whole = KeyedMatch::new();
+            let (want, wp, wr) = counted(|| {
+                whole.solve(&full, Proposing::Rows);
+                matching(&whole, &full)
+            });
+            let (reference, rp, rr) = counted(|| inst.propose());
+            prop_assert_eq!(&want, &reference);
+            prop_assert_eq!((wp, wr), (rp, rr));
+            let mut resumed = KeyedMatch::new();
+            let ((set, got), gp, gr) = counted(|| {
+                let set = solve_revealed(&full, seed ^ 0x0BAD_CAFE, &mut resumed);
+                let got = matching(&resumed, &set);
+                (set, got)
+            });
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!((gp, gr), (wp, wr), "counters");
+            for r in 0..full.rows() {
+                let held = resumed.row_entry(r).map(|e| *set.entry(e));
+                prop_assert_eq!(held, whole.row_entry(r).map(|e| *full.entry(e)));
+                // A revealed row is a prefix of its full row.
+                prop_assert!(full.row(r).starts_with(set.row(r)));
+            }
+            for c in 0..full.cols() {
+                let held = resumed.col_entry(c).map(|e| *set.entry(e));
+                prop_assert_eq!(held, whole.col_entry(c).map(|e| *full.entry(e)));
+            }
+            // Rows moved to the end of the pool leave their old entries
+            // behind, which neither the count nor a sort reads.
+            prop_assert_eq!(set.len(), (0..set.rows()).map(|r| set.row(r).len()).sum::<usize>());
+            let mut sorted = set.clone();
+            sorted.sort_rows();
+            prop_assert_eq!(&sorted, &set);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "twice")]
+    fn a_reopened_row_still_rejects_a_repeated_column() {
+        let mut set = KeyedCandidates::new();
+        set.reset(3);
+        set.push(1, 0.0, 0.0);
+        set.finish_row();
+        set.push(1, 0.0, 0.0);
+        set.finish_row();
+        set.reopen_row(0);
+        set.push(1, 1.0, 0.0);
     }
 
     #[test]
