@@ -18,6 +18,12 @@
 //!   mid-run; the supervisor retries the casualty, it resumes from its
 //!   checkpoint directory, and both partial shards merge into one
 //!   document with equal digests.
+//! * **multi-day** — seven days under a 1% [`FaultPlan::uniform`], so the
+//!   admitted-id ledger and the report's series grow all week. Each
+//!   checkpoint's file bytes, history-segment bytes appended and
+//!   machinery time are recorded; day 7's medians must stay within 2× of
+//!   day 1's (a checkpoint costs the live state, not the run's length),
+//!   and the run must match the uninterrupted digest.
 //!
 //! Output: `results/BENCH_fig_recovery.json`.
 
@@ -27,13 +33,14 @@ use o2o_bench::{
 };
 use o2o_core::PreferenceParams;
 use o2o_geo::Euclidean;
-use o2o_obs::Recorder;
+use o2o_obs::{Event, EventSink, Recorder};
 use o2o_sim::{
-    latest_valid_checkpoint, policy, wal_frames, CheckpointSpec, RunOutcome, SimConfig, SimReport,
-    Simulator,
+    latest_valid_checkpoint, policy, wal_frames, CheckpointSpec, FaultPlan, RunOutcome, SimConfig,
+    SimReport, Simulator,
 };
 use o2o_trace::{boston_september_2012, Trace};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Checkpoint cadences for the overhead arm; `DEFAULT_INTERVAL` is the
@@ -46,6 +53,13 @@ const DEFAULT_INTERVAL: u64 = 128;
 /// interval, so that row exercises checkpoint-load + WAL-replay resume
 /// rather than WAL-only resume.
 const KILL_POINTS: [u64; 3] = [4, 48, 200];
+
+/// The multi-day arm: days simulated, and its fault rate (the
+/// `boston_ops_week` benchmark's).
+const WEEK_DAYS: u32 = 7;
+const WEEK_FAULT_RATE: f64 = 0.01;
+/// One-minute frames per simulated day.
+const FRAMES_PER_DAY: u64 = 1440;
 
 /// Repetitions per timed run; the minimum is reported (the standard
 /// scheduler-noise filter). The overhead gate compares two ~half-second
@@ -326,6 +340,129 @@ fn supervisor_arm(opts: &ExperimentOpts, baseline: &SimReport) -> (Vec<Json>, Ve
     (status_rows, merged_rows)
 }
 
+/// Keeps the per-checkpoint counters the run loop records, in order.
+struct CheckpointLog(Arc<Mutex<Vec<(&'static str, u64)>>>);
+
+impl EventSink for CheckpointLog {
+    fn record(&mut self, event: &Event) {
+        if let Event::Counter { name, delta, .. } = event {
+            if name.starts_with("ckpt.") {
+                self.0.lock().expect("log lock").push((name, *delta));
+            }
+        }
+    }
+}
+
+/// One checkpoint of the multi-day arm: its file's bytes, the history
+/// bytes appended with it, and the checkpoint write's machinery time
+/// (history record, checkpoint file, prune, WAL reset).
+struct CheckpointRow {
+    day: u64,
+    frame: u64,
+    file_bytes: u64,
+    segment_bytes: u64,
+    machinery_ms: f64,
+}
+
+impl CheckpointRow {
+    const MEASURES: [&'static str; 3] = ["file_bytes", "segment_bytes", "machinery_ms"];
+
+    fn measures(&self) -> [f64; 3] {
+        [
+            self.file_bytes as f64,
+            self.segment_bytes as f64,
+            self.machinery_ms,
+        ]
+    }
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+fn multi_day_arm(opts: &ExperimentOpts) -> Vec<Json> {
+    let trace = boston_september_2012(opts.scale)
+        .days(WEEK_DAYS)
+        .generate(opts.seed);
+    let plan = FaultPlan::uniform(opts.seed, WEEK_FAULT_RATE);
+    let sim = Simulator::new(SimConfig::default()).with_fault_plan(plan);
+    let baseline = sim.run(&trace, &mut make_policy(opts.params));
+
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sim = sim.with_recorder(Recorder::with_sink(Box::new(CheckpointLog(Arc::clone(
+        &log,
+    )))));
+    let dir = fresh_dir("multi-day");
+    let spec = CheckpointSpec::new(&dir).with_interval(DEFAULT_INTERVAL);
+    let report = sim
+        .run_checkpointed(&trace, &mut make_policy(opts.params), &spec)
+        .expect("checkpointed week")
+        .report()
+        .expect("runs to completion");
+    assert_eq!(
+        report.deterministic_digest(),
+        baseline.deterministic_digest(),
+        "the checkpointed week must be bit-identical"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let log = log.lock().expect("log lock");
+    let series = |name: &str| -> Vec<u64> {
+        log.iter()
+            .filter(|&&(n, _)| n == name)
+            .map(|&(_, v)| v)
+            .collect()
+    };
+    let file_bytes = series("ckpt.file_bytes");
+    let segment_bytes = series("ckpt.segment_bytes");
+    let write_ns = series("ckpt.write_ns");
+    assert!(!file_bytes.is_empty(), "the week wrote checkpoints");
+    assert!(file_bytes.len() == segment_bytes.len() && file_bytes.len() == write_ns.len());
+
+    let rows: Vec<CheckpointRow> = (0..file_bytes.len())
+        .map(|i| {
+            let frame = (i as u64 + 1) * DEFAULT_INTERVAL;
+            CheckpointRow {
+                day: frame / FRAMES_PER_DAY + 1,
+                frame,
+                file_bytes: file_bytes[i],
+                segment_bytes: segment_bytes[i],
+                machinery_ms: write_ns[i] as f64 / 1e6,
+            }
+        })
+        .collect();
+    // Per-day medians of each measure; the drain past the last day does
+    // not count.
+    for (k, name) in CheckpointRow::MEASURES.iter().enumerate() {
+        let day_median = |day: u64| {
+            median(
+                rows.iter()
+                    .filter(|r| r.day == day)
+                    .map(|r| r.measures()[k])
+                    .collect(),
+            )
+        };
+        let (first, last) = (day_median(1), day_median(u64::from(WEEK_DAYS)));
+        println!("{name:>14}: day 1 median {first:>12.4}, day {WEEK_DAYS} median {last:>12.4}");
+        assert!(
+            last <= 2.0 * first,
+            "per-checkpoint {name} grew from {first} on day 1 to {last} on day {WEEK_DAYS}"
+        );
+    }
+    rows.iter()
+        .map(|r| {
+            Json::obj(vec![
+                ("day", r.day.into()),
+                ("frame", r.frame.into()),
+                ("file_bytes", r.file_bytes.into()),
+                ("segment_bytes", r.segment_bytes.into()),
+                ("machinery_ms", r.machinery_ms.into()),
+            ])
+        })
+        .collect()
+}
+
 /// Child mode: run the scenario once with checkpointing and write a
 /// partial shard. `--kill-after N` simulates a SIGKILL N frames in, but
 /// only on a cold start (no checkpoint and no WAL progress — a crash
@@ -435,11 +572,15 @@ fn main() {
     println!("\n=== supervised multi-process resume ===");
     let (status_rows, merged_rows) = supervisor_arm(&opts, &baseline);
 
+    println!("\n=== {WEEK_DAYS} days under faults: per-checkpoint cost ===");
+    let multi_day_rows = multi_day_arm(&opts);
+
     let body = vec![
         ("overhead", Json::Arr(overhead_rows)),
         ("recovery", Json::Arr(recovery_rows)),
         ("supervised_statuses", Json::Arr(status_rows)),
         ("supervised_rows", Json::Arr(merged_rows)),
+        ("multi_day", Json::Arr(multi_day_rows)),
         (
             "baseline_digest",
             format!("{:016x}", baseline.deterministic_digest()).into(),

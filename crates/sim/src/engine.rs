@@ -112,6 +112,11 @@ pub(crate) struct EngineState {
     /// Every request id ever admitted, kept only on fault runs: the
     /// admission screen rejects injected duplicates against it.
     pub(crate) admitted_ids: HashSet<RequestId>,
+    /// The ids `admitted_ids` gained since the last checkpoint, in
+    /// admission order: the checkpoint layer appends them to its history
+    /// segment and clears the list; a run without checkpoints clears it
+    /// every frame.
+    pub(crate) admitted_log: Vec<RequestId>,
     /// The next frame to execute (frames `0..frame` are done).
     pub(crate) frame: u64,
 }
@@ -158,6 +163,7 @@ impl EngineState {
             faults_seen: 0,
             fault_state: faults.map(|plan| FaultState::new(plan, fleet)),
             admitted_ids: HashSet::new(),
+            admitted_log: Vec::new(),
             frame: 0,
         }
     }
@@ -385,7 +391,9 @@ impl Simulator {
     ) -> SimReport {
         let mut state = EngineState::new(trace, policy.name(), self.faults);
         let mut scratch = self.new_scratch(trace);
-        while self.step_frame(metric, trace, policy, &mut state, &mut scratch) {}
+        while self.step_frame(metric, trace, policy, &mut state, &mut scratch) {
+            state.admitted_log.clear();
+        }
         self.finish(state)
     }
 
@@ -415,6 +423,7 @@ impl Simulator {
             faults_seen,
             fault_state,
             admitted_ids,
+            admitted_log,
             frame: frame_slot,
         } = st;
         let Scratch {
@@ -468,6 +477,7 @@ impl Simulator {
                         if !finite || r.passengers == 0 || !admitted_ids.insert(r.id) {
                             report.faults.quarantined_arrivals += 1;
                         } else {
+                            admitted_log.push(r.id);
                             pending.push_back((r, frame));
                             *slo_arrivals += 1;
                         }

@@ -12,13 +12,14 @@ use o2o_core::{IncrementalMode, PreferenceParams};
 use o2o_geo::Euclidean;
 use o2o_par::Parallelism;
 use o2o_sim::{
-    latest_valid_checkpoint, policy, wal_frames, CheckpointSpec, CkptError, DispatchPolicy,
-    FaultPlan, RunOutcome, SimConfig, SimReport, Simulator,
+    checkpoint_files, latest_valid_checkpoint, load_checkpoint, policy, wal_frames, CheckpointSpec,
+    CkptError, DispatchPolicy, FaultPlan, FrameAssignment, FrameContext, RunOutcome, SimConfig,
+    SimReport, Simulator,
 };
 use o2o_trace::{boston_september_2012, Trace};
 use proptest::prelude::*;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("o2o-crash-{tag}-{}", std::process::id()));
@@ -167,6 +168,114 @@ fn torn_checkpoint_write_falls_back_to_previous_valid() {
         .unwrap()
         .report()
         .unwrap();
+    assert_result_identical(&baseline, &resumed);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Wraps a policy and, at the first dispatch past each checkpoint
+/// boundary from `from` on, asserts that the directory holds exactly
+/// `keep` checkpoints and that each of them loads.
+struct RetentionCheck<P> {
+    inner: P,
+    dir: PathBuf,
+    interval: u64,
+    keep: usize,
+    from: u64,
+    checked: Vec<u64>,
+}
+
+impl<P: DispatchPolicy> DispatchPolicy for RetentionCheck<P> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn dispatch(&mut self, ctx: &FrameContext<'_>) -> Vec<FrameAssignment> {
+        let boundary = ctx.frame / self.interval * self.interval;
+        if boundary >= self.from && self.checked.last() != Some(&boundary) {
+            assert_loadable(&self.dir, self.keep, boundary);
+            self.checked.push(boundary);
+        }
+        self.inner.dispatch(ctx)
+    }
+    fn wants_pickup_distances(&self) -> bool {
+        self.inner.wants_pickup_distances()
+    }
+    fn wants_taxi_grid(&self) -> bool {
+        self.inner.wants_taxi_grid()
+    }
+    fn take_degradation(&mut self) -> Option<o2o_core::Degraded> {
+        self.inner.take_degradation()
+    }
+}
+
+fn assert_loadable(dir: &Path, keep: usize, boundary: u64) {
+    let files = checkpoint_files(dir).unwrap();
+    assert_eq!(
+        files.len(),
+        keep,
+        "after the checkpoint at frame {boundary}: {files:?}"
+    );
+    for f in &files {
+        if let Err(e) = load_checkpoint(f) {
+            panic!(
+                "after the checkpoint at frame {boundary}: {} fails: {e}",
+                f.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn fallback_resume_keeps_every_retained_checkpoint_loadable() {
+    // A request every 20 s, so every frame of the first hour dispatches
+    // and the retention check runs right after each boundary.
+    let mut trace = boston_september_2012(0.01).generate(43);
+    for (i, r) in trace.requests.iter_mut().enumerate() {
+        r.time = i as u64 * 20;
+    }
+    let params = PreferenceParams::default();
+    let sim = Simulator::new(SimConfig::default()).with_fault_plan(FaultPlan::uniform(3, 0.05));
+    let mut plain = policy::nstd_p(Euclidean, params);
+    let baseline = sim.run(&trace, &mut plain);
+
+    let dir = tmp_dir("retention");
+    let (interval, keep) = (8, 2);
+    let spec = CheckpointSpec::new(&dir)
+        .with_interval(interval)
+        .with_keep(keep);
+    let mut p = policy::nstd_p(Euclidean, params);
+    let out = sim
+        .run_checkpointed(&trace, &mut p, &spec.clone().with_stop_after_frames(30))
+        .unwrap();
+    assert!(matches!(out, RunOutcome::Stopped { frame: 30 }));
+
+    // Flip a bit in the newest checkpoint: the resume falls back to the
+    // one before it and rewrites the newest frame.
+    let newest = checkpoint_files(&dir).unwrap().remove(0);
+    assert!(newest.ends_with("ckpt-000000000024.o2oc"));
+    let mut bytes = fs::read(&newest).unwrap();
+    bytes[40] ^= 0x04;
+    fs::write(&newest, &bytes).unwrap();
+    let (_, fallback) = latest_valid_checkpoint(&dir).unwrap().expect("fallback");
+    assert_eq!(fallback.frame(), 16);
+
+    let mut p = RetentionCheck {
+        inner: policy::nstd_p(Euclidean, params),
+        dir: dir.clone(),
+        interval,
+        keep,
+        from: 24,
+        checked: Vec::new(),
+    };
+    let resumed = sim
+        .run_checkpointed(&trace, &mut p, &spec)
+        .unwrap()
+        .report()
+        .unwrap();
+    assert!(
+        p.checked.starts_with(&[24, 32]),
+        "both boundaries checked: {:?}",
+        p.checked
+    );
     assert_result_identical(&baseline, &resumed);
     let _ = fs::remove_dir_all(&dir);
 }
