@@ -1,7 +1,7 @@
 //! Sequential vs parallel dispatch pipeline, plus distance caching.
 //!
-//! Measures the three parallelized stages at `threads = 1, 2, 4` over the
-//! same frame — results are bit-identical across thread counts, so the
+//! Measures the two parallelized stages — the engine's pick-up matrix and
+//! Algorithm 3's stage 1 — at `threads = 1, 2, 4` over the same frame — results are bit-identical across thread counts, so the
 //! only thing compared is wall-clock — and the per-frame distance cache
 //! over an artificially expensive metric (standing in for a road-network
 //! shortest-path query). Speedups are derived from the medians and
@@ -10,7 +10,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use o2o_bench::{emit_bench_json, Json};
-use o2o_core::{PickupDistances, PreferenceModel, PreferenceParams, SharingDispatcher};
+use o2o_core::{PickupDistances, PreferenceParams, SharingDispatcher};
 use o2o_geo::{DistanceCache, Euclidean, Metric, Point};
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -65,25 +65,6 @@ impl Metric for ExpensiveMetric {
         }
         total
     }
-}
-
-fn bench_preference_build(c: &mut Criterion) {
-    let (taxis, requests) = random_frame(21, 250, 250);
-    let params = PreferenceParams::paper().with_passenger_threshold(9.0);
-    let mut group = c.benchmark_group("preference_build");
-    group.sample_size(10);
-    for threads in THREADS {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("threads_{threads}")),
-            &Parallelism::fixed(threads),
-            |b, &par| {
-                b.iter(|| {
-                    PreferenceModel::build_with(&Euclidean, &params, &taxis, &requests, par, None)
-                })
-            },
-        );
-    }
-    group.finish();
 }
 
 fn bench_pickup_matrix(c: &mut Criterion) {
@@ -165,7 +146,7 @@ fn emit_results(c: &Criterion) {
     // Speedups of each parallel configuration over its own sequential
     // baseline (median over median).
     let mut speedups = Vec::new();
-    for group in ["preference_build", "pickup_matrix", "sharing_stage1"] {
+    for group in ["pickup_matrix", "sharing_stage1"] {
         if let Some(base) = median_ns(c, &format!("{group}/threads_1")) {
             for threads in THREADS.iter().skip(1) {
                 if let Some(par) = median_ns(c, &format!("{group}/threads_{threads}")) {
@@ -196,7 +177,6 @@ fn emit_results(c: &Criterion) {
 
 fn main() {
     let mut c = Criterion::default();
-    bench_preference_build(&mut c);
     bench_pickup_matrix(&mut c);
     bench_sharing_stage1(&mut c);
     bench_distance_cache(&mut c);

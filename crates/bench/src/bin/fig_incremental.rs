@@ -1,4 +1,4 @@
-//! Incremental cross-frame dispatch vs the cold per-frame pipeline.
+//! Incremental cross-frame dispatch vs a cold start every frame.
 //!
 //! Replays rolling frame sequences of a dispatch loop — a fixed fleet
 //! whose matched taxis leave the idle set and come back at their
@@ -6,15 +6,18 @@
 //! whose idle taxis and waiting requests also turn over at a swept churn
 //! rate — through two arms over a road-network metric:
 //!
-//! * **cold** (the previous pipeline): every frame clears the distance
-//!   cache, rebuilds the idle-taxi grid from scratch and runs deferred
-//!   acceptance cold;
-//! * **warm** (the incremental pipeline): the distance cache is cleared
-//!   and the grid rebuilt per frame as in the cold arm; a request the
-//!   previous frame left unchanged and unmatched tests only the taxis
-//!   that are new, moved or were matched — the stability certificate —
-//!   instead of walking the grid and querying the metric, and keyed
-//!   deferred acceptance runs on the rows directly (no rank tables).
+//! * **cold**: every frame clears the distance cache, rebuilds the
+//!   idle-taxi grid from scratch and runs `NonSharingDispatcher::dispatch`
+//!   on a fresh `IncrementalState`, so every request walks the grid and
+//!   queries the metric for every taxi near it;
+//! * **warm** (the production pipeline): the distance cache is cleared
+//!   and the grid rebuilt per frame as in the cold arm, but the state is
+//!   carried: a request the previous frame left unchanged and unmatched
+//!   tests only the taxis that are new, moved or were matched — the
+//!   stability certificate — instead of walking the grid and querying
+//!   the metric.
+//!
+//! Both arms solve the rows with keyed deferred acceptance.
 //!
 //! Each frame applies its schedule as the engine does, so the sequence
 //! is generated by dispatching it once (the cold arm's schedules, which
@@ -26,7 +29,10 @@
 //! Output: `results/BENCH_incremental.json`.
 
 use o2o_bench::{bench_envelope, emit_bench_json, ExperimentOpts, Json};
-use o2o_core::{build_taxi_grid, IncrementalState, NonSharingDispatcher, PreferenceParams};
+use o2o_core::{
+    build_taxi_grid, IncrementalState, NonSharingDispatcher, PreferenceParams, Proposing,
+    TimeBudget,
+};
 use o2o_geo::{DistanceCache, Point, RoadNetwork};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use rand::rngs::StdRng;
@@ -69,8 +75,7 @@ fn rolling_frames(
 
     let mut out = Vec::with_capacity(frames);
     for _ in 0..frames {
-        let grid = build_taxi_grid(&idle);
-        let schedule = d.passenger_optimal_with_grid(&idle, &pending, Some(&grid));
+        let schedule = d.passenger_optimal(&idle, &pending);
         out.push((idle.clone(), pending.clone()));
         // Apply the schedule; busy taxis count down and come back.
         let mut kept = Vec::with_capacity(idle.len());
@@ -121,44 +126,39 @@ fn fresh_arm(
     (cache, d)
 }
 
-/// The previous pipeline: per-frame cache clear, fresh grid, cold DA.
-/// Returns the schedules and the total metric queries issued.
-fn run_cold(
+/// One arm: per-frame cache clear, fresh grid, NSTD-P through
+/// `dispatch` with the state carried across frames (`warm`) or fresh each
+/// frame. Returns the schedules and the total metric queries issued (warm,
+/// a request left unchanged and unmatched queries only the taxis that are
+/// new, moved or were matched, and reuses its trip).
+fn run(
     net: &Arc<RoadNetwork>,
     params: PreferenceParams,
     frames: &[(Vec<Taxi>, Vec<Request>)],
+    warm: bool,
 ) -> (Vec<o2o_core::Schedule>, u64) {
     let (cache, d) = fresh_arm(net, params);
-    let out = frames
-        .iter()
-        .map(|(taxis, requests)| {
-            cache.clear();
-            let grid = build_taxi_grid(taxis);
-            d.passenger_optimal_with_grid(taxis, requests, Some(&grid))
-        })
-        .collect();
-    let stats = cache.stats();
-    (out, stats.hits + stats.misses)
-}
-
-/// The incremental pipeline: per-frame cache clear, fresh grid, rows
-/// from the previous frame's stability certificate, keyed DA. Returns the
-/// schedules and the total metric queries issued (a request left
-/// unchanged and unmatched queries only the taxis that are new, moved or
-/// were matched, and reuses its trip).
-fn run_warm(
-    net: &Arc<RoadNetwork>,
-    params: PreferenceParams,
-    frames: &[(Vec<Taxi>, Vec<Request>)],
-) -> (Vec<o2o_core::Schedule>, u64) {
-    let (cache, d) = fresh_arm(net, params);
+    let unlimited = TimeBudget::unlimited();
     let mut state = IncrementalState::new();
     let out = frames
         .iter()
         .map(|(taxis, requests)| {
             cache.clear();
+            if !warm {
+                state = IncrementalState::new();
+            }
             let grid = build_taxi_grid(taxis);
-            d.passenger_optimal_incremental(taxis, requests, Some(&grid), &mut state)
+            let rows = Proposing::Rows;
+            d.dispatch(
+                taxis,
+                requests,
+                Some(&grid),
+                None,
+                &mut state,
+                rows,
+                &unlimited,
+            )
+            .0
         })
         .collect();
     let stats = cache.stats();
@@ -217,8 +217,8 @@ fn main() {
 
             // Exactness first: the warm pipeline must be bit-identical to
             // the cold one on every frame.
-            let (cold_schedules, cold_queries) = run_cold(&net, params, &seq);
-            let (warm_schedules, warm_queries) = run_warm(&net, params, &seq);
+            let (cold_schedules, cold_queries) = run(&net, params, &seq, false);
+            let (warm_schedules, warm_queries) = run(&net, params, &seq, true);
             assert_eq!(
                 warm_schedules, cold_schedules,
                 "warm diverged from cold at frames={frames} churn={churn}"
@@ -227,10 +227,10 @@ fn main() {
             let ((cold_min, cold_med), (warm_min, warm_med)) = time_pair_ms(
                 5,
                 || {
-                    std::hint::black_box(run_cold(&net, params, &seq));
+                    std::hint::black_box(run(&net, params, &seq, false));
                 },
                 || {
-                    std::hint::black_box(run_warm(&net, params, &seq));
+                    std::hint::black_box(run(&net, params, &seq, true));
                 },
             );
             let speedup = cold_min / warm_min;

@@ -15,7 +15,6 @@ use o2o_core::{
     build_taxi_grid, CandidateMode, NonSharingDispatcher, PreferenceParams, SparsePickupDistances,
 };
 use o2o_geo::{Euclidean, Point};
-use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -91,11 +90,9 @@ fn main() {
         let (taxis, requests, side) = frame(opts.seed.wrapping_add(ci as u64), n, m);
         for (label, params) in thresholds {
             let dense = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Dense)
-                .with_parallelism(Parallelism::auto());
+                .with_candidate_mode(CandidateMode::Dense);
             let sparse = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Sparse)
-                .with_parallelism(Parallelism::auto());
+                .with_candidate_mode(CandidateMode::Sparse);
 
             // Exactness first: both NSTD variants, bit for bit.
             let p_dense = dense.passenger_optimal(&taxis, &requests);
@@ -124,7 +121,6 @@ fn main() {
                 &taxis,
                 &requests,
                 &build_taxi_grid(&taxis),
-                Parallelism::auto(),
             );
             let kept = spd.candidate_count();
             let pruning = kept as f64 / (n * m) as f64;

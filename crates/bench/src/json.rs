@@ -404,6 +404,11 @@ impl fmt::Display for Json {
 pub fn policy_json(r: &SimReport) -> Json {
     Json::obj(vec![
         ("policy", r.policy.as_str().into()),
+        // The run's outcome digest (see `crate::digests`).
+        (
+            "digest",
+            format!("{:016x}", r.deterministic_digest()).into(),
+        ),
         ("served", r.served.into()),
         ("unserved_at_end", r.unserved_at_end.into()),
         ("frames", r.frames.into()),
@@ -750,6 +755,8 @@ mod tests {
         let j = policy_json(&reports[0]);
         let s = j.to_string();
         assert!(s.contains("\"policy\": \"Near\""));
+        let digest = format!("\"digest\": \"{:016x}\"", reports[0].deterministic_digest());
+        assert!(s.contains(&digest));
         assert!(s.contains("\"dispatch_ms_by_frame\": ["));
         assert!(s.contains("\"total_dispatch_ms\""));
         assert!(s.contains("\"cache_hit_rate\""));

@@ -12,12 +12,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use o2o_core::{NonSharingDispatcher, PreferenceParams, SharingDispatcher};
+use o2o_core::{PreferenceParams, SharingDispatcher};
 use o2o_geo::Euclidean;
 use o2o_par::{par_run, Parallelism};
 use o2o_sim::{policy, Cdf, DispatchPolicy, SimConfig, SimReport, Simulator};
 use o2o_trace::Trace;
 
+pub mod digests;
 pub mod gates;
 pub mod json;
 pub mod regress;
@@ -162,8 +163,9 @@ impl PolicyKind {
         self.build_parallel(params, Parallelism::sequential())
     }
 
-    /// Builds the policy with its internal pipeline stages running on
-    /// `par` threads. Results are bit-identical to [`PolicyKind::build`]
+    /// Builds the policy with the sharing dispatchers' internal pipeline
+    /// stages running on `par` threads (the other policies run
+    /// sequentially). Results are bit-identical to [`PolicyKind::build`]
     /// for every thread count; only wall-clock time changes.
     #[must_use]
     pub fn build_parallel(
@@ -171,14 +173,10 @@ impl PolicyKind {
         params: PreferenceParams,
         par: Parallelism,
     ) -> Box<dyn DispatchPolicy + Send> {
-        use o2o_sim::policy::{NstdPPolicy, NstdTPolicy, StdPPolicy, StdTPolicy};
+        use o2o_sim::policy::{StdPPolicy, StdTPolicy};
         match self {
-            PolicyKind::NstdP => Box::new(NstdPPolicy::from_dispatcher(
-                NonSharingDispatcher::new(Euclidean, params).with_parallelism(par),
-            )),
-            PolicyKind::NstdT => Box::new(NstdTPolicy::from_dispatcher(
-                NonSharingDispatcher::new(Euclidean, params).with_parallelism(par),
-            )),
+            PolicyKind::NstdP => Box::new(policy::nstd_p(Euclidean, params)),
+            PolicyKind::NstdT => Box::new(policy::nstd_t(Euclidean, params)),
             PolicyKind::Near => Box::new(policy::near(Euclidean, params)),
             PolicyKind::Pair => Box::new(policy::pair(Euclidean, params)),
             PolicyKind::Mini => Box::new(policy::mini(Euclidean, params)),

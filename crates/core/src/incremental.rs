@@ -25,33 +25,17 @@
 //! params are revalidated per frame, any id/position/seat change sends a
 //! taxi to the tested set or a request to the fresh path, and a frame
 //! whose solve is not recorded (the greedy rung) leaves the next frame
-//! uncertified. Warm and cold schedules are bit-identical for every frame
-//! delta; the property suites in `tests/warm_equivalence.rs` and
-//! `tests/row_certificate.rs` pin this the same way
-//! `tests/sparse_equivalence.rs` pins sparse == dense.
+//! uncertified. A fresh state builds every row fresh, which is what
+//! [`crate::NonSharingDispatcher::passenger_optimal`] and
+//! [`crate::NonSharingDispatcher::taxi_optimal`] do; warm and fresh
+//! schedules are bit-identical for every frame delta. The property suites
+//! in `tests/warm_equivalence.rs` and `tests/row_certificate.rs` pin
+//! this, and `tests/sparse_equivalence.rs` pins both against the dense
+//! reference ([`crate::CandidateMode::Dense`]).
 
 use o2o_matching::KeyedMatch;
 
-/// Whether an NSTD dispatch builds its candidate rows from the previous
-/// frame's stability certificate and solves them with keyed deferred
-/// acceptance.
-///
-/// Both modes produce **bit-identical schedules**; they differ only in
-/// how much candidate generation is redone per frame and in the matching
-/// engine (keyed deferred acceptance warm, rank-table instances cold).
-/// `Cold` is the rank-table reference the warm path is measured and
-/// property-tested against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IncrementalMode {
-    /// Build rows from the certificate and run keyed deferred acceptance
-    /// (the default).
-    #[default]
-    Warm,
-    /// Re-run every frame from scratch on rank tables.
-    Cold,
-}
-
-/// The warm NSTD path's cross-frame state: the stability certificate of
+/// The NSTD dispatch path's cross-frame state: the stability certificate of
 /// the last solved frame, keyed by stable identities so index churn
 /// between frames (taxis leaving/entering the idle set, requests being
 /// served or arriving) never mis-maps a taxi or request, and the keyed

@@ -11,11 +11,20 @@
 //! | Paper artefact | Here |
 //! |---|---|
 //! | §IV.A interest models (`D(t,r^s)`, `D(t,r^s) − α·D(r^s,r^d)`) | [`prefs`] |
-//! | Algorithm 1 (**NSTD-P**, passenger-optimal) | [`NonSharingDispatcher::passenger_optimal`] |
-//! | Algorithm 2 (all stable matchings, Rules 1–3; **NSTD-T**) | [`NonSharingDispatcher::all_schedules`] / [`NonSharingDispatcher::taxi_optimal`] |
+//! | Algorithm 1 (**NSTD-P**, passenger-optimal) | [`NonSharingDispatcher::dispatch`] with [`Proposing::Rows`]; [`NonSharingDispatcher::passenger_optimal`] |
+//! | **NSTD-T** (taxi-optimal) | [`NonSharingDispatcher::dispatch`] with [`Proposing::Columns`]; [`NonSharingDispatcher::taxi_optimal`] |
+//! | Algorithm 2 (all stable matchings, Rules 1–3) | [`NonSharingDispatcher::all_schedules`] |
 //! | Company's pick among stable matchings | [`NonSharingDispatcher::company_optimal`] |
 //! | §V shared-route search (Theorem 5; exhaustive ≤ 90 orders) | [`shared_route`] |
 //! | Algorithm 3 (**STD-P / STD-T**, set packing + Algorithm 1) | [`SharingDispatcher`] |
+//!
+//! Every non-sharing frame goes through one entry point,
+//! [`NonSharingDispatcher::dispatch`]: the frame's mutually acceptable
+//! pairs come from a taxi grid and the previous frame's stability
+//! certificate ([`IncrementalState`]) and are solved by keyed deferred
+//! acceptance, under a per-frame [`TimeBudget`]. The dense
+//! [`PreferenceModel`] ([`CandidateMode::Dense`]) is the reference that
+//! path is tested against, and the model Algorithm 2 enumerates on.
 //!
 //! # Examples
 //!
@@ -48,13 +57,13 @@ mod std_sharing;
 
 pub use company::{fare_revenue, CompanyObjective, FareModel};
 pub use degrade::{DegradeReason, Degraded, DispatchTier};
-pub use incremental::{IncrementalMode, IncrementalState};
+pub use incremental::IncrementalState;
 pub use nstd::{AnytimeOutcome, CandidateMode, NonSharingDispatcher};
-pub use o2o_matching::{TimeBudget, TimeBudgetSpec};
+pub use o2o_matching::{Proposing, TimeBudget, TimeBudgetSpec};
 pub use params::PreferenceParams;
 pub use prefs::{
     build_taxi_grid, candidate_radius, PickupDistances, PreferenceModel, RowCertificate,
-    SparsePickupDistances, SparsePreferenceModel,
+    SparsePickupDistances,
 };
 pub use schedule::{DispatchOutcome, Schedule};
 pub use shared_route::{RoutePlan, Stop, StopKind};

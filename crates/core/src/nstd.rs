@@ -2,26 +2,27 @@
 
 use crate::company::CompanyObjective;
 use crate::degrade::{DegradeReason, Degraded, DispatchTier};
-use crate::prefs::{
-    build_taxi_grid, PickupDistances, PreferenceModel, SparsePickupDistances, SparsePreferenceModel,
-};
-use crate::{PreferenceParams, Schedule};
+use crate::prefs::{build_taxi_grid, PickupDistances, PreferenceModel, SparsePickupDistances};
+use crate::{IncrementalState, PreferenceParams, Schedule};
 use o2o_geo::{GridIndex, Metric};
-use o2o_matching::{KeyedMatch, Matching, Proposing, StableInstance, TimeBudget};
+use o2o_matching::{KeyedMatch, Matching, Proposing, TimeBudget};
 use o2o_obs as obs;
-use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 
-/// How a [`NonSharingDispatcher`] builds its per-frame preference lists.
+/// How [`NonSharingDispatcher::dispatch`] builds a frame's preference
+/// lists.
 ///
-/// Both modes produce **bit-identical schedules** for every algorithm the
-/// dispatcher exposes (property-tested in `tests/sparse_equivalence.rs`);
-/// they differ only in cost: dense materialises the full `|R|×|T|` matrix,
-/// sparse enumerates only candidates within the dummy thresholds via a
-/// taxi grid — near-linear per frame at paper-scale thresholds.
+/// Both modes produce **bit-identical schedules** (property-tested in
+/// `tests/sparse_equivalence.rs`); they differ only in cost: dense
+/// materialises the full `|R|×|T|` matrix and rank tables, sparse
+/// enumerates only the mutually acceptable pairs via a taxi grid —
+/// near-linear per frame at paper-scale thresholds — and solves them with
+/// keyed deferred acceptance. Dense is the full-run reference the sparse
+/// path is checked against. Algorithm 2's enumeration always runs on the
+/// dense model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CandidateMode {
-    /// Full `|R|×|T|` preference matrices (the original path).
+    /// Full `|R|×|T|` preference matrices (the reference).
     Dense,
     /// Grid-pruned candidate generation (the default).
     #[default]
@@ -57,42 +58,17 @@ impl AnytimeOutcome {
     }
 }
 
-/// A frame's preference model in either candidate mode.
-#[derive(Debug, Clone)]
-enum FrameModel {
-    Dense(PreferenceModel),
-    Sparse(SparsePreferenceModel),
-}
-
-impl FrameModel {
-    fn instance(&self) -> &StableInstance {
-        match self {
-            FrameModel::Dense(m) => &m.instance,
-            FrameModel::Sparse(m) => &m.instance,
-        }
-    }
-
-    /// `D(t_i, r_j^s)` for a matched (hence mutually acceptable) pair.
-    fn pickup(&self, j: usize, i: usize) -> f64 {
-        match self {
-            FrameModel::Dense(m) => m.pickup[j][i],
-            FrameModel::Sparse(m) => m.pickup(j, i).expect("matched pair is mutually acceptable"),
-        }
-    }
-
-    /// Driver score for a matched (hence mutually acceptable) pair.
-    fn score(&self, i: usize, j: usize) -> f64 {
-        match self {
-            FrameModel::Dense(m) => m.score[i][j],
-            FrameModel::Sparse(m) => m.score(i, j).expect("matched pair is mutually acceptable"),
-        }
-    }
-}
-
 /// Non-sharing dispatcher: one request per taxi (§IV).
 ///
-/// Wraps a metric and the interest-model parameters; each dispatch call is
-/// a pure function of the current frame's idle taxis and pending requests.
+/// Wraps a metric and the interest-model parameters. Every NSTD frame goes
+/// through one entry point, [`dispatch`](Self::dispatch): Algorithm 1
+/// (NSTD-P) with requests proposing, NSTD-T with taxis proposing, under a
+/// per-frame [`TimeBudget`]. Algorithm 2 and its selections
+/// ([`all_schedules`](Self::all_schedules),
+/// [`company_optimal`](Self::company_optimal),
+/// [`egalitarian`](Self::egalitarian), [`median`](Self::median),
+/// [`taxi_optimal_anytime`](Self::taxi_optimal_anytime)) enumerate the
+/// stable set on the dense [`PreferenceModel`].
 ///
 /// # Examples
 ///
@@ -114,13 +90,11 @@ impl FrameModel {
 pub struct NonSharingDispatcher<M> {
     metric: M,
     params: PreferenceParams,
-    par: Parallelism,
     mode: CandidateMode,
 }
 
 impl<M: Metric> NonSharingDispatcher<M> {
-    /// Creates a dispatcher (single-threaded; see
-    /// [`with_parallelism`](Self::with_parallelism)).
+    /// Creates a dispatcher.
     ///
     /// # Panics
     ///
@@ -131,18 +105,8 @@ impl<M: Metric> NonSharingDispatcher<M> {
         NonSharingDispatcher {
             metric,
             params,
-            par: Parallelism::sequential(),
             mode: CandidateMode::default(),
         }
-    }
-
-    /// Sets the thread budget for preference construction. Results are
-    /// bit-identical for every setting; `Parallelism::sequential()` is
-    /// the plain single-threaded pass.
-    #[must_use]
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.par = par;
-        self
     }
 
     /// The metric in use.
@@ -155,12 +119,6 @@ impl<M: Metric> NonSharingDispatcher<M> {
     #[must_use]
     pub fn params(&self) -> &PreferenceParams {
         &self.params
-    }
-
-    /// The thread budget in use.
-    #[must_use]
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
     }
 
     /// Sets the candidate-generation mode. Schedules are bit-identical in
@@ -177,63 +135,130 @@ impl<M: Metric> NonSharingDispatcher<M> {
         self.mode
     }
 
-    /// Builds the frame's preference model (exposed for inspection,
-    /// ablations and reuse across the `*_optimal` variants).
+    /// Builds the frame's dense preference model (exposed for inspection
+    /// and ablations).
     #[must_use]
     pub fn preferences(&self, taxis: &[Taxi], requests: &[Request]) -> PreferenceModel {
-        self.preferences_with(taxis, requests, None)
+        PreferenceModel::build(&self.metric, &self.params, taxis, requests)
     }
 
-    /// [`preferences`](Self::preferences), reusing a precomputed pick-up
-    /// distance matrix (e.g. the simulator's per-frame precomputation).
+    /// One NSTD frame: the stable schedule with `side` proposing —
+    /// [`Proposing::Rows`] is **Algorithm 1 (NSTD-P)**, requests propose;
+    /// [`Proposing::Columns`] is **NSTD-T**, taxis propose — stepping down
+    /// the degradation ladder under `budget`.
+    ///
+    /// Among all stable schedules, NSTD-P gives every request its best
+    /// achievable taxi (Property 2) and NSTD-T every taxi its best
+    /// request; a request either leaves unserved is unserved in every
+    /// stable schedule (Theorem 2). NSTD-T is deferred acceptance with the
+    /// roles swapped, which coincides with the taxi-best schedule of
+    /// Algorithm 2's enumeration (property-tested in this crate).
+    ///
+    /// In [`CandidateMode::Sparse`] (the default) the frame's candidate
+    /// rows — its mutually acceptable pairs — are built through
+    /// `taxi_grid` (one is built when `None`) with the help of the
+    /// stability certificate the previous frame left in `state` (see
+    /// [`SparsePickupDistances::compute_incremental`]), then solved by
+    /// keyed deferred acceptance ([`o2o_matching::KeyedMatch`]); the solve
+    /// is recorded in `state` and certifies the next frame. A fresh
+    /// `state` builds every row fresh. In [`CandidateMode::Dense`] the
+    /// frame runs deferred acceptance on the dense [`PreferenceModel`],
+    /// built from `pickup_distances` when given, and `state` is not read.
+    /// Both modes, and warm or fresh states, yield bit-identical
+    /// schedules (`tests/sparse_equivalence.rs`,
+    /// `tests/warm_equivalence.rs`, `tests/row_certificate.rs`).
+    ///
+    /// The ladder: a deadline already passed at entry gives
+    /// greedy-nearest ([`greedy_nearest`](Self::greedy_nearest)) — building
+    /// candidates is the dominant cost, so it is the one thing an
+    /// exhausted frame must not start — and clears `state`, since a greedy
+    /// schedule is not stable and certifies nothing. NSTD-T past the
+    /// deadline once its candidates exist steps down to NSTD-P on them:
+    /// one deferred-acceptance pass, the cheapest stable answer the
+    /// candidates afford (sparse rows, built for taxis to propose, are
+    /// sorted first). Each step down comes back as a [`Degraded`] marker;
+    /// with an unlimited budget there is none.
+    #[allow(clippy::too_many_arguments)]
     #[must_use]
-    pub fn preferences_with(
+    pub fn dispatch(
         &self,
         taxis: &[Taxi],
         requests: &[Request],
+        taxi_grid: Option<&GridIndex<usize>>,
         pickup_distances: Option<&PickupDistances>,
-    ) -> PreferenceModel {
-        PreferenceModel::build_with(
-            &self.metric,
-            &self.params,
-            taxis,
-            requests,
-            self.par,
-            pickup_distances,
-        )
+        state: &mut IncrementalState,
+        side: Proposing,
+        budget: &TimeBudget,
+    ) -> (Schedule, Option<Degraded>) {
+        let tier = match side {
+            Proposing::Rows => DispatchTier::NstdP,
+            Proposing::Columns => DispatchTier::NstdT,
+        };
+        if budget.exhausted() {
+            state.clear();
+            let degraded = Degraded {
+                from: tier,
+                to: DispatchTier::GreedyNearest,
+                reason: DegradeReason::DeadlineExceeded {
+                    stage: "before preference construction",
+                },
+            };
+            return (self.greedy_nearest(taxis, requests), Some(degraded));
+        }
+        // Past the deadline once the candidates exist, NSTD-P on them.
+        let rung = || {
+            if side == Proposing::Rows || !budget.exhausted() {
+                return (side, None);
+            }
+            let degraded = Degraded {
+                from: tier,
+                to: DispatchTier::NstdP,
+                reason: DegradeReason::DeadlineExceeded {
+                    stage: "after preference construction",
+                },
+            };
+            (Proposing::Rows, Some(degraded))
+        };
+        match self.mode {
+            CandidateMode::Dense => {
+                let model = PreferenceModel::build_with(
+                    &self.metric,
+                    &self.params,
+                    taxis,
+                    requests,
+                    pickup_distances,
+                );
+                let (proposing, degraded) = rung();
+                let m = match proposing {
+                    Proposing::Rows => model.instance.propose(),
+                    Proposing::Columns => model.instance.reviewer_optimal(),
+                };
+                (to_schedule(taxis, requests, &model, &m), degraded)
+            }
+            CandidateMode::Sparse => {
+                let rows = self.candidates(taxis, requests, taxi_grid, side, state);
+                let (proposing, degraded) = rung();
+                if proposing != side {
+                    rows.sort_rows();
+                }
+                let IncrementalState { cert, solver } = state;
+                let schedule = keyed_schedule(taxis, requests, cert.rows(), solver, proposing);
+                cert.record_solve(solver);
+                (schedule, degraded)
+            }
+        }
     }
 
-    /// Builds the frame's sparse preference model, optionally reusing a
-    /// shared per-frame taxi grid (see [`crate::build_taxi_grid`]).
-    #[must_use]
-    pub fn sparse_preferences(
+    /// This frame's candidate rows for `side` to propose on, built from
+    /// the certificate in `state` under the `preference_build` span, which
+    /// also covers building a taxi grid when none is shared.
+    fn candidates<'c>(
         &self,
         taxis: &[Taxi],
         requests: &[Request],
         taxi_grid: Option<&GridIndex<usize>>,
-    ) -> SparsePreferenceModel {
-        SparsePreferenceModel::build_with(
-            &self.metric,
-            &self.params,
-            taxis,
-            requests,
-            self.par,
-            taxi_grid,
-        )
-    }
-
-    /// The warm path's candidate rows: this frame's mutually acceptable
-    /// pairs for `proposing` to propose on, built from the certificate in
-    /// `state` (see [`SparsePickupDistances::compute_incremental`]) under
-    /// the `preference_build` span, which also covers building a taxi
-    /// grid when none is shared.
-    fn warm_candidates<'c>(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        proposing: Proposing,
-        state: &'c mut crate::IncrementalState,
+        side: Proposing,
+        state: &'c mut IncrementalState,
     ) -> &'c mut SparsePickupDistances {
         let _span = obs::span("preference_build");
         let owned;
@@ -250,193 +275,32 @@ impl<M: Metric> NonSharingDispatcher<M> {
             taxis,
             requests,
             grid,
-            self.par,
-            proposing,
+            side,
             &mut state.cert,
         )
     }
 
-    /// Keyed deferred acceptance on the rows
-    /// [`warm_candidates`](Self::warm_candidates) just built, with
-    /// `proposing` proposing; records the result so it certifies the next
-    /// frame.
-    fn warm_solve(
-        taxis: &[Taxi],
-        requests: &[Request],
-        state: &mut crate::IncrementalState,
-        proposing: Proposing,
-    ) -> Schedule {
-        let crate::IncrementalState { cert, solver } = state;
-        let schedule = keyed_schedule(taxis, requests, cert.rows(), solver, proposing);
-        cert.record_solve(solver);
-        schedule
-    }
-
-    /// One warm frame: candidate rows from the certificate, then keyed
-    /// deferred acceptance with `proposing` proposing. Dense mode has no
-    /// candidate rows and runs the cold dense path instead.
-    fn warm(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: &mut crate::IncrementalState,
-        proposing: Proposing,
-    ) -> Schedule {
-        if self.mode == CandidateMode::Dense {
-            return match proposing {
-                Proposing::Rows => self.passenger_optimal_with_grid(taxis, requests, taxi_grid),
-                Proposing::Columns => self.taxi_optimal_with_grid(taxis, requests, taxi_grid),
-            };
-        }
-        self.warm_candidates(taxis, requests, taxi_grid, proposing, state);
-        Self::warm_solve(taxis, requests, state, proposing)
-    }
-
-    /// Builds the frame model in the configured [`CandidateMode`].
-    ///
-    /// A provided dense pick-up matrix forces the dense path (that is its
-    /// contract — the matrix *is* the dense precomputation); a provided
-    /// taxi grid is only consulted on the sparse path.
-    fn frame_model(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-        taxi_grid: Option<&GridIndex<usize>>,
-    ) -> FrameModel {
-        if self.mode == CandidateMode::Dense || pickup_distances.is_some() {
-            FrameModel::Dense(self.preferences_with(taxis, requests, pickup_distances))
-        } else {
-            FrameModel::Sparse(self.sparse_preferences(taxis, requests, taxi_grid))
-        }
-    }
-
-    /// **Algorithm 1 (NSTD-P)**: the passenger-optimal stable schedule.
-    ///
-    /// Among all stable schedules, every request gets its best achievable
-    /// taxi (Property 2); requests unserved here are unserved in every
-    /// stable schedule (Theorem 2). `O(|R|·|T|)` after preference
-    /// construction.
+    /// **Algorithm 1 (NSTD-P)**: the passenger-optimal stable schedule —
+    /// [`dispatch`](Self::dispatch) with requests proposing, a fresh state
+    /// and an unlimited budget.
     #[must_use]
     pub fn passenger_optimal(&self, taxis: &[Taxi], requests: &[Request]) -> Schedule {
-        self.passenger_optimal_with(taxis, requests, None)
+        self.fresh(taxis, requests, Proposing::Rows)
     }
 
-    /// [`passenger_optimal`](Self::passenger_optimal), reusing a
-    /// precomputed pick-up distance matrix.
-    #[must_use]
-    pub fn passenger_optimal_with(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-    ) -> Schedule {
-        let model = self.frame_model(taxis, requests, pickup_distances, None);
-        let m = model.instance().propose();
-        self.to_schedule(taxis, requests, &model, &m)
-    }
-
-    /// [`passenger_optimal`](Self::passenger_optimal), reusing a shared
-    /// per-frame taxi grid on the sparse path (ignored in dense mode).
-    #[must_use]
-    pub fn passenger_optimal_with_grid(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-    ) -> Schedule {
-        let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let m = Self::cold_match(&model, Proposing::Rows);
-        self.to_schedule(taxis, requests, &model, &m)
-    }
-
-    /// [`passenger_optimal`](Self::passenger_optimal) on the warm path:
-    /// candidate rows built from the previous solved frame's stability
-    /// certificate in `state`, then keyed deferred acceptance on them
-    /// (requests propose) — no rank table or [`StableInstance`] is built.
-    /// The solve is recorded in `state` and certifies the next frame.
-    ///
-    /// Bit-identical to the cold
-    /// [`passenger_optimal_with_grid`](Self::passenger_optimal_with_grid)
-    /// for **every** frame delta: the rows hold exactly the fresh rows'
-    /// entries, and keyed deferred acceptance compares the same keys the
-    /// rank lists are sorted by (see [`o2o_matching::KeyedMatch`]).
-    /// Property-tested in `tests/warm_equivalence.rs` and
-    /// `tests/row_certificate.rs`.
-    #[must_use]
-    pub fn passenger_optimal_incremental(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: &mut crate::IncrementalState,
-    ) -> Schedule {
-        self.warm(taxis, requests, taxi_grid, state, Proposing::Rows)
-    }
-
-    /// **NSTD-T**: the taxi-optimal stable schedule.
-    ///
-    /// Computed by role-swapped deferred acceptance (taxis propose), which
-    /// coincides with picking the taxi-best schedule from Algorithm 2's
-    /// enumeration (property-tested in this crate).
+    /// **NSTD-T**: the taxi-optimal stable schedule —
+    /// [`dispatch`](Self::dispatch) with taxis proposing, a fresh state and
+    /// an unlimited budget.
     #[must_use]
     pub fn taxi_optimal(&self, taxis: &[Taxi], requests: &[Request]) -> Schedule {
-        self.taxi_optimal_with(taxis, requests, None)
+        self.fresh(taxis, requests, Proposing::Columns)
     }
 
-    /// [`taxi_optimal`](Self::taxi_optimal), reusing a precomputed
-    /// pick-up distance matrix.
-    #[must_use]
-    pub fn taxi_optimal_with(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-    ) -> Schedule {
-        let model = self.frame_model(taxis, requests, pickup_distances, None);
-        let m = model.instance().reviewer_optimal();
-        self.to_schedule(taxis, requests, &model, &m)
-    }
-
-    /// [`taxi_optimal`](Self::taxi_optimal), reusing a shared per-frame
-    /// taxi grid on the sparse path (ignored in dense mode).
-    #[must_use]
-    pub fn taxi_optimal_with_grid(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-    ) -> Schedule {
-        let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let m = Self::cold_match(&model, Proposing::Columns);
-        self.to_schedule(taxis, requests, &model, &m)
-    }
-
-    /// [`taxi_optimal`](Self::taxi_optimal) on the warm path: candidate
-    /// rows from the certificate, left unsorted, then keyed deferred
-    /// acceptance with taxis proposing. Bit-identical to the cold
-    /// [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid) for every
-    /// frame delta (see
-    /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental)).
-    #[must_use]
-    pub fn taxi_optimal_incremental(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: &mut crate::IncrementalState,
-    ) -> Schedule {
-        self.warm(taxis, requests, taxi_grid, state, Proposing::Columns)
-    }
-
-    /// Deferred acceptance on a cold frame model with `proposing`
-    /// proposing.
-    fn cold_match(model: &FrameModel, proposing: Proposing) -> Matching {
-        match proposing {
-            Proposing::Rows => model.instance().propose(),
-            Proposing::Columns => model.instance().reviewer_optimal(),
-        }
+    fn fresh(&self, taxis: &[Taxi], requests: &[Request], side: Proposing) -> Schedule {
+        let mut state = IncrementalState::new();
+        let unlimited = TimeBudget::unlimited();
+        self.dispatch(taxis, requests, None, None, &mut state, side, &unlimited)
+            .0
     }
 
     /// The bottom rung of the degradation ladder: each request, in
@@ -498,124 +362,6 @@ impl<M: Metric> NonSharingDispatcher<M> {
         )
     }
 
-    /// [`passenger_optimal`](Self::passenger_optimal) under a per-frame
-    /// [`TimeBudget`]: NSTD-P when the budget allows, greedy-nearest
-    /// (with an explicit [`Degraded`] marker) when the deadline has
-    /// already passed at entry — preference construction is the dominant
-    /// cost, so it is the one thing an exhausted frame must not start.
-    ///
-    /// `state` selects the warm incremental path (as in
-    /// [`passenger_optimal_incremental`](Self::passenger_optimal_incremental)).
-    /// A greedy fallback clears it: its schedule is not stable, so it
-    /// certifies nothing, and the next warm frame builds fresh rows. With
-    /// an unlimited budget the result is bit-identical to the
-    /// corresponding unbudgeted call.
-    #[must_use]
-    pub fn passenger_optimal_budgeted(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: Option<&mut crate::IncrementalState>,
-        budget: &TimeBudget,
-    ) -> (Schedule, Option<Degraded>) {
-        if budget.exhausted() {
-            if let Some(state) = state {
-                state.clear();
-            }
-            let degraded = Degraded {
-                from: DispatchTier::NstdP,
-                to: DispatchTier::GreedyNearest,
-                reason: DegradeReason::DeadlineExceeded {
-                    stage: "before preference construction",
-                },
-            };
-            return (self.greedy_nearest(taxis, requests), Some(degraded));
-        }
-        let schedule = match state {
-            Some(state) => self.warm(taxis, requests, taxi_grid, state, Proposing::Rows),
-            None => {
-                let model = self.frame_model(taxis, requests, pickup_distances, taxi_grid);
-                let m = Self::cold_match(&model, Proposing::Rows);
-                self.to_schedule(taxis, requests, &model, &m)
-            }
-        };
-        (schedule, None)
-    }
-
-    /// [`taxi_optimal`](Self::taxi_optimal) under a per-frame
-    /// [`TimeBudget`] — the full ladder. Deadline already passed at
-    /// entry: greedy-nearest (clearing `state`, as in
-    /// [`passenger_optimal_budgeted`](Self::passenger_optimal_budgeted)).
-    /// Deadline passed after preference construction: NSTD-P on the
-    /// just-built model — the passenger-optimal matching is one
-    /// deferred-acceptance pass, the cheapest stable answer the model
-    /// affords; the warm path sorts its rows first, since they were built
-    /// for taxis to propose. Otherwise: NSTD-T.
-    /// Each step down is reported as a [`Degraded`] marker; with an
-    /// unlimited budget the result is bit-identical to the corresponding
-    /// unbudgeted call.
-    #[must_use]
-    pub fn taxi_optimal_budgeted(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        pickup_distances: Option<&PickupDistances>,
-        taxi_grid: Option<&GridIndex<usize>>,
-        state: Option<&mut crate::IncrementalState>,
-        budget: &TimeBudget,
-    ) -> (Schedule, Option<Degraded>) {
-        if budget.exhausted() {
-            if let Some(state) = state {
-                state.clear();
-            }
-            let degraded = Degraded {
-                from: DispatchTier::NstdT,
-                to: DispatchTier::GreedyNearest,
-                reason: DegradeReason::DeadlineExceeded {
-                    stage: "before preference construction",
-                },
-            };
-            return (self.greedy_nearest(taxis, requests), Some(degraded));
-        }
-        // Past the deadline once the candidates exist, NSTD-P on them.
-        let rung = |budget: &TimeBudget| {
-            if !budget.exhausted() {
-                return (Proposing::Columns, None);
-            }
-            let degraded = Degraded {
-                from: DispatchTier::NstdT,
-                to: DispatchTier::NstdP,
-                reason: DegradeReason::DeadlineExceeded {
-                    stage: "after preference construction",
-                },
-            };
-            (Proposing::Rows, Some(degraded))
-        };
-        // Dense mode carries nothing and takes the stateless rungs.
-        match state.filter(|_| self.mode == CandidateMode::Sparse) {
-            Some(state) => {
-                let rows =
-                    self.warm_candidates(taxis, requests, taxi_grid, Proposing::Columns, state);
-                let (proposing, degraded) = rung(budget);
-                if proposing == Proposing::Rows {
-                    rows.sort_rows();
-                }
-                (
-                    Self::warm_solve(taxis, requests, state, proposing),
-                    degraded,
-                )
-            }
-            None => {
-                let model = self.frame_model(taxis, requests, pickup_distances, taxi_grid);
-                let (proposing, degraded) = rung(budget);
-                let m = Self::cold_match(&model, proposing);
-                (self.to_schedule(taxis, requests, &model, &m), degraded)
-            }
-        }
-    }
-
     /// **Anytime NSTD-T**: the taxi-optimal search as a budgeted
     /// best-so-far walk of the BreakDispatch lattice, instead of the
     /// all-or-nothing role-swapped pass.
@@ -627,20 +373,21 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// Every answer — at any budget, including a zero one — is a *stable*
     /// schedule at least as good for every taxi as NSTD-P; with an
     /// unlimited budget the result is bit-identical to
-    /// [`taxi_optimal_with_grid`](Self::taxi_optimal_with_grid). The
-    /// returned [`AnytimeOutcome`] carries the measured optimality gap
-    /// for the budget actually spent.
+    /// [`taxi_optimal`](Self::taxi_optimal). The returned
+    /// [`AnytimeOutcome`] carries the measured optimality gap for the
+    /// budget actually spent; its rank costs are positions in the dense
+    /// lists, so they count every above-dummy entry, as
+    /// [`egalitarian`](Self::egalitarian)'s do.
     #[must_use]
     pub fn taxi_optimal_anytime(
         &self,
         taxis: &[Taxi],
         requests: &[Request],
-        taxi_grid: Option<&GridIndex<usize>>,
         budget: &TimeBudget,
     ) -> (Schedule, AnytimeOutcome) {
-        let model = self.frame_model(taxis, requests, None, taxi_grid);
-        let search = model.instance().reviewer_optimal_anytime(budget);
-        let schedule = self.to_schedule(taxis, requests, &model, &search.best);
+        let model = self.preferences(taxis, requests);
+        let search = model.instance.reviewer_optimal_anytime(budget);
+        let schedule = to_schedule(taxis, requests, &model, &search.best);
         let outcome = AnytimeOutcome {
             taxi_cost: search.reviewer_cost,
             lower_bound: search.lower_bound,
@@ -670,12 +417,12 @@ impl<M: Metric> NonSharingDispatcher<M> {
         requests: &[Request],
         limit: Option<usize>,
     ) -> Vec<Schedule> {
-        let model = self.frame_model(taxis, requests, None, None);
+        let model = self.preferences(taxis, requests);
         model
-            .instance()
+            .instance
             .enumerate_all(limit)
             .iter()
-            .map(|m| self.to_schedule(taxis, requests, &model, m))
+            .map(|m| to_schedule(taxis, requests, &model, m))
             .collect()
     }
 
@@ -693,12 +440,12 @@ impl<M: Metric> NonSharingDispatcher<M> {
         limit: Option<usize>,
         budget: &TimeBudget,
     ) -> (Vec<Schedule>, Option<Degraded>) {
-        let model = self.frame_model(taxis, requests, None, None);
-        let e = model.instance().enumerate_budgeted(limit, budget);
+        let model = self.preferences(taxis, requests);
+        let e = model.instance.enumerate_budgeted(limit, budget);
         let schedules = e
             .matchings
             .iter()
-            .map(|m| self.to_schedule(taxis, requests, &model, m))
+            .map(|m| to_schedule(taxis, requests, &model, m))
             .collect();
         let degraded = e.truncated.then(|| Degraded {
             from: DispatchTier::FullEnumeration,
@@ -784,12 +531,10 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// An extension beyond the paper (its §II cites the fairness-variant
     /// literature); useful when the company wants neither side to dominate.
     ///
-    /// Always evaluated on the **dense** preference lists regardless of
-    /// [`CandidateMode`]: the rank sums being minimised count *every*
-    /// above-dummy entry, including partners the other side rejects, so
-    /// the sparse lists (which drop those no-op entries) would tie-break
-    /// differently. Keeping this on the dense path preserves the
-    /// historical definition.
+    /// The rank sums being minimised are positions in the dense lists, so
+    /// they count *every* above-dummy entry, including partners the other
+    /// side rejects; ranks over the mutually acceptable entries alone
+    /// could tie-break differently.
     #[must_use]
     pub fn egalitarian(
         &self,
@@ -803,8 +548,7 @@ impl<M: Metric> NonSharingDispatcher<M> {
             .instance
             .egalitarian(&all)
             .expect("enumeration yields at least one matching");
-        let model = FrameModel::Dense(model);
-        self.to_schedule(taxis, requests, &model, best)
+        to_schedule(taxis, requests, &model, best)
     }
 
     /// The **median** stable schedule (Teo–Sethuraman): every request gets
@@ -813,13 +557,13 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// cites Sethuraman's median stable matchings \[13\]).
     #[must_use]
     pub fn median(&self, taxis: &[Taxi], requests: &[Request], limit: Option<usize>) -> Schedule {
-        let model = self.frame_model(taxis, requests, None, None);
-        let all = model.instance().enumerate_all(limit);
+        let model = self.preferences(taxis, requests);
+        let all = model.instance.enumerate_all(limit);
         let median = model
-            .instance()
+            .instance
             .median_stable_matching(&all)
             .expect("enumeration yields at least one matching");
-        self.to_schedule(taxis, requests, &model, &median)
+        to_schedule(taxis, requests, &model, &median)
     }
 
     /// Whether `schedule` is stable for the given frame (Definition 1).
@@ -828,51 +572,45 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// (e.g. the baselines, which are generally *not* stable).
     #[must_use]
     pub fn is_stable(&self, taxis: &[Taxi], requests: &[Request], schedule: &Schedule) -> bool {
-        let model = self.preferences(taxis, requests);
-        let mut m = Matching::empty(requests.len(), taxis.len());
-        let taxi_pos: std::collections::HashMap<_, _> =
-            taxis.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
-        for (j, r) in requests.iter().enumerate() {
-            if let Some(tid) = schedule.assignment_of(r.id).taxi() {
-                m.link(j, taxi_pos[&tid]);
-            }
-        }
-        model.instance.is_stable(&m)
-    }
-
-    fn to_schedule(
-        &self,
-        taxis: &[Taxi],
-        requests: &[Request],
-        model: &FrameModel,
-        m: &Matching,
-    ) -> Schedule {
-        let request_ids = requests.iter().map(|r| r.id).collect();
-        let taxi_ids = taxis.iter().map(|t| t.id).collect();
-        let request_to_taxi: Vec<Option<usize>> =
-            (0..requests.len()).map(|j| m.proposer_partner(j)).collect();
-        let passenger_cost = request_to_taxi
+        let pairs: Vec<(RequestId, TaxiId)> = requests
             .iter()
-            .enumerate()
-            .map(|(j, ti)| ti.map(|i| model.pickup(j, i)))
+            .filter_map(|r| schedule.assignment_of(r.id).taxi().map(|t| (r.id, t)))
             .collect();
-        let taxi_cost = (0..taxis.len())
-            .map(|i| m.reviewer_partner(i).map(|j| model.score(i, j)))
-            .collect();
-        Schedule::from_parts(
-            request_ids,
-            taxi_ids,
-            request_to_taxi,
-            passenger_cost,
-            taxi_cost,
-        )
+        self.is_stable_assignment(taxis, requests, &pairs)
     }
+}
+
+/// The schedule of matching `m` on the dense model, with each side's cost
+/// read off its matrix.
+fn to_schedule(
+    taxis: &[Taxi],
+    requests: &[Request],
+    model: &PreferenceModel,
+    m: &Matching,
+) -> Schedule {
+    let request_to_taxi: Vec<Option<usize>> =
+        (0..requests.len()).map(|j| m.proposer_partner(j)).collect();
+    let passenger_cost = request_to_taxi
+        .iter()
+        .enumerate()
+        .map(|(j, ti)| ti.map(|i| model.pickup[j][i]))
+        .collect();
+    let taxi_cost = (0..taxis.len())
+        .map(|i| m.reviewer_partner(i).map(|j| model.score[i][j]))
+        .collect();
+    Schedule::from_parts(
+        requests.iter().map(|r| r.id).collect(),
+        taxis.iter().map(|t| t.id).collect(),
+        request_to_taxi,
+        passenger_cost,
+        taxi_cost,
+    )
 }
 
 /// Runs keyed deferred acceptance on a frame's candidate rows and reads
 /// the schedule's costs straight off the matched entries: the pick-up
 /// distance for the passenger, the score for the driver — the same floats
-/// the rank-table paths report.
+/// the dense model reports.
 fn keyed_schedule(
     taxis: &[Taxi],
     requests: &[Request],
@@ -1164,20 +902,43 @@ mod tests {
     fn unlimited_budget_is_bit_identical_to_unbudgeted() {
         let mut rng = StdRng::seed_from_u64(0xB1D6);
         let unlimited = o2o_matching::TimeBudget::unlimited();
+        let params = PreferenceParams::paper().with_passenger_threshold(8.0);
         for _ in 0..40 {
             let (taxis, requests) = random_frame(&mut rng, 4, 5);
-            let params = PreferenceParams::paper().with_passenger_threshold(8.0);
-            let d = NonSharingDispatcher::new(Euclidean, params);
-            let (p, dp) =
-                d.passenger_optimal_budgeted(&taxis, &requests, None, None, None, &unlimited);
-            assert_eq!(dp, None);
-            assert_eq!(p, d.passenger_optimal(&taxis, &requests));
-            let (t, dt) = d.taxi_optimal_budgeted(&taxis, &requests, None, None, None, &unlimited);
-            assert_eq!(dt, None);
-            assert_eq!(t, d.taxi_optimal(&taxis, &requests));
-            let (all, da) = d.all_schedules_budgeted(&taxis, &requests, None, &unlimited);
-            assert_eq!(da, None);
-            assert_eq!(all, d.all_schedules(&taxis, &requests, None));
+            let dense = NonSharingDispatcher::new(Euclidean, params)
+                .with_candidate_mode(CandidateMode::Dense);
+            let expected = [
+                (Proposing::Rows, dense.passenger_optimal(&taxis, &requests)),
+                (Proposing::Columns, dense.taxi_optimal(&taxis, &requests)),
+            ];
+            let grid = build_taxi_grid(&taxis);
+            let pickup = PickupDistances::compute(
+                &Euclidean,
+                &taxis,
+                &requests,
+                o2o_par::Parallelism::sequential(),
+            );
+            for mode in [CandidateMode::Dense, CandidateMode::Sparse] {
+                let d = NonSharingDispatcher::new(Euclidean, params).with_candidate_mode(mode);
+                for (side, want) in &expected {
+                    // Fresh and carried state, with and without the
+                    // engine's shared grid and pick-up matrix.
+                    let mut state = IncrementalState::new();
+                    for (grid, pickup) in [(None, None), (Some(&grid), Some(&pickup))] {
+                        let (s, degraded) = d.dispatch(
+                            &taxis, &requests, grid, pickup, &mut state, *side, &unlimited,
+                        );
+                        assert_eq!(degraded, None);
+                        assert_eq!(&s, want, "{mode:?} {side:?}");
+                    }
+                }
+                let (all, da) = d.all_schedules_budgeted(&taxis, &requests, None, &unlimited);
+                assert_eq!(da, None);
+                assert_eq!(all, d.all_schedules(&taxis, &requests, None));
+                assert_eq!(all[0], expected[0].1);
+                let (anytime, _) = d.taxi_optimal_anytime(&taxis, &requests, &unlimited);
+                assert_eq!(anytime, expected[1].1);
+            }
         }
     }
 
@@ -1191,36 +952,40 @@ mod tests {
             .with_deadline(std::time::Duration::ZERO)
             .start();
         let unlimited = o2o_matching::TimeBudget::unlimited();
-        for (taxi_side, tier) in [(false, DispatchTier::NstdP), (true, DispatchTier::NstdT)] {
-            let budgeted = |state: Option<&mut crate::IncrementalState>, budget| {
-                if taxi_side {
-                    d.taxi_optimal_budgeted(&taxis, &requests, None, None, state, budget)
-                } else {
-                    d.passenger_optimal_budgeted(&taxis, &requests, None, None, state, budget)
-                }
+        for (side, tier) in [
+            (Proposing::Rows, DispatchTier::NstdP),
+            (Proposing::Columns, DispatchTier::NstdT),
+        ] {
+            let dispatch = |state: &mut IncrementalState, budget| {
+                d.dispatch(&taxis, &requests, None, None, state, side, budget)
             };
             // Warm up a state, then hit it with an expired budget: the
-            // frame degrades to greedy, stateful or not.
-            let mut state = crate::IncrementalState::new();
-            let (warm, none) = budgeted(Some(&mut state), &unlimited);
+            // frame degrades to greedy, warm state or fresh.
+            let mut state = IncrementalState::new();
+            let (warm, none) = dispatch(&mut state, &unlimited);
             assert_eq!(none, None);
-            let (s, degraded) = budgeted(Some(&mut state), &expired);
+            let (s, degraded) = dispatch(&mut state, &expired);
             assert_eq!(s, d.greedy_nearest(&taxis, &requests));
             let degraded = degraded.expect("expired budget must degrade");
             assert_eq!(degraded.from, tier);
             assert_eq!(degraded.to, DispatchTier::GreedyNearest);
-            assert_eq!(budgeted(None, &expired).0, s);
+            assert_eq!(dispatch(&mut IncrementalState::new(), &expired).0, s);
             // The greedy frame certifies nothing: the next warm frame
             // builds fresh rows and is still the exact stable schedule.
-            let (after, none) = budgeted(Some(&mut state), &unlimited);
+            let (after, none) = dispatch(&mut state, &unlimited);
             assert_eq!(none, None);
             assert_eq!(after, warm);
-            let cold = if taxi_side {
-                d.taxi_optimal(&taxis, &requests)
-            } else {
-                d.passenger_optimal(&taxis, &requests)
-            };
-            assert_eq!(after, cold);
+            let dense = d.clone().with_candidate_mode(CandidateMode::Dense);
+            let (reference, _) = dense.dispatch(
+                &taxis,
+                &requests,
+                None,
+                None,
+                &mut IncrementalState::new(),
+                side,
+                &unlimited,
+            );
+            assert_eq!(after, reference);
         }
     }
 

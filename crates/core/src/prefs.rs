@@ -10,8 +10,11 @@
 //!   exceeds the driver threshold, and parties that do not fit, fall below
 //!   the dummy.
 //!
-//! The result is a [`StableInstance`] (requests propose, taxis review) plus
-//! the raw cost matrices needed to report dissatisfaction afterwards.
+//! [`PreferenceModel`] holds the dense lists as a [`StableInstance`]
+//! (requests propose, taxis review) plus the raw cost matrices needed to
+//! report dissatisfaction afterwards. [`SparsePickupDistances`] holds only
+//! the mutually acceptable pairs, each with both preference keys — the rows
+//! the production dispatch path solves with keyed deferred acceptance.
 
 use crate::PreferenceParams;
 use o2o_geo::{heuristic_cell_size, BBox, GridIndex, Metric, Point};
@@ -135,27 +138,18 @@ impl PreferenceModel {
         taxis: &[Taxi],
         requests: &[Request],
     ) -> Self {
-        Self::build_with(
-            metric,
-            params,
-            taxis,
-            requests,
-            Parallelism::sequential(),
-            None,
-        )
+        Self::build_with(metric, params, taxis, requests, None)
     }
 
-    /// [`build`](Self::build) with an explicit thread budget and an
-    /// optional precomputed pick-up distance matrix.
+    /// [`build`](Self::build) with an optional precomputed pick-up
+    /// distance matrix.
     ///
-    /// The result is bit-identical for every `par`: rows are independent
-    /// and the parallel map preserves input order, so every float is the
-    /// same operation on the same inputs as the sequential pass. When
-    /// `pickup_distances` is given (shape-checked against the inputs) the
-    /// matrix pass reuses it instead of querying the metric — it must
+    /// When `pickup_distances` is given (shape-checked against the inputs)
+    /// the matrix pass reuses it instead of querying the metric — it must
     /// therefore have been computed with this same `metric` (a memoizing
     /// wrapper such as a distance cache over it is fine); debug builds
-    /// assert a sampled entry agrees.
+    /// assert a sampled entry agrees. The entries are the metric's own
+    /// answers, so the model is bit-identical either way.
     ///
     /// # Panics
     ///
@@ -167,7 +161,6 @@ impl PreferenceModel {
         params: &PreferenceParams,
         taxis: &[Taxi],
         requests: &[Request],
-        par: Parallelism,
         pickup_distances: Option<&PickupDistances>,
     ) -> Self {
         let _span = obs::span("preference_build");
@@ -204,10 +197,11 @@ impl PreferenceModel {
         // One row per request: costs against every taxi, plus the
         // passenger list — taxis with enough seats within the wait
         // threshold, nearest first (ties by taxi index for determinism).
-        type Row = (Vec<f64>, Vec<f64>, Vec<usize>);
         let locations: Vec<Point> = taxis.iter().map(|t| t.location).collect();
-        let rows: Vec<Row> = par_map(par, (0..n_r).collect(), |j| {
-            let r = &requests[j];
+        let mut pickup = Vec::with_capacity(n_r);
+        let mut score = Vec::with_capacity(n_r); // request-major; transposed below
+        let mut request_lists = Vec::with_capacity(n_r);
+        for (j, r) in requests.iter().enumerate() {
             let trip = r.trip_distance(metric);
             let mut pickup_row = vec![0.0f64; n_t];
             match pickup_distances {
@@ -220,10 +214,10 @@ impl PreferenceModel {
                 // origin; see PickupDistances::compute).
                 None => metric.distances_into(r.pickup, &locations, &mut pickup_row),
             }
-            let mut score_row = Vec::with_capacity(n_t);
-            for &d in &pickup_row {
-                score_row.push(d - params.alpha * trip);
-            }
+            let score_row: Vec<f64> = pickup_row
+                .iter()
+                .map(|&d| d - params.alpha * trip)
+                .collect();
             let mut list: Vec<usize> = (0..n_t)
                 .filter(|&i| {
                     taxis[i].seats >= r.passengers && pickup_row[i] <= params.passenger_threshold
@@ -235,12 +229,6 @@ impl PreferenceModel {
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
-            (pickup_row, score_row, list)
-        });
-        let mut pickup = Vec::with_capacity(n_r);
-        let mut score = Vec::with_capacity(n_r); // request-major; transposed below
-        let mut request_lists = Vec::with_capacity(n_r);
-        for (pickup_row, score_row, list) in rows {
             pickup.push(pickup_row);
             score.push(score_row);
             request_lists.push(list);
@@ -249,28 +237,22 @@ impl PreferenceModel {
         // One column per taxi: the driver list — fitting parties whose
         // score clears the threshold, lowest score first — and the
         // taxi-major score row for reporting.
-        let score_ref = &score;
-        let cols: Vec<(Vec<usize>, Vec<f64>)> = par_map(par, (0..n_t).collect(), |i| {
-            let t = &taxis[i];
+        let mut taxi_lists = Vec::with_capacity(n_t);
+        let mut score_t = Vec::with_capacity(n_t);
+        for (i, t) in taxis.iter().enumerate() {
             let mut list: Vec<usize> = (0..n_r)
                 .filter(|&j| {
-                    t.seats >= requests[j].passengers && score_ref[j][i] <= params.taxi_threshold
+                    t.seats >= requests[j].passengers && score[j][i] <= params.taxi_threshold
                 })
                 .collect();
             list.sort_by(|&a, &b| {
-                score_ref[a][i]
-                    .partial_cmp(&score_ref[b][i])
+                score[a][i]
+                    .partial_cmp(&score[b][i])
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             });
-            let score_t_row: Vec<f64> = (0..n_r).map(|j| score_ref[j][i]).collect();
-            (list, score_t_row)
-        });
-        let mut taxi_lists = Vec::with_capacity(n_t);
-        let mut score_t = Vec::with_capacity(n_t);
-        for (list, score_t_row) in cols {
             taxi_lists.push(list);
-            score_t.push(score_t_row);
+            score_t.push((0..n_r).map(|j| score[j][i]).collect());
         }
 
         let instance = StableInstance::new(request_lists, taxi_lists)
@@ -370,8 +352,8 @@ pub struct SparsePickupDistances {
 }
 
 impl SparsePickupDistances {
-    /// Computes candidate rows for every request, in parallel, each sorted
-    /// by `(distance, taxi index)`.
+    /// Computes candidate rows for every request, each sorted by
+    /// `(distance, taxi index)`.
     ///
     /// `grid` must index `0..taxis.len()` at the taxis' current locations
     /// (see [`build_taxi_grid`]).
@@ -387,7 +369,6 @@ impl SparsePickupDistances {
         taxis: &[Taxi],
         requests: &[Request],
         grid: &GridIndex<usize>,
-        par: Parallelism,
     ) -> Self {
         params.validate().expect("invalid preference parameters");
         debug_assert_eq!(
@@ -399,7 +380,6 @@ impl SparsePickupDistances {
         out.fill(
             requests.len(),
             taxis.len(),
-            par,
             &mut RowScratch::default(),
             |j, s, pairs| fresh_row(metric, params, taxis, &requests[j], grid, true, s, pairs),
         );
@@ -446,44 +426,16 @@ impl SparsePickupDistances {
     }
 
     /// Rebuilds `self` for `n_r` requests over `n_t` taxis, row `j` written
-    /// by `row(j, scratch, pairs)` (which returns the request's trip).
-    /// Sequential runs write straight into the buffer with the caller's
-    /// scratch; parallel runs build contiguous row blocks and join them in
-    /// order, so the result is identical for every thread count.
-    fn fill<F>(
-        &mut self,
-        n_r: usize,
-        n_t: usize,
-        par: Parallelism,
-        scratch: &mut RowScratch,
-        row: F,
-    ) where
-        F: Fn(usize, &mut RowScratch, &mut KeyedCandidates) -> f64 + Sync,
+    /// straight into the buffer by `row(j, scratch, pairs)` (which returns
+    /// the request's trip).
+    fn fill<F>(&mut self, n_r: usize, n_t: usize, scratch: &mut RowScratch, mut row: F)
+    where
+        F: FnMut(usize, &mut RowScratch, &mut KeyedCandidates) -> f64,
     {
         self.pairs.reset(n_t);
         self.trips.clear();
-        if par.is_sequential() {
-            for j in 0..n_r {
-                self.trips.push(row(j, scratch, &mut self.pairs));
-            }
-            return;
-        }
-        // Enough blocks for every worker to get several (see par_map's
-        // per-thread minimum).
-        let block = n_r.div_ceil(par.threads() * 16).max(1);
-        let starts: Vec<usize> = (0..n_r).step_by(block).collect();
-        let blocks = par_map(par, starts, |start| {
-            let mut pairs = KeyedCandidates::new();
-            pairs.reset(n_t);
-            let mut s = RowScratch::default();
-            let trips: Vec<f64> = (start..(start + block).min(n_r))
-                .map(|j| row(j, &mut s, &mut pairs))
-                .collect();
-            (pairs, trips)
-        });
-        for (pairs, trips) in blocks {
-            self.pairs.append(&pairs);
-            self.trips.extend(trips);
+        for j in 0..n_r {
+            self.trips.push(row(j, scratch, &mut self.pairs));
         }
     }
 
@@ -528,7 +480,6 @@ impl SparsePickupDistances {
         taxis: &[Taxi],
         requests: &[Request],
         grid: &GridIndex<usize>,
-        par: Parallelism,
         proposing: Proposing,
         cert: &'c mut RowCertificate,
     ) -> &'c mut SparsePickupDistances {
@@ -579,7 +530,7 @@ impl SparsePickupDistances {
         }
 
         let (tested, request_at, recorded) = (&*tested, &*request_at, &*old_requests);
-        rows.fill(requests.len(), taxis.len(), par, scratch, |j, s, pairs| {
+        rows.fill(requests.len(), taxis.len(), scratch, |j, s, pairs| {
             let r = &requests[j];
             if let Some(old) = request_at.get(&r.id).map(|&oj| &recorded[oj]) {
                 if same_bits(old.pickup, r.pickup)
@@ -621,7 +572,7 @@ impl SparsePickupDistances {
     }
 }
 
-/// Per-thread working memory for building candidate rows.
+/// Working memory for building candidate rows.
 #[derive(Debug, Clone, Default)]
 struct RowScratch {
     /// Taxi indices to measure (grid hits or tested taxis in range).
@@ -803,7 +754,7 @@ pub struct RowCertificate {
     request_at: HashMap<RequestId, usize>,
     /// Current taxis the certificate does not cover.
     tested: Vec<(usize, Point)>,
-    /// Row-building scratch of the sequential path.
+    /// Row-building scratch.
     scratch: RowScratch,
 }
 
@@ -841,171 +792,6 @@ impl RowCertificate {
         self.solved = false;
         self.taxis.clear();
         self.requests.clear();
-    }
-}
-
-/// Sparse preference orders of one dispatch frame.
-///
-/// Semantically the same frame as [`PreferenceModel`] restricted to
-/// *mutually acceptable* pairs: every algorithm on
-/// [`SparsePreferenceModel::instance`] yields the same matchings, and every
-/// reported cost is the same float, as the dense model (property-tested in
-/// `tests/sparse_equivalence.rs`). Costs are stored per list entry rather
-/// than as `|R|×|T|` matrices.
-///
-/// The warm dispatch path does not build this model: it runs keyed
-/// deferred acceptance on the [`SparsePickupDistances`] buffer directly.
-/// The rank-table instance serves the cold, anytime and enumeration
-/// paths.
-#[derive(Debug, Clone)]
-pub struct SparsePreferenceModel {
-    /// The stable-marriage instance (requests propose), with CSR ranks.
-    pub instance: StableInstance,
-    /// `pickup_costs[j][k]` = `D(t_i, r_j^s)` for `i` = `k`-th entry of
-    /// request `j`'s list.
-    pub pickup_costs: Vec<Vec<f64>>,
-    /// `score_costs[i][k]` = driver score for `j` = `k`-th entry of taxi
-    /// `i`'s list.
-    pub score_costs: Vec<Vec<f64>>,
-}
-
-impl SparsePreferenceModel {
-    /// Builds the sparse preference orders single-threaded, constructing a
-    /// fresh taxi grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fail [`PreferenceParams::validate`].
-    #[must_use]
-    pub fn build<M: Metric>(
-        metric: &M,
-        params: &PreferenceParams,
-        taxis: &[Taxi],
-        requests: &[Request],
-    ) -> Self {
-        Self::build_with(
-            metric,
-            params,
-            taxis,
-            requests,
-            Parallelism::sequential(),
-            None,
-        )
-    }
-
-    /// [`build`](Self::build) with a thread budget and an optional shared
-    /// per-frame taxi grid (built once by the caller, e.g. the simulator,
-    /// and reused across policies).
-    ///
-    /// Bit-identical for every `par` and for shared vs freshly-built grids
-    /// (the grid only prefilters; all accepted/rejected decisions and all
-    /// costs come from exact metric evaluations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fail [`PreferenceParams::validate`].
-    #[must_use]
-    pub fn build_with<M: Metric>(
-        metric: &M,
-        params: &PreferenceParams,
-        taxis: &[Taxi],
-        requests: &[Request],
-        par: Parallelism,
-        taxi_grid: Option<&GridIndex<usize>>,
-    ) -> Self {
-        let _span = obs::span("preference_build");
-        params.validate().expect("invalid preference parameters");
-        let owned;
-        let grid = match taxi_grid {
-            Some(g) => g,
-            None => {
-                owned = build_taxi_grid(taxis);
-                &owned
-            }
-        };
-        let spd = SparsePickupDistances::compute(metric, params, taxis, requests, grid, par);
-        Self::from_sparse_distances(params, taxis, requests, par, &spd)
-    }
-
-    /// Builds the model from precomputed sparse distances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fail [`PreferenceParams::validate`] or `spd` has
-    /// the wrong shape.
-    #[must_use]
-    pub fn from_sparse_distances(
-        params: &PreferenceParams,
-        taxis: &[Taxi],
-        requests: &[Request],
-        par: Parallelism,
-        spd: &SparsePickupDistances,
-    ) -> Self {
-        params.validate().expect("invalid preference parameters");
-        let n_r = requests.len();
-        let n_t = taxis.len();
-        assert_eq!(
-            spd.shape(),
-            (n_r, n_t),
-            "sparse pickup-distance shape mismatch"
-        );
-
-        // Passenger side: the rows are already the mutually acceptable
-        // candidates in (distance, index) order — the dense list order
-        // restricted to a subset. Driver side: scatter each (request,
-        // score) pair into its taxi's bucket in request order, then sort
-        // per taxi by (score, request index) — the dense comparator, so
-        // each taxi list is the dense list restricted to mutual pairs, in
-        // the same order.
-        let mut request_lists = Vec::with_capacity(n_r);
-        let mut pickup_costs = Vec::with_capacity(n_r);
-        let mut buckets: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_t];
-        for j in 0..n_r {
-            let row = spd.row(j);
-            for e in row {
-                buckets[e.col as usize].push((j, e.col_key));
-            }
-            request_lists.push(row.iter().map(|e| e.col as usize).collect());
-            pickup_costs.push(row.iter().map(|e| e.row_key).collect());
-        }
-        let cols: Vec<(Vec<usize>, Vec<f64>)> = par_map(par, buckets, |mut bucket| {
-            bucket.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            });
-            bucket.into_iter().unzip()
-        });
-        let mut taxi_lists = Vec::with_capacity(n_t);
-        let mut score_costs = Vec::with_capacity(n_t);
-        for (list, scores) in cols {
-            taxi_lists.push(list);
-            score_costs.push(scores);
-        }
-
-        let instance = StableInstance::new_sparse(request_lists, taxi_lists)
-            .expect("generated lists are in range and duplicate-free");
-        SparsePreferenceModel {
-            instance,
-            pickup_costs,
-            score_costs,
-        }
-    }
-
-    /// `D(t_i, r_j^s)` for a pair on request `j`'s list, or `None` when
-    /// the pair is not mutually acceptable.
-    #[must_use]
-    pub fn pickup(&self, request: usize, taxi: usize) -> Option<f64> {
-        let k = self.instance.proposer_rank_of(request, taxi)?;
-        Some(self.pickup_costs[request][k as usize])
-    }
-
-    /// Driver score for a pair on taxi `i`'s list, or `None` when the pair
-    /// is not mutually acceptable.
-    #[must_use]
-    pub fn score(&self, taxi: usize, request: usize) -> Option<f64> {
-        let k = self.instance.reviewer_rank_of(taxi, request)?;
-        Some(self.score_costs[taxi][k as usize])
     }
 }
 
@@ -1176,9 +962,35 @@ mod tests {
             &PreferenceParams::unbounded(),
             &taxis,
             &requests,
-            Parallelism::sequential(),
             Some(&pd),
         );
+    }
+
+    #[test]
+    fn a_precomputed_pickup_matrix_builds_the_same_model() {
+        let taxis: Vec<Taxi> = (0..7).map(|i| taxi(i, i as f64 * 1.3 - 4.0, 0.7)).collect();
+        let requests: Vec<Request> = (0..9)
+            .map(|j| request(j, j as f64 * 0.9 - 4.0, -1.0, 3.0, j as f64 * 0.5))
+            .collect();
+        let params = PreferenceParams::paper().with_passenger_threshold(9.0);
+        let plain = PreferenceModel::build(&Euclidean, &params, &taxis, &requests);
+        let pd = PickupDistances::compute(&Euclidean, &taxis, &requests, Parallelism::fixed(4));
+        let with_pd =
+            PreferenceModel::build_with(&Euclidean, &params, &taxis, &requests, Some(&pd));
+        assert_eq!(plain.pickup, with_pd.pickup);
+        assert_eq!(plain.score, with_pd.score);
+        for j in 0..requests.len() {
+            assert_eq!(
+                plain.instance.proposer_list(j),
+                with_pd.instance.proposer_list(j)
+            );
+        }
+        for i in 0..taxis.len() {
+            assert_eq!(
+                plain.instance.reviewer_list(i),
+                with_pd.instance.reviewer_list(i)
+            );
+        }
     }
 
     #[test]
@@ -1211,10 +1023,15 @@ mod tests {
                 .with_taxi_threshold(0.5),
         ] {
             let dense = PreferenceModel::build(&Euclidean, &params, &taxis, &requests);
-            let sparse = SparsePreferenceModel::build(&Euclidean, &params, &taxis, &requests);
+            let grid = build_taxi_grid(&taxis);
+            let rows =
+                SparsePickupDistances::compute(&Euclidean, &params, &taxis, &requests, &grid);
+            // Driver side: each taxi's entries gathered from the rows and
+            // sorted by (score, request index), the dense comparator.
+            let mut by_taxi: Vec<Vec<(f64, usize)>> = vec![Vec::new(); taxis.len()];
             for j in 0..requests.len() {
-                // Sparse passenger list = dense list minus entries the
-                // taxi side rejects, order preserved; costs identical.
+                // Passenger side: the row is the dense list minus entries
+                // the taxi side rejects, order preserved; costs identical.
                 let expect: Vec<usize> = dense
                     .instance
                     .proposer_list(j)
@@ -1222,12 +1039,17 @@ mod tests {
                     .copied()
                     .filter(|&i| dense.instance.reviewer_rank_of(i, j).is_some())
                     .collect();
-                assert_eq!(sparse.instance.proposer_list(j), expect.as_slice());
-                for &i in sparse.instance.proposer_list(j) {
-                    assert_eq!(sparse.pickup(j, i), Some(dense.pickup[j][i]));
+                let row: Vec<usize> = rows.row(j).iter().map(|e| e.col as usize).collect();
+                assert_eq!(row, expect);
+                for e in rows.row(j) {
+                    let i = e.col as usize;
+                    assert_eq!(e.row_key, dense.pickup[j][i]);
+                    assert_eq!(e.col_key, dense.score[i][j]);
+                    by_taxi[i].push((e.col_key, j));
                 }
             }
-            for i in 0..taxis.len() {
+            for (i, mut entries) in by_taxi.into_iter().enumerate() {
+                entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 let expect: Vec<usize> = dense
                     .instance
                     .reviewer_list(i)
@@ -1235,34 +1057,46 @@ mod tests {
                     .copied()
                     .filter(|&j| dense.instance.proposer_rank_of(j, i).is_some())
                     .collect();
-                assert_eq!(sparse.instance.reviewer_list(i), expect.as_slice());
-                for &j in sparse.instance.reviewer_list(i) {
-                    assert_eq!(sparse.score(i, j), Some(dense.score[i][j]));
+                let got: Vec<usize> = entries.iter().map(|&(_, j)| j).collect();
+                assert_eq!(got, expect);
+            }
+            // And keyed deferred acceptance on the rows agrees with the
+            // dense instance exactly, either side proposing.
+            let mut solver = KeyedMatch::new();
+            for (proposing, m) in [
+                (Proposing::Rows, dense.instance.propose()),
+                (Proposing::Columns, dense.instance.reviewer_optimal()),
+            ] {
+                solver.solve(rows.pairs(), proposing);
+                for j in 0..requests.len() {
+                    let col = solver
+                        .row_entry(j)
+                        .map(|e| rows.pairs().entry(e).col as usize);
+                    assert_eq!(col, m.proposer_partner(j), "{proposing:?}");
                 }
             }
-            // And the headline algorithms agree exactly.
-            assert_eq!(dense.instance.propose(), sparse.instance.propose());
-            assert_eq!(
-                dense.instance.reviewer_optimal(),
-                sparse.instance.reviewer_optimal()
-            );
         }
     }
 
     #[test]
-    fn sparse_build_handles_empty_frames() {
+    fn sparse_rows_handle_empty_frames() {
         let params = PreferenceParams::paper();
-        let m = SparsePreferenceModel::build(&Euclidean, &params, &[], &[]);
-        assert_eq!(m.instance.proposers(), 0);
-        assert_eq!(m.instance.reviewers(), 0);
+        let build = |taxis: &[Taxi], requests: &[Request]| {
+            SparsePickupDistances::compute(
+                &Euclidean,
+                &params,
+                taxis,
+                requests,
+                &build_taxi_grid(taxis),
+            )
+        };
+        assert_eq!(build(&[], &[]).shape(), (0, 0));
         let taxis = vec![taxi(0, 0.0, 0.0)];
-        let m = SparsePreferenceModel::build(&Euclidean, &params, &taxis, &[]);
-        assert_eq!(m.instance.reviewers(), 1);
-        assert!(m.instance.reviewer_list(0).is_empty());
+        assert_eq!(build(&taxis, &[]).shape(), (0, 1));
         let requests = vec![request(0, 1.0, 0.0, 2.0, 0.0)];
-        let m = SparsePreferenceModel::build(&Euclidean, &params, &[], &requests);
-        assert_eq!(m.instance.proposers(), 1);
-        assert!(m.instance.proposer_list(0).is_empty());
+        let rows = build(&[], &requests);
+        assert_eq!(rows.shape(), (1, 0));
+        assert!(rows.row(0).is_empty());
     }
 
     /// Keyed deferred acceptance on `rows`, recorded in `cert`.
@@ -1300,9 +1134,8 @@ mod tests {
             .map(|j| request(j, j as f64 * 0.4 - 2.0, -0.5, j as f64, 2.0))
             .collect();
         let grid = build_taxi_grid(&taxis);
-        let seq = Parallelism::sequential();
         let metric = Counting::default();
-        let fresh = SparsePickupDistances::compute(&metric, &params, &taxis, &requests, &grid, seq);
+        let fresh = SparsePickupDistances::compute(&metric, &params, &taxis, &requests, &grid);
         let fresh_queries = metric.take();
         let mut cert = RowCertificate::new();
         for call in 0..3 {
@@ -1312,7 +1145,6 @@ mod tests {
                 &taxis,
                 &requests,
                 &grid,
-                seq,
                 Proposing::Rows,
                 &mut cert,
             );
@@ -1328,7 +1160,6 @@ mod tests {
             &taxis,
             &requests,
             &grid,
-            seq,
             Proposing::Rows,
             &mut cert,
         );
@@ -1352,7 +1183,6 @@ mod tests {
             &taxis,
             &requests,
             &grid,
-            Parallelism::sequential(),
             Proposing::Rows,
             &mut cert,
         );
@@ -1365,18 +1195,10 @@ mod tests {
             &taxis,
             &requests,
             &grid,
-            Parallelism::sequential(),
             Proposing::Rows,
             &mut cert,
         );
-        let fresh = SparsePickupDistances::compute(
-            &Euclidean,
-            &b,
-            &taxis,
-            &requests,
-            &grid,
-            Parallelism::sequential(),
-        );
+        let fresh = SparsePickupDistances::compute(&Euclidean, &b, &taxis, &requests, &grid);
         assert_eq!(rows, &fresh);
     }
 
@@ -1406,18 +1228,11 @@ mod tests {
                 &taxis,
                 &requests,
                 &grid,
-                Parallelism::sequential(),
                 Proposing::Rows,
                 &mut cert,
             );
-            let fresh = SparsePickupDistances::compute(
-                &Euclidean,
-                &params,
-                &taxis,
-                &requests,
-                &grid,
-                Parallelism::sequential(),
-            );
+            let fresh =
+                SparsePickupDistances::compute(&Euclidean, &params, &taxis, &requests, &grid);
             assert_eq!(spd, &fresh, "frame {frame}");
             for (j, r) in requests.iter().enumerate() {
                 let trip = spd.trip(j);

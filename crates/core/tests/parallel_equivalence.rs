@@ -1,17 +1,15 @@
-//! Parallel ≡ sequential: the dispatch pipeline must produce
-//! bit-identical results for every thread count.
+//! Parallel ≡ sequential: the parallel stages must produce bit-identical
+//! results for every thread count.
 //!
 //! The parallel maps in `o2o-par` preserve input order and every cell of
-//! the preference/eval matrices is an independent computation, so
+//! the pick-up and evaluation matrices is an independent computation, so
 //! nothing — not even float rounding — may differ between
 //! `Parallelism::sequential()` and `Parallelism::fixed(n)`. These tests
-//! pin that contract over random frames, for the non-sharing and the
-//! sharing dispatcher, with and without a precomputed pick-up distance
-//! matrix.
+//! pin that contract over random frames for the sharing dispatcher and the
+//! engine's pick-up matrix. The non-sharing dispatcher runs each frame on
+//! one thread.
 
-use o2o_core::{
-    NonSharingDispatcher, PickupDistances, PreferenceModel, PreferenceParams, SharingDispatcher,
-};
+use o2o_core::{PickupDistances, PreferenceParams, SharingDispatcher};
 use o2o_geo::{DistanceCache, Euclidean, Metric, Point};
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -42,76 +40,10 @@ fn random_frame(seed: u64, nt: usize, nr: usize) -> (Vec<Taxi>, Vec<Request>) {
     (taxis, requests)
 }
 
-/// Field-by-field equality of two preference models (`PreferenceModel`
-/// has no `PartialEq`; the instance is compared list by list).
-fn assert_models_identical(a: &PreferenceModel, b: &PreferenceModel) {
-    assert_eq!(a.pickup, b.pickup, "pickup matrices differ");
-    assert_eq!(a.score, b.score, "score matrices differ");
-    assert_eq!(a.instance.proposers(), b.instance.proposers());
-    assert_eq!(a.instance.reviewers(), b.instance.reviewers());
-    for j in 0..a.instance.proposers() {
-        assert_eq!(
-            a.instance.proposer_list(j),
-            b.instance.proposer_list(j),
-            "request {j} preference list differs"
-        );
-    }
-    for i in 0..a.instance.reviewers() {
-        assert_eq!(
-            a.instance.reviewer_list(i),
-            b.instance.reviewer_list(i),
-            "taxi {i} preference list differs"
-        );
-    }
-}
-
 const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn preference_model_is_thread_count_invariant(
-        seed in any::<u64>(), nt in 1usize..12, nr in 1usize..16,
-    ) {
-        let (taxis, requests) = random_frame(seed, nt, nr);
-        let params = PreferenceParams::paper().with_passenger_threshold(9.0);
-        let seq = PreferenceModel::build_with(
-            &Euclidean, &params, &taxis, &requests, Parallelism::sequential(), None,
-        );
-        for threads in THREAD_COUNTS {
-            let par = PreferenceModel::build_with(
-                &Euclidean, &params, &taxis, &requests, Parallelism::fixed(threads), None,
-            );
-            assert_models_identical(&seq, &par);
-        }
-        // A precomputed pick-up matrix must not change anything either.
-        let pd = PickupDistances::compute(&Euclidean, &taxis, &requests, Parallelism::fixed(4));
-        let with_pd = PreferenceModel::build_with(
-            &Euclidean, &params, &taxis, &requests, Parallelism::fixed(4), Some(&pd),
-        );
-        assert_models_identical(&seq, &with_pd);
-    }
-
-    #[test]
-    fn non_sharing_schedules_are_thread_count_invariant(
-        seed in any::<u64>(), nt in 1usize..10, nr in 1usize..12,
-    ) {
-        let (taxis, requests) = random_frame(seed, nt, nr);
-        let params = PreferenceParams::paper().with_passenger_threshold(9.0);
-        let seq = NonSharingDispatcher::new(Euclidean, params);
-        let p0 = seq.passenger_optimal(&taxis, &requests);
-        let t0 = seq.taxi_optimal(&taxis, &requests);
-        for threads in THREAD_COUNTS {
-            let par = NonSharingDispatcher::new(Euclidean, params)
-                .with_parallelism(Parallelism::fixed(threads));
-            prop_assert_eq!(&par.passenger_optimal(&taxis, &requests), &p0);
-            prop_assert_eq!(&par.taxi_optimal(&taxis, &requests), &t0);
-        }
-        let pd = PickupDistances::compute(&Euclidean, &taxis, &requests, Parallelism::fixed(4));
-        prop_assert_eq!(&seq.passenger_optimal_with(&taxis, &requests, Some(&pd)), &p0);
-        prop_assert_eq!(&seq.taxi_optimal_with(&taxis, &requests, Some(&pd)), &t0);
-    }
 
     #[test]
     fn sharing_pipeline_is_thread_count_invariant(

@@ -12,15 +12,15 @@
 //! drop-out), one voided with its taxi still idle (a cancelled party), a
 //! schedule not applied at all, and greedy frames, whose schedule is not
 //! stable and certifies nothing. Warm schedules and proposal counts must
-//! equal cold ones on every frame.
+//! equal cold ones — `NonSharingDispatcher::dispatch` on a fresh state —
+//! on every frame.
 
 use o2o_core::{
-    DispatchTier, IncrementalState, NonSharingDispatcher, PreferenceParams, Schedule,
-    TimeBudgetSpec,
+    Degraded, DispatchTier, IncrementalState, NonSharingDispatcher, PreferenceParams, Proposing,
+    Schedule, TimeBudget, TimeBudgetSpec,
 };
 use o2o_geo::{Euclidean, Metric, Point};
 use o2o_obs as obs;
-use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -46,14 +46,40 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
     )
 }
 
-/// Which side proposes in a rolled sequence.
-#[derive(Debug, Clone, Copy)]
-enum Side {
-    /// NSTD-P.
-    Passengers,
-    /// NSTD-T.
-    Taxis,
+/// One frame on `state` with `side` proposing under `budget`.
+fn dispatch<M: Metric>(
+    d: &NonSharingDispatcher<M>,
+    taxis: &[Taxi],
+    requests: &[Request],
+    state: &mut IncrementalState,
+    side: Proposing,
+    budget: &TimeBudget,
+) -> (Schedule, Option<Degraded>) {
+    d.dispatch(taxis, requests, None, None, state, side, budget)
 }
+
+/// One frame with an unlimited budget on `state`.
+fn warm<M: Metric>(
+    d: &NonSharingDispatcher<M>,
+    taxis: &[Taxi],
+    requests: &[Request],
+    state: &mut IncrementalState,
+    side: Proposing,
+) -> Schedule {
+    dispatch(d, taxis, requests, state, side, &TimeBudget::unlimited()).0
+}
+
+/// One cold frame: a fresh state and an unlimited budget.
+fn cold<M: Metric>(
+    d: &NonSharingDispatcher<M>,
+    taxis: &[Taxi],
+    requests: &[Request],
+    side: Proposing,
+) -> Schedule {
+    warm(d, taxis, requests, &mut IncrementalState::new(), side)
+}
+
+const SIDES: [Proposing; 2] = [Proposing::Rows, Proposing::Columns];
 
 /// What a frame does with its schedule once dispatched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,10 +210,10 @@ impl Loop {
     }
 }
 
-/// Rolls `frames` frames of one side through a warm and a cold dispatcher
-/// at `par`, asserting equal schedules and counters on every frame.
-fn roll(seed: u64, frames: usize, params: PreferenceParams, par: Parallelism, side: Side) {
-    let d = NonSharingDispatcher::new(Euclidean, params).with_parallelism(par);
+/// Rolls `frames` frames of one side warm and cold, asserting equal
+/// schedules and counters on every frame.
+fn roll(seed: u64, frames: usize, params: PreferenceParams, side: Proposing) {
+    let d = NonSharingDispatcher::new(Euclidean, params);
     let mut state = IncrementalState::new();
     let mut city = Loop::new(seed, 8.0);
     let mut pick = StdRng::seed_from_u64(seed ^ 0xA11CE);
@@ -196,45 +222,21 @@ fn roll(seed: u64, frames: usize, params: PreferenceParams, par: Parallelism, si
         let (taxis, requests) = (city.idle.clone(), city.pending.clone());
         let greedy = pick.gen_bool(0.15);
         let (warm, warm_counts) = counted(|| {
-            if greedy {
-                let budget = expired.start();
-                let (s, degraded) = match side {
-                    Side::Passengers => d.passenger_optimal_budgeted(
-                        &taxis,
-                        &requests,
-                        None,
-                        None,
-                        Some(&mut state),
-                        &budget,
-                    ),
-                    Side::Taxis => d.taxi_optimal_budgeted(
-                        &taxis,
-                        &requests,
-                        None,
-                        None,
-                        Some(&mut state),
-                        &budget,
-                    ),
-                };
-                assert_eq!(degraded.map(|g| g.to), Some(DispatchTier::GreedyNearest));
-                s
+            let budget = if greedy {
+                expired.start()
             } else {
-                match side {
-                    Side::Passengers => {
-                        d.passenger_optimal_incremental(&taxis, &requests, None, &mut state)
-                    }
-                    Side::Taxis => d.taxi_optimal_incremental(&taxis, &requests, None, &mut state),
-                }
-            }
+                TimeBudget::unlimited()
+            };
+            let (s, degraded) = dispatch(&d, &taxis, &requests, &mut state, side, &budget);
+            let to = degraded.map(|g| g.to);
+            assert_eq!(to, greedy.then_some(DispatchTier::GreedyNearest));
+            s
         });
         let (cold, cold_counts) = counted(|| {
             if greedy {
                 d.greedy_nearest(&taxis, &requests)
             } else {
-                match side {
-                    Side::Passengers => d.passenger_optimal_with_grid(&taxis, &requests, None),
-                    Side::Taxis => d.taxi_optimal_with_grid(&taxis, &requests, None),
-                }
+                cold(&d, &taxis, &requests, side)
             }
         });
         prop_assert_eq!(
@@ -271,14 +273,12 @@ proptest! {
 
     /// Frames that apply their schedules, void assignments of both kinds,
     /// drop schedules and fall back to greedy: warm == cold, schedules and
-    /// counters, for both proposing sides at 1 and 4 threads.
+    /// counters, for both proposing sides.
     #[test]
     fn applied_schedules_keep_warm_equal_to_cold(seed in any::<u64>()) {
         for params in param_grid() {
-            for threads in [1, 4] {
-                for side in [Side::Passengers, Side::Taxis] {
-                    roll(seed, 12, params, Parallelism::fixed(threads), side);
-                }
+            for side in SIDES {
+                roll(seed, 12, params, side);
             }
         }
     }
@@ -308,35 +308,19 @@ fn stationary_frame_after_an_applied_dispatch_queries_nothing() {
         city.arrive();
     }
     let d = NonSharingDispatcher::new(Counting::default(), PreferenceParams::unbounded());
-    for side in [Side::Passengers, Side::Taxis] {
+    for side in SIDES {
         let (mut taxis, mut requests) = (city.idle.clone(), city.pending.clone());
         let mut state = IncrementalState::new();
-        let first = match side {
-            Side::Passengers => {
-                d.passenger_optimal_incremental(&taxis, &requests, None, &mut state)
-            }
-            Side::Taxis => d.taxi_optimal_incremental(&taxis, &requests, None, &mut state),
-        };
+        let first = warm(&d, &taxis, &requests, &mut state, side);
         assert!(first.served_count() > 0, "{side:?}");
         taxis.retain(|t| first.request_of(t.id).is_none());
         requests.retain(|r| first.assignment_of(r.id).taxi().is_none());
         assert!(!requests.is_empty(), "{side:?}");
         d.metric().0.store(0, Ordering::Relaxed);
-        let second = match side {
-            Side::Passengers => {
-                d.passenger_optimal_incremental(&taxis, &requests, None, &mut state)
-            }
-            Side::Taxis => d.taxi_optimal_incremental(&taxis, &requests, None, &mut state),
-        };
+        let second = warm(&d, &taxis, &requests, &mut state, side);
         assert_eq!(d.metric().0.load(Ordering::Relaxed), 0, "{side:?}");
         assert_eq!(second.served_count(), 0, "{side:?}");
-        assert_eq!(
-            second,
-            match side {
-                Side::Passengers => d.passenger_optimal_with_grid(&taxis, &requests, None),
-                Side::Taxis => d.taxi_optimal_with_grid(&taxis, &requests, None),
-            }
-        );
+        assert_eq!(second, cold(&d, &taxis, &requests, side));
     }
 }
 
@@ -369,27 +353,17 @@ fn ladder_step_down_sorts_rows_and_certifies_the_next_frame() {
     // window, so try a few times.
     for _ in 0..5 {
         let mut state = IncrementalState::new();
-        let (stepped, degraded) = d.taxi_optimal_budgeted(
-            &taxis,
-            &requests,
-            None,
-            None,
-            Some(&mut state),
-            &spec.start(),
-        );
+        let columns = Proposing::Columns;
+        let (stepped, degraded) =
+            dispatch(&d, &taxis, &requests, &mut state, columns, &spec.start());
         if degraded.map(|g| g.to) != Some(DispatchTier::NstdP) {
             continue;
         }
-        assert_eq!(
-            stepped,
-            d.passenger_optimal_with_grid(&taxis, &requests, None)
-        );
+        assert_eq!(stepped, cold(&d, &taxis, &requests, Proposing::Rows));
         city.advance(&stepped, Apply::All);
-        let warm = d.taxi_optimal_incremental(&city.idle, &city.pending, None, &mut state);
-        assert_eq!(
-            warm,
-            d.taxi_optimal_with_grid(&city.idle, &city.pending, None)
-        );
+        let (idle, pending) = (&city.idle, &city.pending);
+        let after = warm(&d, idle, pending, &mut state, columns);
+        assert_eq!(after, cold(&d, idle, pending, columns));
         return;
     }
     panic!("no attempt stepped down to NSTD-P");

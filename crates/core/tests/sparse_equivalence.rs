@@ -1,22 +1,23 @@
 //! Sparse ≡ dense: threshold pruning must not change a single bit.
 //!
-//! The sparse candidate path (`SparsePreferenceModel`) enumerates only
-//! taxis within `min(θ_p, θ_t + α·trip)` of each pick-up via the grid
-//! index, instead of scoring the full |T|×|R| product. Every pair it
-//! drops is *mutually unacceptable* — at least one side ranks the other
-//! below its dummy partner — and such pairs are no-ops in deferred
-//! acceptance and in BreakDispatch (Theorem 2, rural hospitals: the set
-//! of matched agents is invariant across stable matchings, and an
+//! `NonSharingDispatcher::dispatch` in `CandidateMode::Sparse` (the
+//! production path) enumerates only taxis within `min(θ_p, θ_t + α·trip)`
+//! of each pick-up via the grid index, keeps the mutually acceptable pairs
+//! and solves them with keyed deferred acceptance, instead of scoring the
+//! full |T|×|R| product into rank tables. Every pair it drops is
+//! *mutually unacceptable* — at least one side ranks the other below its
+//! dummy partner — and such pairs are no-ops in deferred acceptance (an
 //! unacceptable pair can never block). Costs on surviving pairs are
-//! recomputed with the identical float expressions, so the dispatch
-//! schedules must be **bit-identical**, at every thread count, for every
-//! threshold setting.
+//! computed with the identical float expressions, so the dispatch
+//! schedules must be **bit-identical** to the dense reference
+//! (`CandidateMode::Dense`) for every threshold setting, with a fresh
+//! state and with the state carried across frames.
 
 use o2o_core::{
-    build_taxi_grid, CandidateMode, IncrementalState, NonSharingDispatcher, PreferenceParams,
-    SparsePreferenceModel,
+    build_taxi_grid, CandidateMode, IncrementalState, NonSharingDispatcher, PickupDistances,
+    PreferenceParams, Proposing, Schedule, TimeBudget,
 };
-use o2o_geo::{Euclidean, Point};
+use o2o_geo::{Euclidean, GridIndex, Point};
 use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use proptest::prelude::*;
@@ -65,7 +66,42 @@ fn param_grid() -> Vec<PreferenceParams> {
     ]
 }
 
-const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
+const SIDES: [Proposing; 2] = [Proposing::Rows, Proposing::Columns];
+
+/// One frame with `side` proposing and an unlimited budget.
+fn dispatch(
+    d: &NonSharingDispatcher<Euclidean>,
+    taxis: &[Taxi],
+    requests: &[Request],
+    grid: Option<&GridIndex<usize>>,
+    pickup: Option<&PickupDistances>,
+    state: &mut IncrementalState,
+    side: Proposing,
+) -> Schedule {
+    let unlimited = TimeBudget::unlimited();
+    d.dispatch(taxis, requests, grid, pickup, state, side, &unlimited)
+        .0
+}
+
+/// The dense reference schedule of one frame.
+fn dense_reference(
+    params: PreferenceParams,
+    taxis: &[Taxi],
+    requests: &[Request],
+    side: Proposing,
+) -> Schedule {
+    let dense =
+        NonSharingDispatcher::new(Euclidean, params).with_candidate_mode(CandidateMode::Dense);
+    dispatch(
+        &dense,
+        taxis,
+        requests,
+        None,
+        None,
+        &mut IncrementalState::new(),
+        side,
+    )
+}
 
 /// A churned frame sequence from `random_frame`: between frames some
 /// taxis move or leave, a fresh taxi may join, some requests leave and
@@ -105,144 +141,62 @@ fn churned_frames(seed: u64, frames: usize) -> Vec<(Vec<Taxi>, Vec<Request>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// NSTD-P and NSTD-T produce bit-identical schedules under
-    /// `CandidateMode::Sparse`, across thresholds and thread counts.
+    /// NSTD-P and NSTD-T on a fresh state produce the dense reference's
+    /// schedules, across thresholds, whether the dispatcher builds its
+    /// own taxi grid or reuses the engine's; and the dense path gives the
+    /// same schedules from the engine's precomputed pick-up matrix.
     #[test]
     fn sparse_dispatch_matches_dense(
         seed in any::<u64>(), nt in 1usize..14, nr in 1usize..16,
     ) {
         let (taxis, requests) = random_frame(seed, nt, nr, 8.0);
+        let grid = build_taxi_grid(&taxis);
+        let pickup = PickupDistances::compute(&Euclidean, &taxis, &requests, Parallelism::sequential());
         for params in param_grid() {
+            let sparse = NonSharingDispatcher::new(Euclidean, params);
             let dense = NonSharingDispatcher::new(Euclidean, params)
                 .with_candidate_mode(CandidateMode::Dense);
-            let p0 = dense.passenger_optimal(&taxis, &requests);
-            let t0 = dense.taxi_optimal(&taxis, &requests);
-            let sparse_seq = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Sparse);
-            prop_assert_eq!(&sparse_seq.passenger_optimal(&taxis, &requests), &p0);
-            prop_assert_eq!(&sparse_seq.taxi_optimal(&taxis, &requests), &t0);
-            for threads in THREAD_COUNTS {
-                let sparse = NonSharingDispatcher::new(Euclidean, params)
-                    .with_candidate_mode(CandidateMode::Sparse)
-                    .with_parallelism(Parallelism::fixed(threads));
-                prop_assert_eq!(&sparse.passenger_optimal(&taxis, &requests), &p0);
-                prop_assert_eq!(&sparse.taxi_optimal(&taxis, &requests), &t0);
+            for side in SIDES {
+                let want = dense_reference(params, &taxis, &requests, side);
+                for shared in [None, Some(&grid)] {
+                    let mut fresh = IncrementalState::new();
+                    prop_assert_eq!(
+                        &dispatch(&sparse, &taxis, &requests, shared, None, &mut fresh, side),
+                        &want
+                    );
+                }
+                let mut unused = IncrementalState::new();
+                prop_assert_eq!(
+                    &dispatch(&dense, &taxis, &requests, None, Some(&pickup), &mut unused, side),
+                    &want
+                );
+                let one_shot = match side {
+                    Proposing::Rows => sparse.passenger_optimal(&taxis, &requests),
+                    Proposing::Columns => sparse.taxi_optimal(&taxis, &requests),
+                };
+                prop_assert_eq!(&one_shot, &want);
             }
         }
     }
 
-    /// A pre-built shared taxi grid (the simulator's per-frame reuse
-    /// path) gives the same schedules as letting the dispatcher build
-    /// its own.
-    #[test]
-    fn shared_grid_matches_owned_grid(
-        seed in any::<u64>(), nt in 1usize..12, nr in 1usize..14,
-    ) {
-        let (taxis, requests) = random_frame(seed, nt, nr, 8.0);
-        let grid = build_taxi_grid(&taxis);
-        for params in param_grid() {
-            let d = NonSharingDispatcher::new(Euclidean, params);
-            let p0 = d.passenger_optimal(&taxis, &requests);
-            let t0 = d.taxi_optimal(&taxis, &requests);
-            prop_assert_eq!(
-                &d.passenger_optimal_with_grid(&taxis, &requests, Some(&grid)), &p0
-            );
-            prop_assert_eq!(&d.taxi_optimal_with_grid(&taxis, &requests, Some(&grid)), &t0);
-        }
-    }
-
-    /// The full stable set and the median matching — both computed via
-    /// BreakDispatch on the sparse instance — agree with dense.
-    #[test]
-    fn sparse_stable_set_matches_dense(
-        seed in any::<u64>(), nt in 1usize..8, nr in 1usize..10,
-    ) {
-        let (taxis, requests) = random_frame(seed, nt, nr, 6.0);
-        for params in param_grid() {
-            let dense = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Dense);
-            let sparse = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Sparse);
-            prop_assert_eq!(
-                &sparse.all_schedules(&taxis, &requests, None),
-                &dense.all_schedules(&taxis, &requests, None)
-            );
-            prop_assert_eq!(
-                &sparse.median(&taxis, &requests, None),
-                &dense.median(&taxis, &requests, None)
-            );
-        }
-    }
-
-    /// The production warm path — candidate rows from the previous
-    /// frame's stability certificate, keyed deferred acceptance, a shared
-    /// per-frame taxi grid — agrees with the dense cold reference over
-    /// churned frame sequences, for NSTD-P and NSTD-T, across thresholds
-    /// and thread counts.
+    /// The production path — candidate rows from the previous frame's
+    /// stability certificate, keyed deferred acceptance, a shared
+    /// per-frame taxi grid — agrees with the dense reference over churned
+    /// frame sequences, for NSTD-P and NSTD-T, across thresholds.
     #[test]
     fn warm_path_matches_dense_over_churned_frames(seed in any::<u64>()) {
         let frames = churned_frames(seed, 6);
         for params in param_grid() {
-            let dense = NonSharingDispatcher::new(Euclidean, params)
-                .with_candidate_mode(CandidateMode::Dense);
-            let parallelisms = std::iter::once(Parallelism::sequential())
-                .chain(THREAD_COUNTS.iter().map(|&t| Parallelism::fixed(t)));
-            for par in parallelisms {
-                let warm = NonSharingDispatcher::new(Euclidean, params).with_parallelism(par);
-                let mut p_state = IncrementalState::new();
-                let mut t_state = IncrementalState::new();
+            let warm = NonSharingDispatcher::new(Euclidean, params);
+            for side in SIDES {
+                let mut state = IncrementalState::new();
                 for (taxis, requests) in &frames {
                     let grid = build_taxi_grid(taxis);
                     prop_assert_eq!(
-                        &warm.passenger_optimal_incremental(
-                            taxis, requests, Some(&grid), &mut p_state
-                        ),
-                        &dense.passenger_optimal(taxis, requests)
-                    );
-                    prop_assert_eq!(
-                        &warm.taxi_optimal_incremental(taxis, requests, Some(&grid), &mut t_state),
-                        &dense.taxi_optimal(taxis, requests)
+                        &dispatch(&warm, taxis, requests, Some(&grid), None, &mut state, side),
+                        &dense_reference(params, taxis, requests, side)
                     );
                 }
-            }
-        }
-    }
-
-    /// The sparse preference model's lists are exactly the dense lists
-    /// restricted to mutually acceptable pairs, with identical costs
-    /// — at every thread count.
-    #[test]
-    fn sparse_model_is_thread_count_invariant(
-        seed in any::<u64>(), nt in 1usize..12, nr in 1usize..14,
-    ) {
-        let (taxis, requests) = random_frame(seed, nt, nr, 8.0);
-        for params in param_grid() {
-            let seq = SparsePreferenceModel::build_with(
-                &Euclidean, &params, &taxis, &requests, Parallelism::sequential(), None,
-            );
-            for threads in THREAD_COUNTS {
-                let par = SparsePreferenceModel::build_with(
-                    &Euclidean, &params, &taxis, &requests,
-                    Parallelism::fixed(threads), None,
-                );
-                prop_assert_eq!(
-                    par.instance.proposers(), seq.instance.proposers()
-                );
-                prop_assert_eq!(
-                    par.instance.reviewers(), seq.instance.reviewers()
-                );
-                for j in 0..seq.instance.proposers() {
-                    prop_assert_eq!(
-                        par.instance.proposer_list(j), seq.instance.proposer_list(j)
-                    );
-                }
-                for i in 0..seq.instance.reviewers() {
-                    prop_assert_eq!(
-                        par.instance.reviewer_list(i), seq.instance.reviewer_list(i)
-                    );
-                }
-                prop_assert_eq!(&par.pickup_costs, &seq.pickup_costs);
-                prop_assert_eq!(&par.score_costs, &seq.score_costs);
             }
         }
     }
@@ -254,19 +208,14 @@ proptest! {
 fn sparse_matches_dense_at_paper_thresholds_wide_city() {
     let (taxis, requests) = random_frame(2017, 60, 80, 40.0);
     let params = PreferenceParams::paper();
-    let dense = NonSharingDispatcher::new(Euclidean, params)
-        .with_candidate_mode(CandidateMode::Dense)
-        .with_parallelism(Parallelism::fixed(4));
-    let sparse = NonSharingDispatcher::new(Euclidean, params)
-        .with_candidate_mode(CandidateMode::Sparse)
-        .with_parallelism(Parallelism::fixed(4));
+    let sparse = NonSharingDispatcher::new(Euclidean, params);
     assert_eq!(
         sparse.passenger_optimal(&taxis, &requests),
-        dense.passenger_optimal(&taxis, &requests)
+        dense_reference(params, &taxis, &requests, Proposing::Rows)
     );
     assert_eq!(
         sparse.taxi_optimal(&taxis, &requests),
-        dense.taxi_optimal(&taxis, &requests)
+        dense_reference(params, &taxis, &requests, Proposing::Columns)
     );
     // The sweep is only meaningful if pruning actually happened.
     let spd = o2o_core::SparsePickupDistances::compute(
@@ -275,7 +224,6 @@ fn sparse_matches_dense_at_paper_thresholds_wide_city() {
         &taxis,
         &requests,
         &build_taxi_grid(&taxis),
-        Parallelism::sequential(),
     );
     assert!(
         spd.candidate_count() < taxis.len() * requests.len(),

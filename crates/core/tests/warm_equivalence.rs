@@ -1,24 +1,26 @@
 //! Warm ≡ cold: incremental dispatch must not change a single bit.
 //!
-//! The incremental NSTD path builds each frame's candidate rows from the
-//! stability certificate of the last solved frame (kept across frames by
-//! `IncrementalState`) and runs keyed deferred acceptance on them instead
-//! of building rank tables. Correctness never rests on the frames being
-//! related: a request skips a taxi only when the certified frame held both
-//! unchanged — same id, bit-identical positions, same party and seats —
-//! and left both unmatched, which stability rules out as a pair; every
-//! other taxi is re-tested and every other request built fresh, and keyed
-//! deferred acceptance compares the same keys the rank lists are sorted
-//! by. So any frame delta — taxis moving, leaving or joining the idle set,
-//! requests served, expired or newly arrived, matched pairs left in place
-//! — yields schedules, and proposal counts, bit-identical to a cold start,
-//! at every threshold setting and thread count. `tests/row_certificate.rs`
-//! rolls frames that apply their schedules, as the dispatch loop does.
+//! `NonSharingDispatcher::dispatch` builds each frame's candidate rows from
+//! the stability certificate of the last solved frame (kept across frames
+//! by `IncrementalState`) and runs keyed deferred acceptance on them.
+//! Correctness never rests on the frames being related: a request skips a
+//! taxi only when the certified frame held both unchanged — same id,
+//! bit-identical positions, same party and seats — and left both
+//! unmatched, which stability rules out as a pair; every other taxi is
+//! re-tested and every other request built fresh. So any frame delta —
+//! taxis moving, leaving or joining the idle set, requests served, expired
+//! or newly arrived, matched pairs left in place — yields schedules, and
+//! proposal counts, bit-identical to a cold start (a fresh state), at every
+//! threshold setting, and both equal the dense reference
+//! (`CandidateMode::Dense`). `tests/row_certificate.rs` rolls frames that
+//! apply their schedules, as the dispatch loop does.
 
-use o2o_core::{CandidateMode, IncrementalState, NonSharingDispatcher, PreferenceParams};
+use o2o_core::{
+    CandidateMode, IncrementalState, NonSharingDispatcher, PreferenceParams, Proposing, Schedule,
+    TimeBudget,
+};
 use o2o_geo::{Euclidean, Point};
 use o2o_obs as obs;
-use o2o_par::Parallelism;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,8 +28,8 @@ use rand::{Rng, SeedableRng};
 
 /// One rolling run: a sequence of frames where each frame is a random
 /// delta of the previous one (taxi moves/leaves/joins, request
-/// removals/arrivals), precomputed so every (params, threads) combination
-/// replays the identical sequence.
+/// removals/arrivals), precomputed so every params setting replays the
+/// identical sequence.
 fn rolling_frames(
     seed: u64,
     frames: usize,
@@ -102,7 +104,20 @@ fn param_grid() -> Vec<PreferenceParams> {
     ]
 }
 
-const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
+/// One frame on `state` with `side` proposing and an unlimited budget.
+fn dispatch(
+    d: &NonSharingDispatcher<Euclidean>,
+    frame: &(Vec<Taxi>, Vec<Request>),
+    state: &mut IncrementalState,
+    side: Proposing,
+) -> Schedule {
+    let unlimited = TimeBudget::unlimited();
+    let (taxis, requests) = frame;
+    d.dispatch(taxis, requests, None, None, state, side, &unlimited)
+        .0
+}
+
+const SIDES: [Proposing; 2] = [Proposing::Rows, Proposing::Columns];
 
 /// Runs `f` on a scoped recorder and returns its result with the
 /// `(match.proposals, match.rejections)` it recorded.
@@ -124,36 +139,24 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// NSTD-P and NSTD-T on the warm path across randomized frame deltas
-    /// are bit-identical to cold starts — schedules and proposal counts —
-    /// for every threshold setting and thread count.
+    /// NSTD-P and NSTD-T across randomized frame deltas are bit-identical
+    /// to cold starts — schedules and proposal counts — for every
+    /// threshold setting.
     #[test]
     fn warm_dispatch_matches_cold_across_frame_deltas(
         seed in any::<u64>(), churn_pct in 0u32..=60,
     ) {
         let frames = rolling_frames(seed, 6, 8.0, f64::from(churn_pct) / 100.0);
         for params in param_grid() {
-            let parallelisms = std::iter::once(Parallelism::sequential())
-                .chain(THREAD_COUNTS.iter().map(|&t| Parallelism::fixed(t)));
-            for par in parallelisms {
-                let d = NonSharingDispatcher::new(Euclidean, params).with_parallelism(par);
-                let mut p_state = IncrementalState::new();
-                let mut t_state = IncrementalState::new();
-                for (taxis, requests) in &frames {
-                    let (warm_p, warm_p_counts) = counted(|| {
-                        d.passenger_optimal_incremental(taxis, requests, None, &mut p_state)
-                    });
-                    let (cold_p, cold_p_counts) =
-                        counted(|| d.passenger_optimal_with_grid(taxis, requests, None));
-                    prop_assert_eq!(&warm_p, &cold_p);
-                    prop_assert_eq!(warm_p_counts, cold_p_counts);
-                    let (warm_t, warm_t_counts) = counted(|| {
-                        d.taxi_optimal_incremental(taxis, requests, None, &mut t_state)
-                    });
-                    let (cold_t, cold_t_counts) =
-                        counted(|| d.taxi_optimal_with_grid(taxis, requests, None));
-                    prop_assert_eq!(&warm_t, &cold_t);
-                    prop_assert_eq!(warm_t_counts, cold_t_counts);
+            let d = NonSharingDispatcher::new(Euclidean, params);
+            for side in SIDES {
+                let mut state = IncrementalState::new();
+                for frame in &frames {
+                    let (warm, warm_counts) = counted(|| dispatch(&d, frame, &mut state, side));
+                    let (cold, cold_counts) =
+                        counted(|| dispatch(&d, frame, &mut IncrementalState::new(), side));
+                    prop_assert_eq!(&warm, &cold, "{:?}", side);
+                    prop_assert_eq!(warm_counts, cold_counts, "{:?} counters", side);
                 }
             }
         }
@@ -167,27 +170,19 @@ proptest! {
         let frames = rolling_frames(seed, 5, 8.0, 0.3);
         let d = NonSharingDispatcher::new(Euclidean, PreferenceParams::paper());
         let mut state = IncrementalState::new();
-        for (k, (taxis, requests)) in frames.iter().enumerate() {
+        for (k, frame) in frames.iter().enumerate() {
             if k == 2 {
                 state.clear();
             }
-            let s = if k % 2 == 0 {
-                d.passenger_optimal_incremental(taxis, requests, None, &mut state)
-            } else {
-                d.taxi_optimal_incremental(taxis, requests, None, &mut state)
-            };
-            let cold = if k % 2 == 0 {
-                d.passenger_optimal_with_grid(taxis, requests, None)
-            } else {
-                d.taxi_optimal_with_grid(taxis, requests, None)
-            };
-            prop_assert_eq!(&s, &cold);
+            let side = SIDES[k % 2];
+            let cold = dispatch(&d, frame, &mut IncrementalState::new(), side);
+            prop_assert_eq!(&dispatch(&d, frame, &mut state, side), &cold);
         }
     }
 
     /// Dense mode as the cross-check: the warm sparse path (NSTD-P and
-    /// NSTD-T) agrees with a dense cold dispatcher frame by frame, for
-    /// every threshold setting.
+    /// NSTD-T) agrees with the dense reference frame by frame, for every
+    /// threshold setting.
     #[test]
     fn warm_sparse_matches_dense_cold(seed in any::<u64>(), churn_pct in 0u32..=40) {
         let frames = rolling_frames(seed, 6, 8.0, f64::from(churn_pct) / 100.0);
@@ -195,17 +190,14 @@ proptest! {
             let sparse = NonSharingDispatcher::new(Euclidean, params);
             let dense = NonSharingDispatcher::new(Euclidean, params)
                 .with_candidate_mode(CandidateMode::Dense);
-            let mut p_state = IncrementalState::new();
-            let mut t_state = IncrementalState::new();
-            for (taxis, requests) in &frames {
-                prop_assert_eq!(
-                    &sparse.passenger_optimal_incremental(taxis, requests, None, &mut p_state),
-                    &dense.passenger_optimal(taxis, requests)
-                );
-                prop_assert_eq!(
-                    &sparse.taxi_optimal_incremental(taxis, requests, None, &mut t_state),
-                    &dense.taxi_optimal(taxis, requests)
-                );
+            for side in SIDES {
+                let mut state = IncrementalState::new();
+                for frame in &frames {
+                    prop_assert_eq!(
+                        &dispatch(&sparse, frame, &mut state, side),
+                        &dispatch(&dense, frame, &mut IncrementalState::new(), side)
+                    );
+                }
             }
         }
     }

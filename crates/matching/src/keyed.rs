@@ -209,31 +209,6 @@ impl KeyedCandidates {
         }
     }
 
-    /// Appends every row of `other` (over the same columns) after this
-    /// set's rows — how independently built row blocks are joined.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts differ.
-    pub fn append(&mut self, other: &KeyedCandidates) {
-        assert_eq!(self.cols, other.cols, "appending a set over other columns");
-        let row_base = self.spans.len() as u32;
-        let entry_base = self.entries.len() as u32;
-        self.entries
-            .extend(other.entries.iter().map(|&e| KeyedEntry {
-                row: e.row + row_base,
-                ..e
-            }));
-        self.spans.extend(
-            other
-                .spans
-                .iter()
-                .map(|&(start, end)| (start + entry_base, end + entry_base)),
-        );
-        self.dead += other.dead;
-        self.open = (self.spans.len() as u32, self.entries.len() as u32);
-    }
-
     /// Number of finished rows.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -676,8 +651,7 @@ mod tests {
         ) {
             let set = random_set(seed, rows, cols, dens as f64 / 4.0);
             let (p_lists, r_lists) = reference_lists(&set);
-            let sparse = StableInstance::new_sparse(p_lists.clone(), r_lists.clone()).unwrap();
-            let dense = StableInstance::new(p_lists, r_lists).unwrap();
+            let inst = StableInstance::new(p_lists, r_lists).unwrap();
             let mut solver = KeyedMatch::new();
             for proposing in [Proposing::Rows, Proposing::Columns] {
                 let (keyed, kp, kr) = counted(|| {
@@ -685,16 +659,11 @@ mod tests {
                     matching(&solver, &set)
                 });
                 let (reference, rp, rr) = counted(|| match proposing {
-                    Proposing::Rows => sparse.propose(),
-                    Proposing::Columns => sparse.reviewer_optimal(),
+                    Proposing::Rows => inst.propose(),
+                    Proposing::Columns => inst.reviewer_optimal(),
                 });
                 prop_assert_eq!(&keyed, &reference, "{:?}", proposing);
                 prop_assert_eq!((kp, kr), (rp, rr), "{:?} counters", proposing);
-                let dense_m = match proposing {
-                    Proposing::Rows => dense.propose(),
-                    Proposing::Columns => dense.reviewer_optimal(),
-                };
-                prop_assert_eq!(&keyed, &dense_m);
                 for r in 0..set.rows() {
                     let via_entry = solver.row_entry(r).map(|e| set.entry(e).col as usize);
                     prop_assert_eq!(via_entry, keyed.proposer_partner(r));
@@ -711,7 +680,7 @@ mod tests {
                 solver.solve(&unsorted, Proposing::Columns);
                 matching(&solver, &unsorted)
             });
-            let (reference, rp, rr) = counted(|| sparse.reviewer_optimal());
+            let (reference, rp, rr) = counted(|| inst.reviewer_optimal());
             prop_assert_eq!(&keyed, &reference, "unsorted rows");
             prop_assert_eq!((kp, kr), (rp, rr), "unsorted rows' counters");
             unsorted.sort_rows();
@@ -779,7 +748,7 @@ mod tests {
         ) {
             let full = random_set(seed, rows, cols, dens as f64 / 4.0);
             let (p_lists, r_lists) = reference_lists(&full);
-            let inst = StableInstance::new_sparse(p_lists, r_lists).unwrap();
+            let inst = StableInstance::new(p_lists, r_lists).unwrap();
             let mut whole = KeyedMatch::new();
             let (want, wp, wr) = counted(|| {
                 whole.solve(&full, Proposing::Rows);
@@ -834,35 +803,12 @@ mod tests {
         // proposers walk deep into buckets several doubling chunks long.
         let set = random_set(0xC0FFEE, 90, 3, 1.0);
         let (p, r) = reference_lists(&set);
-        let inst = StableInstance::new_sparse(p, r).unwrap();
+        let inst = StableInstance::new(p, r).unwrap();
         let mut solver = KeyedMatch::new();
         solver.solve(&set, Proposing::Columns);
         assert_eq!(matching(&solver, &set), inst.reviewer_optimal());
         solver.solve(&set, Proposing::Rows);
         assert_eq!(matching(&solver, &set), inst.propose());
-    }
-
-    #[test]
-    fn append_joins_row_blocks() {
-        let a = random_set(1, 4, 5, 0.5);
-        let b = random_set(2, 3, 5, 0.5);
-        let mut joined = a.clone();
-        joined.append(&b);
-        assert_eq!(joined.rows(), 7);
-        for r in 0..4 {
-            assert_eq!(joined.row(r), a.row(r));
-        }
-        for r in 0..3 {
-            let shifted: Vec<KeyedEntry> = b
-                .row(r)
-                .iter()
-                .map(|&e| KeyedEntry {
-                    row: e.row + 4,
-                    ..e
-                })
-                .collect();
-            assert_eq!(joined.row(r + 4), &shifted[..]);
-        }
     }
 
     #[test]

@@ -38,6 +38,4 @@ pub use hopcroft_karp::max_bipartite_matching;
 pub use hungarian::min_cost_assignment;
 pub use keyed::{KeyedCandidates, KeyedEntry, KeyedMatch, Proposing};
 pub use set_packing::{SetPacking, SetPackingStrategy};
-pub use stable::{
-    AnytimeSearch, Enumeration, MatchScratch, Matching, PreferenceError, StableInstance,
-};
+pub use stable::{AnytimeSearch, Enumeration, Matching, PreferenceError, StableInstance};

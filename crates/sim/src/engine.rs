@@ -901,22 +901,38 @@ mod tests {
     #[test]
     fn sparse_and_dense_candidate_modes_run_identically() {
         use o2o_core::{CandidateMode, NonSharingDispatcher};
-        let trace = boston_september_2012(0.002).generate(7);
         let params = PreferenceParams::default();
-        // Default NSTD-P is sparse (grid-pruned candidates); pinning its
-        // full run against the dense path catches any divergence the
-        // per-frame property tests could miss.
-        let mut sparse = policy::nstd_p(Euclidean, params);
-        let mut dense = policy::NstdPPolicy::from_dispatcher(
-            NonSharingDispatcher::new(Euclidean, params).with_candidate_mode(CandidateMode::Dense),
-        );
-        let a = Simulator::new(SimConfig::default()).run(&trace, &mut sparse);
-        let b = Simulator::new(SimConfig::default()).run(&trace, &mut dense);
-        assert_eq!(a.delays_min, b.delays_min);
-        assert_eq!(a.passenger_dissatisfaction, b.passenger_dissatisfaction);
-        assert_eq!(a.taxi_dissatisfaction, b.taxi_dissatisfaction);
-        assert_eq!(a.total_drive_km, b.total_drive_km);
-        assert_eq!(a.queue_by_frame, b.queue_by_frame);
+        let dense = || {
+            NonSharingDispatcher::new(Euclidean, params).with_candidate_mode(CandidateMode::Dense)
+        };
+        // The default NSTD policies are sparse and warm: each frame's
+        // candidate rows come from the previous frame's stability
+        // certificate and are solved by keyed deferred acceptance. Pinning
+        // full runs of NSTD-P and NSTD-T against the dense reference (rank
+        // tables from the engine's pick-up matrix, every frame) catches
+        // any divergence the per-frame property tests could miss.
+        for seed in [7, 13] {
+            let trace = boston_september_2012(0.002).generate(seed);
+            let sim = Simulator::new(SimConfig::default());
+            let runs = [
+                (
+                    sim.run(&trace, &mut policy::nstd_p(Euclidean, params)),
+                    sim.run(&trace, &mut policy::NstdPPolicy::from_dispatcher(dense())),
+                ),
+                (
+                    sim.run(&trace, &mut policy::nstd_t(Euclidean, params)),
+                    sim.run(&trace, &mut policy::NstdTPolicy::from_dispatcher(dense())),
+                ),
+            ];
+            for (a, b) in &runs {
+                assert_eq!(a.delays_min, b.delays_min, "{} seed {seed}", a.policy);
+                assert_eq!(a.passenger_dissatisfaction, b.passenger_dissatisfaction);
+                assert_eq!(a.taxi_dissatisfaction, b.taxi_dissatisfaction);
+                assert_eq!(a.total_drive_km, b.total_drive_km);
+                assert_eq!(a.queue_by_frame, b.queue_by_frame);
+                assert_eq!(a.deterministic_digest(), b.deterministic_digest());
+            }
+        }
     }
 
     #[test]
@@ -946,35 +962,6 @@ mod tests {
         let mut plain = policy::std_p(Euclidean, params);
         let bare = Simulator::new(SimConfig::default()).run(&trace, &mut plain);
         assert_eq!(bare.total_cache_hits() + bare.total_cache_misses(), 0);
-    }
-
-    #[test]
-    fn warm_incremental_mode_matches_cold_over_a_full_run() {
-        use o2o_core::IncrementalMode;
-        let trace = boston_september_2012(0.002).generate(13);
-        let params = PreferenceParams::default();
-        // Warm is the default; Cold re-runs deferred acceptance from
-        // scratch each frame. The two must be bit-identical end to end.
-        let mut warm = policy::nstd_p(Euclidean, params);
-        assert_eq!(warm.incremental_mode(), IncrementalMode::Warm);
-        let mut cold =
-            policy::nstd_p(Euclidean, params).with_incremental_mode(IncrementalMode::Cold);
-        let a = Simulator::new(SimConfig::default()).run(&trace, &mut warm);
-        let b = Simulator::new(SimConfig::default()).run(&trace, &mut cold);
-        assert_eq!(a.delays_min, b.delays_min);
-        assert_eq!(a.passenger_dissatisfaction, b.passenger_dissatisfaction);
-        assert_eq!(a.taxi_dissatisfaction, b.taxi_dissatisfaction);
-        assert_eq!(a.total_drive_km, b.total_drive_km);
-        assert_eq!(a.queue_by_frame, b.queue_by_frame);
-
-        let mut warm_t = policy::nstd_t(Euclidean, params);
-        let mut cold_t =
-            policy::nstd_t(Euclidean, params).with_incremental_mode(IncrementalMode::Cold);
-        let at = Simulator::new(SimConfig::default()).run(&trace, &mut warm_t);
-        let bt = Simulator::new(SimConfig::default()).run(&trace, &mut cold_t);
-        assert_eq!(at.delays_min, bt.delays_min);
-        assert_eq!(at.passenger_dissatisfaction, bt.passenger_dissatisfaction);
-        assert_eq!(at.taxi_dissatisfaction, bt.taxi_dissatisfaction);
     }
 
     #[test]

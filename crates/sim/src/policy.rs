@@ -23,8 +23,8 @@ use o2o_baselines::{
     LinDispatcher, MiniDispatcher, NearDispatcher, PairDispatcher, RaiiDispatcher, SarpDispatcher,
 };
 use o2o_core::{
-    CandidateMode, Degraded, IncrementalMode, IncrementalState, NonSharingDispatcher,
-    PickupDistances, PreferenceParams, Schedule, SharingDispatcher, SharingSchedule, TimeBudget,
+    CandidateMode, Degraded, IncrementalState, NonSharingDispatcher, PickupDistances,
+    PreferenceParams, Proposing, Schedule, SharingDispatcher, SharingSchedule, TimeBudget,
 };
 use o2o_geo::{CacheStats, DistanceCache, GridIndex, Metric, Point};
 use o2o_obs::Recorder;
@@ -291,40 +291,30 @@ macro_rules! dispatcher_policy {
 }
 
 /// Hand-written (not via `dispatcher_policy!`) because the NSTD policies
-/// pick their per-frame input by candidate mode: dense wants the
-/// precomputed pick-up matrix, sparse wants the shared taxi grid. Both
-/// modes produce bit-identical schedules.
+/// carry state across frames and report degradations.
 macro_rules! nstd_policy {
-    ($struct_name:ident, $doc:literal, $label:literal, $with:ident, $with_grid:ident,
-     $incremental:ident, $budgeted:ident) => {
+    ($struct_name:ident, $doc:literal, $label:literal, $side:expr) => {
         #[doc = $doc]
         ///
-        /// With the dispatcher in [`CandidateMode::Sparse`] (the default)
-        /// the policy asks the engine for the shared per-frame taxi grid
-        /// and generates candidates through it; in
-        /// [`CandidateMode::Dense`] it consumes the precomputed pick-up
-        /// matrix as before. On the sparse path the policy additionally
-        /// builds each frame's candidate rows from the previous frame's
-        /// stability certificate and runs keyed deferred acceptance on
-        /// them ([`IncrementalMode::Warm`], the default); toggle to
-        /// [`IncrementalMode::Cold`] for A/B benchmarking. The schedules
-        /// are bit-identical across every mode combination.
+        /// Each frame is one [`NonSharingDispatcher::dispatch`] call. The
+        /// policy keeps the [`IncrementalState`] that carries the stability
+        /// certificate from frame to frame, and asks the engine for the
+        /// per-frame input its dispatcher's [`CandidateMode`] reads: the
+        /// shared taxi grid when sparse (the default), the pick-up matrix
+        /// when dense. The schedules are bit-identical either way.
         pub struct $struct_name<M> {
             inner: NonSharingDispatcher<M>,
-            incremental: IncrementalMode,
             state: IncrementalState,
             degraded: Option<Degraded>,
         }
 
         impl<M: Metric> $struct_name<M> {
             /// Wraps a pre-built dispatcher (e.g. one configured with
-            /// `with_parallelism` or `with_candidate_mode`) as a frame
-            /// policy.
+            /// `with_candidate_mode`) as a frame policy.
             #[must_use]
             pub fn from_dispatcher(inner: NonSharingDispatcher<M>) -> Self {
                 $struct_name {
                     inner,
-                    incremental: IncrementalMode::default(),
                     state: IncrementalState::new(),
                     degraded: None,
                 }
@@ -335,22 +325,6 @@ macro_rules! nstd_policy {
             pub fn dispatcher(&self) -> &NonSharingDispatcher<M> {
                 &self.inner
             }
-
-            /// Sets whether the sparse path builds rows from the previous
-            /// frame's stability certificate (results are bit-identical
-            /// either way). Resets the certificate.
-            #[must_use]
-            pub fn with_incremental_mode(mut self, mode: IncrementalMode) -> Self {
-                self.incremental = mode;
-                self.state.clear();
-                self
-            }
-
-            /// The incremental mode in use.
-            #[must_use]
-            pub fn incremental_mode(&self) -> IncrementalMode {
-                self.incremental
-            }
         }
 
         impl<M: Metric> DispatchPolicy for $struct_name<M> {
@@ -359,40 +333,13 @@ macro_rules! nstd_policy {
             }
 
             fn dispatch(&mut self, ctx: &FrameContext<'_>) -> Vec<FrameAssignment> {
-                if ctx.budget.is_unlimited() {
-                    self.degraded = None;
-                    let schedule = match (self.inner.candidate_mode(), self.incremental) {
-                        (CandidateMode::Dense, _) => {
-                            self.inner
-                                .$with(ctx.idle_taxis, ctx.pending, ctx.pickup_distances)
-                        }
-                        (CandidateMode::Sparse, IncrementalMode::Warm) => self.inner.$incremental(
-                            ctx.idle_taxis,
-                            ctx.pending,
-                            ctx.taxi_grid,
-                            &mut self.state,
-                        ),
-                        (CandidateMode::Sparse, IncrementalMode::Cold) => {
-                            self.inner
-                                .$with_grid(ctx.idle_taxis, ctx.pending, ctx.taxi_grid)
-                        }
-                    };
-                    return from_schedule(ctx.pending, &schedule);
-                }
-                // Finite budget: the budgeted entry point owns the mode
-                // dispatch (warm state is only threaded through on the
-                // sparse+warm combination, matching the unbudgeted arms).
-                let state = matches!(
-                    (self.inner.candidate_mode(), self.incremental),
-                    (CandidateMode::Sparse, IncrementalMode::Warm)
-                )
-                .then(|| &mut self.state);
-                let (schedule, degraded) = self.inner.$budgeted(
+                let (schedule, degraded) = self.inner.dispatch(
                     ctx.idle_taxis,
                     ctx.pending,
-                    ctx.pickup_distances,
                     ctx.taxi_grid,
-                    state,
+                    ctx.pickup_distances,
+                    &mut self.state,
+                    $side,
                     &ctx.budget,
                 );
                 self.degraded = degraded;
@@ -418,20 +365,14 @@ nstd_policy!(
     NstdPPolicy,
     "Algorithm 1 (NSTD-P) as a frame policy.",
     "NSTD-P",
-    passenger_optimal_with,
-    passenger_optimal_with_grid,
-    passenger_optimal_incremental,
-    passenger_optimal_budgeted
+    Proposing::Rows
 );
 
 nstd_policy!(
     NstdTPolicy,
     "NSTD-T (taxi-optimal stable matching) as a frame policy.",
     "NSTD-T",
-    taxi_optimal_with,
-    taxi_optimal_with_grid,
-    taxi_optimal_incremental,
-    taxi_optimal_budgeted
+    Proposing::Columns
 );
 
 dispatcher_policy!(

@@ -6,9 +6,9 @@
 //! and by byte-level WAL corruption. Each resumed run must finish with a
 //! [`SimReport`] whose `deterministic_digest` — every result field —
 //! equals the uninterrupted run's, across kill points × thread counts ×
-//! fault plans × warm/cold incremental modes.
+//! fault plans × sparse (warm) and dense candidate modes.
 
-use o2o_core::{IncrementalMode, PreferenceParams};
+use o2o_core::{CandidateMode, NonSharingDispatcher, PreferenceParams};
 use o2o_geo::Euclidean;
 use o2o_par::Parallelism;
 use o2o_sim::{
@@ -344,8 +344,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The full sweep: random kill points, thread counts, fault plans,
-    /// checkpoint intervals and warm/cold incremental modes. Resume is
-    /// always bit-identical on result fields.
+    /// checkpoint intervals and candidate modes — the sparse path, warm
+    /// across frames, and the dense reference. Resume is always
+    /// bit-identical on result fields.
     #[test]
     fn kill_resume_sweep_is_bit_identical(
         trace_seed in 0u64..500,
@@ -353,14 +354,18 @@ proptest! {
         rate in 0.0f64..0.2,
         threads in 1usize..4,
         interval in 1u64..24,
-        cold in any::<bool>(),
+        dense in any::<bool>(),
         kills in proptest::collection::vec(1u64..30, 1..4usize),
         case_tag in 0u32..u32::MAX,
     ) {
         let trace = boston_september_2012(0.001).generate(trace_seed);
         let params = PreferenceParams::default();
-        let mode = if cold { IncrementalMode::Cold } else { IncrementalMode::Warm };
-        let make = || policy::nstd_p(Euclidean, params).with_incremental_mode(mode);
+        let mode = if dense { CandidateMode::Dense } else { CandidateMode::Sparse };
+        let make = || {
+            policy::NstdPPolicy::from_dispatcher(
+                NonSharingDispatcher::new(Euclidean, params).with_candidate_mode(mode),
+            )
+        };
         let sim = Simulator::new(SimConfig::default())
             .with_parallelism(Parallelism::fixed(threads))
             .with_fault_plan(FaultPlan::uniform(fault_seed, rate));
@@ -374,8 +379,8 @@ proptest! {
         prop_assert_eq!(
             baseline.deterministic_digest(),
             resumed.deterministic_digest(),
-            "kill/resume diverged (seed {}, kills {:?}, interval {}, cold {})",
-            trace_seed, &kills, interval, cold
+            "kill/resume diverged (seed {}, kills {:?}, interval {}, dense {})",
+            trace_seed, &kills, interval, dense
         );
         prop_assert_eq!(baseline.served, resumed.served);
         prop_assert_eq!(baseline.delays_min, resumed.delays_min);
