@@ -13,14 +13,15 @@
 //! relative threshold defaults to 25% and is overridable with
 //! `O2O_REGRESS_MAX_PCT` (see `o2o_bench::gates`).
 //!
-//! `digests` runs the six figure binaries of Figs. 4-9 (siblings of this
+//! `digests` runs the figure binaries of Figs. 4-9 (siblings of this
 //! executable, so build them first: `cargo build --release -p o2o-bench
-//! --bins`) at the ledger scale and exits 1 when any run's outcome digest
-//! differs from `results/digests.json`, printing each old and new digest
-//! (see `o2o_bench::digests`). `digests --record` rewrites the ledger
-//! instead, for a change that alters outcomes on purpose.
+//! --bins`) at the ledger's scales (about 20 s in all) and exits 1 when
+//! any run's outcome digest differs from `results/digests.json`, printing
+//! each old and new digest (see `o2o_bench::digests`). `digests --record`
+//! rewrites the ledger instead, for a change that alters outcomes on
+//! purpose.
 
-use o2o_bench::digests::{self, LEDGER_FIGURES, LEDGER_SCALE};
+use o2o_bench::digests::{self, LEDGER_RUNS};
 use o2o_bench::regress::{self, CompareOptions};
 use o2o_bench::{results_dir, Json, REGRESS_MAX_PCT};
 use std::process::{Command, Stdio};
@@ -129,10 +130,10 @@ fn check_digests(record: bool) {
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(e.to_string()));
     let dir = results_dir();
     let mut figures = Vec::new();
-    for name in LEDGER_FIGURES {
+    for (name, scale) in LEDGER_RUNS {
         let bin = exe.with_file_name(format!("{name}{}", std::env::consts::EXE_SUFFIX));
         let status = Command::new(&bin)
-            .args(["--scale", &LEDGER_SCALE.to_string()])
+            .args(["--scale", &scale.to_string()])
             .stdout(Stdio::null())
             .status()
             .unwrap_or_else(|e| {
@@ -151,10 +152,10 @@ fn check_digests(record: bool) {
             .and_then(|text| Json::parse(&text))
             .and_then(|doc| digests::figure_digests(&doc))
             .unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
-        figures.push((name, doc));
+        figures.push((digests::run_key(name, scale), doc));
     }
     // The figure binaries' default seed.
-    let fresh = digests::ledger_json(LEDGER_SCALE, 42, &figures);
+    let fresh = digests::ledger_json(42, &figures);
     let ledger = dir.join("digests.json");
     if record {
         std::fs::write(&ledger, format!("{fresh}\n"))

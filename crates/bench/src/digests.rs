@@ -5,30 +5,45 @@
 //! [`SimReport::deterministic_digest`](o2o_sim::SimReport::deterministic_digest)
 //! of its run — a hash of every outcome the run produced (delays, both
 //! dissatisfaction series, queue and idle counts, faults), none of its
-//! wall-clock. `results/digests.json` records those digests for the six
-//! figure binaries of Figs. 4–9 at [`LEDGER_SCALE`], keyed per figure by
-//! policy and, for sweeps, by sweep point. `bench digests` re-runs the
-//! six binaries and fails on any difference, so a change that claims to
-//! keep outcomes proves it, and one that changes them on purpose shows
-//! exactly which runs moved (`bench digests --record` rewrites the
-//! ledger).
+//! wall-clock. `results/digests.json` records those digests for the
+//! figure runs in [`LEDGER_RUNS`] — the six binaries of Figs. 4–9 at a
+//! small scale, and all but Fig. 8 at full scale — keyed per run by
+//! policy and, for sweeps, by sweep point. `bench digests` re-runs them
+//! and fails on any difference, so a change that claims to keep outcomes
+//! proves it, and one that changes them on purpose shows exactly which
+//! runs moved (`bench digests --record` rewrites the ledger).
 
 use crate::json::Json;
 use std::collections::BTreeMap;
 
-/// The figure binaries the ledger covers, in run order.
-pub const LEDGER_FIGURES: [&str; 6] = [
-    "fig4_nonsharing_nyc",
-    "fig5_nonsharing_boston",
-    "fig6_taxi_count_sweep",
-    "fig7_clock_time",
-    "fig8_sharing_nyc",
-    "fig9_sharing_boston",
+/// The figure runs the ledger covers, in run order: a figure binary and
+/// the `--scale` it runs at.
+///
+/// At scale 0.05 all six take about 2 s together in release, but the NYC
+/// day has only 35 taxis. Scale 1.0 is the scale of `results/fig*.txt`,
+/// where the NYC rush hour holds thousands of pending requests; those
+/// five runs take about 20 s together. Fig. 8 stays at the small scale
+/// only, since its full-scale run takes about 4 min.
+pub const LEDGER_RUNS: [(&str, f64); 11] = [
+    ("fig4_nonsharing_nyc", 0.05),
+    ("fig5_nonsharing_boston", 0.05),
+    ("fig6_taxi_count_sweep", 0.05),
+    ("fig7_clock_time", 0.05),
+    ("fig8_sharing_nyc", 0.05),
+    ("fig9_sharing_boston", 0.05),
+    ("fig4_nonsharing_nyc", 1.0),
+    ("fig5_nonsharing_boston", 1.0),
+    ("fig6_taxi_count_sweep", 1.0),
+    ("fig7_clock_time", 1.0),
+    ("fig9_sharing_boston", 1.0),
 ];
 
-/// The `--scale` the ledger's runs use (all six take about 2–3 s
-/// together in release).
-pub const LEDGER_SCALE: f64 = 0.05;
+/// The ledger key of one run: the figure binary and its `--scale`
+/// argument, as on the command line (`fig4_nonsharing_nyc --scale 1`).
+#[must_use]
+pub fn run_key(figure: &str, scale: f64) -> String {
+    format!("{figure} --scale {scale}")
+}
 
 /// The `(key, digest)` pairs of one figure's BENCH document: one per
 /// policy row, keyed by the policy name, prefixed by the sweep point
@@ -80,23 +95,22 @@ fn policy_digests(
     Ok(())
 }
 
-/// The ledger document: scale, seed and, per figure, its digests.
+/// The ledger document: the seed and, per run (keyed by [`run_key`]),
+/// its digests.
 #[must_use]
-pub fn ledger_json(scale: f64, seed: u64, figures: &[(&str, BTreeMap<String, String>)]) -> Json {
+pub fn ledger_json(seed: u64, runs: &[(String, BTreeMap<String, String>)]) -> Json {
     Json::obj(vec![
-        ("scale", scale.into()),
         ("seed", seed.into()),
         (
-            "figures",
+            "runs",
             Json::Obj(
-                figures
-                    .iter()
-                    .map(|(name, digests)| {
+                runs.iter()
+                    .map(|(run, digests)| {
                         let entries = digests
                             .iter()
                             .map(|(k, d)| (k.clone(), Json::from(d.as_str())))
                             .collect();
-                        ((*name).to_string(), Json::Obj(entries))
+                        (run.clone(), Json::Obj(entries))
                     })
                     .collect(),
             ),
@@ -105,18 +119,18 @@ pub fn ledger_json(scale: f64, seed: u64, figures: &[(&str, BTreeMap<String, Str
 }
 
 /// Every difference between a recorded ledger and a fresh one, one line
-/// each: `figure/key: old -> new`, with `missing` for a side that has no
+/// each: `run/key: old -> new`, with `missing` for a side that has no
 /// entry. Empty when they agree.
 #[must_use]
 pub fn ledger_diff(recorded: &Json, fresh: &Json) -> Vec<String> {
     let flat = |doc: &Json| -> BTreeMap<String, String> {
         let mut out = BTreeMap::new();
-        if let Some(Json::Obj(figures)) = doc.get("figures") {
-            for (figure, entries) in figures {
+        if let Some(Json::Obj(runs)) = doc.get("runs") {
+            for (run, entries) in runs {
                 if let Json::Obj(entries) = entries {
                     for (key, digest) in entries {
                         let digest = digest.as_str().unwrap_or("?").to_string();
-                        out.insert(format!("{figure}/{key}"), digest);
+                        out.insert(format!("{run}/{key}"), digest);
                     }
                 }
             }
@@ -128,14 +142,12 @@ pub fn ledger_diff(recorded: &Json, fresh: &Json) -> Vec<String> {
     keys.sort();
     keys.dedup();
     let mut out = Vec::new();
-    for key in ["scale", "seed"] {
-        if recorded.get(key) != fresh.get(key) {
-            out.push(format!(
-                "{key}: {:?} -> {:?}",
-                recorded.get(key),
-                fresh.get(key)
-            ));
-        }
+    if recorded.get("seed") != fresh.get("seed") {
+        out.push(format!(
+            "seed: {:?} -> {:?}",
+            recorded.get("seed"),
+            fresh.get("seed")
+        ));
     }
     for key in keys {
         let (a, b) = (old.get(key), new.get(key));
@@ -185,25 +197,34 @@ mod tests {
 
     #[test]
     fn diff_names_every_moved_missing_and_extra_run() {
-        let mk = |pairs: &[(&str, &str)]| {
+        let mk = |scale: f64, pairs: &[(&str, &str)]| {
             let digests = pairs
                 .iter()
                 .map(|(k, d)| ((*k).to_string(), (*d).to_string()))
                 .collect();
-            ledger_json(0.05, 42, &[("fig4", digests)])
+            ledger_json(42, &[(run_key("fig4", scale), digests)])
         };
-        let old = mk(&[("NSTD-P", "aa"), ("Near", "bb")]);
+        let old = mk(0.05, &[("NSTD-P", "aa"), ("Near", "bb")]);
         assert!(ledger_diff(&old, &old).is_empty());
-        let new = mk(&[("NSTD-P", "ab"), ("Pair", "cc")]);
+        let new = mk(0.05, &[("NSTD-P", "ab"), ("Pair", "cc")]);
         assert_eq!(
             ledger_diff(&old, &new),
             vec![
-                "fig4/NSTD-P: aa -> ab",
-                "fig4/Near: bb -> missing",
-                "fig4/Pair: missing -> cc",
+                "fig4 --scale 0.05/NSTD-P: aa -> ab",
+                "fig4 --scale 0.05/Near: bb -> missing",
+                "fig4 --scale 0.05/Pair: missing -> cc",
             ]
         );
-        let rescaled = ledger_json(0.1, 42, &[]);
-        assert!(ledger_diff(&ledger_json(0.05, 42, &[]), &rescaled)[0].starts_with("scale"));
+        // A run at another scale is another run.
+        let rescaled = mk(1.0, &[("NSTD-P", "aa")]);
+        assert_eq!(
+            ledger_diff(&mk(0.05, &[("NSTD-P", "aa")]), &rescaled),
+            vec![
+                "fig4 --scale 0.05/NSTD-P: aa -> missing",
+                "fig4 --scale 1/NSTD-P: missing -> aa",
+            ]
+        );
+        let reseeded = ledger_json(7, &[]);
+        assert!(ledger_diff(&ledger_json(42, &[]), &reseeded)[0].starts_with("seed"));
     }
 }

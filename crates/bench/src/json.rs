@@ -458,7 +458,7 @@ pub fn policy_json(r: &SimReport) -> Json {
     ])
 }
 
-/// Aggregate view of a run's [`StageBreakdown`]: per-stage total
+/// Aggregate view of a run's [`StageBreakdown`](o2o_obs::StageBreakdown): per-stage total
 /// self-time and per-counter totals across every dispatched frame (the
 /// per-frame series stays in the report; JSON carries the aggregate so
 /// files stay small at full scale).

@@ -5,15 +5,21 @@
 //! [`IncrementalState`] keeps the stability certificate of the last
 //! solved frame ([`crate::RowCertificate`]). A stable matching leaves no
 //! mutually acceptable pair between a request and a taxi it leaves both
-//! unmatched, so a request that stayed unchanged and unmatched tests only
-//! the taxis that are new, moved, re-seated or were matched, instead of
-//! walking the taxi grid and querying the metric for every taxi near it.
-//! In the dispatch loop every matched taxi leaves the idle set and every
-//! served request the queue, so such a request tests only the taxis that
-//! became idle since the last frame. The rows then feed keyed deferred
-//! acceptance ([`o2o_matching::KeyedMatch`]) directly, so a warm frame
-//! builds no rank table and no [`o2o_matching::StableInstance`]; they
-//! are sorted only when requests propose.
+//! unmatched, and the argument is symmetric. So a request that stayed
+//! unchanged and unmatched needs testing only against the taxis that are
+//! new, moved, re-seated or were matched (NSTD-P builds one row per
+//! request this way), and a taxi that stayed unchanged and unmatched only
+//! against the requests that are new, changed or were matched (NSTD-T
+//! builds one row per taxi this way). In the dispatch loop every matched
+//! taxi leaves the idle set and every served request the queue, so the
+//! tests left are those between the taxis that became idle and every
+//! request, and between the requests that arrived and every taxi. The
+//! rows then feed keyed deferred acceptance ([`o2o_matching::KeyedMatch`])
+//! directly, so a warm frame builds no rank table and no
+//! [`o2o_matching::StableInstance`]. NSTD-P's request rows are sorted;
+//! NSTD-T's taxi rows are revealed in bands of a lower bound on the
+//! driver score, and a taxi reads further only when its revealed requests
+//! all refuse it.
 //!
 //! The state carries no matching to seed the next solve with: every
 //! matched taxi is dispatched and leaves the idle set, so no matched pair
@@ -23,9 +29,9 @@
 //! The certificate reuses each unchanged request's trip, so one
 //! [`IncrementalState`] must stay with one dispatcher (one metric); the
 //! params are revalidated per frame, any id/position/seat change sends a
-//! taxi to the tested set or a request to the fresh path, and a frame
-//! whose solve is not recorded (the greedy rung) leaves the next frame
-//! uncertified. A fresh state builds every row fresh, which is what
+//! taxi or a request to the tested side, and a frame whose solve is not
+//! recorded (the greedy rung) leaves the next frame uncertified. A fresh
+//! state builds everything fresh, which is what
 //! [`crate::NonSharingDispatcher::passenger_optimal`] and
 //! [`crate::NonSharingDispatcher::taxi_optimal`] do; warm and fresh
 //! schedules are bit-identical for every frame delta. The property suites
@@ -47,7 +53,7 @@ use o2o_matching::KeyedMatch;
 /// schedule it returns.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalState {
-    /// The last frame's certificate and the row buffer (see
+    /// The last frame's certificate and the row buffers (see
     /// [`crate::RowCertificate`]).
     pub(crate) cert: crate::RowCertificate,
     /// Keyed deferred-acceptance working memory. Not cleared by

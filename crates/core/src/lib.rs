@@ -20,9 +20,11 @@
 //!
 //! Every non-sharing frame goes through one entry point,
 //! [`NonSharingDispatcher::dispatch`]: the frame's mutually acceptable
-//! pairs come from a taxi grid and the previous frame's stability
-//! certificate ([`IncrementalState`]) and are solved by keyed deferred
-//! acceptance, under a per-frame [`TimeBudget`]. The dense
+//! pairs come from the previous frame's stability certificate
+//! ([`IncrementalState`]) — as sorted request rows from a taxi grid for
+//! NSTD-P, as taxi rows revealed in bands of a score lower bound for
+//! NSTD-T — and are solved by keyed deferred acceptance, under a
+//! per-frame [`TimeBudget`]. The dense
 //! [`PreferenceModel`] ([`CandidateMode::Dense`]) is the reference that
 //! path is tested against, and the model Algorithm 2 enumerates on.
 //!

@@ -2,10 +2,12 @@
 
 use crate::company::CompanyObjective;
 use crate::degrade::{DegradeReason, Degraded, DispatchTier};
-use crate::prefs::{build_taxi_grid, PickupDistances, PreferenceModel, SparsePickupDistances};
+use crate::prefs::{
+    build_taxi_grid, Frame, PickupDistances, PreferenceModel, RowCertificate, SparsePickupDistances,
+};
 use crate::{IncrementalState, PreferenceParams, Schedule};
 use o2o_geo::{GridIndex, Metric};
-use o2o_matching::{KeyedMatch, Matching, Proposing, TimeBudget};
+use o2o_matching::{Matching, Proposing, TimeBudget};
 use o2o_obs as obs;
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
 
@@ -143,9 +145,10 @@ impl<M: Metric> NonSharingDispatcher<M> {
     }
 
     /// One NSTD frame: the stable schedule with `side` proposing —
-    /// [`Proposing::Rows`] is **Algorithm 1 (NSTD-P)**, requests propose;
-    /// [`Proposing::Columns`] is **NSTD-T**, taxis propose — stepping down
-    /// the degradation ladder under `budget`.
+    /// [`Proposing::Rows`] is **Algorithm 1 (NSTD-P)**, requests (the rows
+    /// of the frame's request × taxi matrix) propose; [`Proposing::Columns`]
+    /// is **NSTD-T**, taxis propose — stepping down the degradation ladder
+    /// under `budget`.
     ///
     /// Among all stable schedules, NSTD-P gives every request its best
     /// achievable taxi (Property 2) and NSTD-T every taxi its best
@@ -154,18 +157,23 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// roles swapped, which coincides with the taxi-best schedule of
     /// Algorithm 2's enumeration (property-tested in this crate).
     ///
-    /// In [`CandidateMode::Sparse`] (the default) the frame's candidate
-    /// rows — its mutually acceptable pairs — are built through
-    /// `taxi_grid` (one is built when `None`) with the help of the
-    /// stability certificate the previous frame left in `state` (see
-    /// [`SparsePickupDistances::compute_incremental`]), then solved by
-    /// keyed deferred acceptance ([`o2o_matching::KeyedMatch`]); the solve
-    /// is recorded in `state` and certifies the next frame. A fresh
-    /// `state` builds every row fresh. In [`CandidateMode::Dense`] the
-    /// frame runs deferred acceptance on the dense [`PreferenceModel`],
-    /// built from `pickup_distances` when given, and `state` is not read.
-    /// Both modes, and warm or fresh states, yield bit-identical
-    /// schedules (`tests/sparse_equivalence.rs`,
+    /// In [`CandidateMode::Sparse`] (the default) the frame's mutually
+    /// acceptable pairs are built with the help of the stability
+    /// certificate the previous frame left in `state` and solved by keyed
+    /// deferred acceptance ([`o2o_matching::KeyedMatch`]); the schedule is
+    /// recorded in `state` and certifies the next frame. NSTD-P builds one
+    /// sorted row per request, through `taxi_grid` (one is built when
+    /// `None`; see [`SparsePickupDistances::compute_incremental`]), and
+    /// requests propose on them. NSTD-T builds one row per taxi and reads
+    /// no grid: each row is revealed in bands of a lower bound on the
+    /// driver score, taxis propose on what is revealed, and a taxi left
+    /// unmatched with candidates still hidden widens its band and proposes
+    /// on ([`o2o_matching::KeyedMatch::resume_rows`]). A fresh `state`
+    /// builds everything fresh. In [`CandidateMode::Dense`] the frame runs
+    /// deferred acceptance on the dense [`PreferenceModel`], built from
+    /// `pickup_distances` when given, and `state` is not read. Both modes,
+    /// and warm or fresh states, yield bit-identical schedules and the
+    /// same proposals and rejections (`tests/sparse_equivalence.rs`,
     /// `tests/warm_equivalence.rs`, `tests/row_certificate.rs`).
     ///
     /// The ladder: a deadline already passed at entry gives
@@ -175,9 +183,9 @@ impl<M: Metric> NonSharingDispatcher<M> {
     /// schedule is not stable and certifies nothing. NSTD-T past the
     /// deadline once its candidates exist steps down to NSTD-P on them:
     /// one deferred-acceptance pass, the cheapest stable answer the
-    /// candidates afford (sparse rows, built for taxis to propose, are
-    /// sorted first). Each step down comes back as a [`Degraded`] marker;
-    /// with an unlimited budget there is none.
+    /// candidates afford (the sparse taxi rows are revealed in full, and
+    /// requests propose on them as columns). Each step down comes back as
+    /// a [`Degraded`] marker; with an unlimited budget there is none.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn dispatch(
@@ -206,21 +214,18 @@ impl<M: Metric> NonSharingDispatcher<M> {
             return (self.greedy_nearest(taxis, requests), Some(degraded));
         }
         // Past the deadline once the candidates exist, NSTD-P on them.
-        let rung = || {
-            if side == Proposing::Rows || !budget.exhausted() {
-                return (side, None);
-            }
-            let degraded = Degraded {
+        let step_down = || {
+            (side == Proposing::Columns && budget.exhausted()).then_some(Degraded {
                 from: tier,
                 to: DispatchTier::NstdP,
                 reason: DegradeReason::DeadlineExceeded {
                     stage: "after preference construction",
                 },
-            };
-            (Proposing::Rows, Some(degraded))
+            })
         };
-        match self.mode {
-            CandidateMode::Dense => {
+        let IncrementalState { cert, solver } = state;
+        match (self.mode, side) {
+            (CandidateMode::Dense, _) => {
                 let model = PreferenceModel::build_with(
                     &self.metric,
                     &self.params,
@@ -228,38 +233,79 @@ impl<M: Metric> NonSharingDispatcher<M> {
                     requests,
                     pickup_distances,
                 );
-                let (proposing, degraded) = rung();
-                let m = match proposing {
-                    Proposing::Rows => model.instance.propose(),
-                    Proposing::Columns => model.instance.reviewer_optimal(),
+                let degraded = step_down();
+                let m = if side == Proposing::Rows || degraded.is_some() {
+                    model.instance.propose()
+                } else {
+                    model.instance.reviewer_optimal()
                 };
                 (to_schedule(taxis, requests, &model, &m), degraded)
             }
-            CandidateMode::Sparse => {
-                let rows = self.candidates(taxis, requests, taxi_grid, side, state);
-                let (proposing, degraded) = rung();
-                if proposing != side {
-                    rows.sort_rows();
+            (CandidateMode::Sparse, Proposing::Rows) => {
+                self.request_rows(taxis, requests, taxi_grid, cert);
+                let pairs = cert.rows().pairs();
+                solver.solve(pairs, Proposing::Rows);
+                let schedule = keyed_schedule(taxis, requests, |j| {
+                    let e = pairs.entry(solver.row_entry(j)?);
+                    Some((e.col as usize, e.row_key, e.col_key))
+                });
+                cert.record_solve(&schedule);
+                (schedule, None)
+            }
+            (CandidateMode::Sparse, Proposing::Columns) => {
+                let f = Frame {
+                    metric: &self.metric,
+                    params: &self.params,
+                    taxis,
+                    requests,
+                };
+                let rows = {
+                    let _span = obs::span("preference_build");
+                    cert.taxi_rows(&f)
+                };
+                let degraded = step_down();
+                if degraded.is_some() {
+                    {
+                        let _span = obs::span("preference_build");
+                        rows.complete(&f);
+                    }
+                    solver.solve(rows.pairs(), Proposing::Columns);
+                } else {
+                    // Taxis propose on their revealed rows; a taxi that
+                    // runs out widens its band and proposes on.
+                    solver.solve(rows.pairs(), Proposing::Rows);
+                    loop {
+                        {
+                            let _span = obs::span("preference_build");
+                            rows.widen_unmatched(&f, |i| solver.row_entry(i).is_none());
+                        }
+                        if rows.woken().is_empty() {
+                            break;
+                        }
+                        solver.resume_rows(rows.pairs(), rows.woken());
+                    }
                 }
-                let IncrementalState { cert, solver } = state;
-                let schedule = keyed_schedule(taxis, requests, cert.rows(), solver, proposing);
-                cert.record_solve(solver);
+                let pairs = rows.pairs();
+                let schedule = keyed_schedule(taxis, requests, |j| {
+                    let e = pairs.entry(solver.col_entry(j)?);
+                    Some((e.row as usize, e.col_key, e.row_key))
+                });
+                cert.record_solve(&schedule);
                 (schedule, degraded)
             }
         }
     }
 
-    /// This frame's candidate rows for `side` to propose on, built from
-    /// the certificate in `state` under the `preference_build` span, which
-    /// also covers building a taxi grid when none is shared.
-    fn candidates<'c>(
+    /// NSTD-P's rows of this frame, built from the certificate in `cert`
+    /// under the `preference_build` span, which also covers building a
+    /// taxi grid when none is shared.
+    fn request_rows(
         &self,
         taxis: &[Taxi],
         requests: &[Request],
         taxi_grid: Option<&GridIndex<usize>>,
-        side: Proposing,
-        state: &'c mut IncrementalState,
-    ) -> &'c mut SparsePickupDistances {
+        cert: &mut RowCertificate,
+    ) {
         let _span = obs::span("preference_build");
         let owned;
         let grid = match taxi_grid {
@@ -275,9 +321,8 @@ impl<M: Metric> NonSharingDispatcher<M> {
             taxis,
             requests,
             grid,
-            side,
-            &mut state.cert,
-        )
+            cert,
+        );
     }
 
     /// **Algorithm 1 (NSTD-P)**: the passenger-optimal stable schedule —
@@ -607,32 +652,32 @@ fn to_schedule(
     )
 }
 
-/// Runs keyed deferred acceptance on a frame's candidate rows and reads
-/// the schedule's costs straight off the matched entries: the pick-up
-/// distance for the passenger, the score for the driver — the same floats
-/// the dense model reports.
+/// The schedule of a keyed solve, where `matched(j)` gives request `j`'s
+/// taxi, pick-up distance and driver score — the same floats the dense
+/// model reports.
 fn keyed_schedule(
     taxis: &[Taxi],
     requests: &[Request],
-    spd: &SparsePickupDistances,
-    solver: &mut KeyedMatch,
-    proposing: Proposing,
+    matched: impl Fn(usize) -> Option<(usize, f64, f64)>,
 ) -> Schedule {
-    let pairs = spd.pairs();
-    solver.solve(pairs, proposing);
-    let matched = |j: usize| solver.row_entry(j).map(|e| pairs.entry(e));
+    let mut taxi_cost = vec![None; taxis.len()];
+    let mut passenger_cost = Vec::with_capacity(requests.len());
+    let request_to_taxi = (0..requests.len())
+        .map(|j| {
+            let m = matched(j);
+            passenger_cost.push(m.map(|(_, d, _)| d));
+            m.map(|(i, _, score)| {
+                taxi_cost[i] = Some(score);
+                i
+            })
+        })
+        .collect();
     Schedule::from_parts(
         requests.iter().map(|r| r.id).collect(),
         taxis.iter().map(|t| t.id).collect(),
-        (0..requests.len())
-            .map(|j| matched(j).map(|e| e.col as usize))
-            .collect(),
-        (0..requests.len())
-            .map(|j| matched(j).map(|e| e.row_key))
-            .collect(),
-        (0..taxis.len())
-            .map(|i| solver.col_entry(i).map(|e| pairs.entry(e).col_key))
-            .collect(),
+        request_to_taxi,
+        passenger_cost,
+        taxi_cost,
     )
 }
 

@@ -12,13 +12,17 @@
 //!
 //! [`PreferenceModel`] holds the dense lists as a [`StableInstance`]
 //! (requests propose, taxis review) plus the raw cost matrices needed to
-//! report dissatisfaction afterwards. [`SparsePickupDistances`] holds only
-//! the mutually acceptable pairs, each with both preference keys — the rows
-//! the production dispatch path solves with keyed deferred acceptance.
+//! report dissatisfaction afterwards. The production dispatch path keeps
+//! only the mutually acceptable pairs, each with both preference keys, and
+//! solves them with keyed deferred acceptance: NSTD-P on one sorted row per
+//! request ([`SparsePickupDistances`]), NSTD-T on one row per taxi, each
+//! revealed in bands of a lower bound on the driver score (`TaxiRows`).
+//! Both are built with the help of the stability certificate the previous
+//! frame's solve leaves ([`RowCertificate`]).
 
-use crate::PreferenceParams;
+use crate::{PreferenceParams, Schedule};
 use o2o_geo::{heuristic_cell_size, BBox, GridIndex, Metric, Point};
-use o2o_matching::{KeyedCandidates, KeyedEntry, KeyedMatch, Proposing, StableInstance};
+use o2o_matching::{KeyedCandidates, KeyedEntry, StableInstance};
 use o2o_obs as obs;
 use o2o_par::{par_map, try_par_map, Parallelism, WorkerPanic};
 use o2o_trace::{Request, RequestId, Taxi, TaxiId};
@@ -337,11 +341,12 @@ pub fn build_taxi_grid(taxis: &[Taxi]) -> GridIndex<usize> {
 ///
 /// Each entry carries both preference keys — the pick-up distance (the
 /// passenger's key) and the driver score `d − α·trip` (the driver's key).
-/// [`compute`](Self::compute) sorts each row by `(distance, taxi index)`,
-/// the passenger list order, which is exactly the input of keyed deferred
-/// acceptance ([`o2o_matching::KeyedMatch`]) with either side proposing;
-/// building the buffer also performs the range and duplicate checks a
-/// [`StableInstance`] constructor would.
+/// Every row is sorted by `(distance, taxi index)`, the passenger list
+/// order, which is exactly the input of keyed deferred acceptance
+/// ([`o2o_matching::KeyedMatch`]) with requests proposing — NSTD-P. (NSTD-T
+/// builds its rows per taxi instead; see
+/// [`RowCertificate`].) Building the buffer also performs the range and
+/// duplicate checks a [`StableInstance`] constructor would.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparsePickupDistances {
     /// Row `j`: `(taxi i, D(t_i, r_j^s), driver score)` for every mutually
@@ -381,14 +386,14 @@ impl SparsePickupDistances {
             requests.len(),
             taxis.len(),
             &mut RowScratch::default(),
-            |j, s, pairs| fresh_row(metric, params, taxis, &requests[j], grid, true, s, pairs),
+            |j, s, pairs| fresh_row(metric, params, taxis, &requests[j], grid, s, pairs),
         );
         out
     }
 
     /// Candidate entries of request `j` — taxi (`col`), pick-up distance
     /// (`row_key`) and driver score (`col_key`) — sorted by `(distance,
-    /// taxi index)` unless they were built for taxis to propose.
+    /// taxi index)`.
     #[must_use]
     pub fn row(&self, request: usize) -> &[KeyedEntry] {
         self.pairs.row(request)
@@ -398,12 +403,6 @@ impl SparsePickupDistances {
     #[must_use]
     pub fn pairs(&self) -> &KeyedCandidates {
         &self.pairs
-    }
-
-    /// Sorts every row by `(distance, taxi index)`, so requests can
-    /// propose on rows that were built for taxis to propose.
-    pub fn sort_rows(&mut self) {
-        self.pairs.sort_rows();
     }
 
     /// `D(r_j^s, r_j^d)` for request `j`.
@@ -439,11 +438,11 @@ impl SparsePickupDistances {
         }
     }
 
-    /// This frame's candidate rows for `proposing` to propose on, built
-    /// with the help of the stability certificate the previous recorded
-    /// solve left in `cert`. Returns the rows, which live in `cert`'s
-    /// buffer; the solve on them certifies the next frame only once
-    /// [`RowCertificate::record_solve`] records its result.
+    /// This frame's rows for requests to propose on (NSTD-P), built with
+    /// the help of the stability certificate the previous recorded solve
+    /// left in `cert`. Returns the rows, which live in `cert`'s buffer; the
+    /// solve on them certifies the next frame only once its schedule is
+    /// recorded in `cert`.
     ///
     /// The certificate rests on stability. A stable matching leaves no
     /// mutually acceptable pair between a request and a taxi that are
@@ -460,27 +459,23 @@ impl SparsePickupDistances {
     /// radius and filter, and reuses its recorded trip. Every other
     /// request takes the fresh grid path. This holds for any frame delta,
     /// any id repetition and any order of the taxis, so the rows hold
-    /// exactly the entries of a fresh [`compute`](Self::compute).
+    /// exactly the entries of a fresh [`compute`](Self::compute), sorted
+    /// the same way.
     ///
-    /// Rows are sorted by `(distance, taxi index)` only when
-    /// [`Proposing::Rows`]; when taxis propose, the keyed solver compares
-    /// keys and a row keeps the order its taxis were found in. Changed
-    /// [`PreferenceParams`], or no recorded solve since the last call,
-    /// leave every row fresh. Exactness requires only that the
+    /// Changed [`PreferenceParams`], or no recorded solve since the last
+    /// call, leave every row fresh. Exactness requires only that the
     /// certificate is always fed through the **same metric**.
     ///
     /// # Panics
     ///
     /// Panics if `params` fail [`PreferenceParams::validate`]. Debug
     /// builds assert that `grid` holds one entry per taxi.
-    #[allow(clippy::too_many_arguments)]
     pub fn compute_incremental<'c, M: Metric>(
         metric: &M,
         params: &PreferenceParams,
         taxis: &[Taxi],
         requests: &[Request],
         grid: &GridIndex<usize>,
-        proposing: Proposing,
         cert: &'c mut RowCertificate,
     ) -> &'c mut SparsePickupDistances {
         params.validate().expect("invalid preference parameters");
@@ -489,85 +484,24 @@ impl SparsePickupDistances {
             taxis.len(),
             "taxi grid does not match the taxi slice"
         );
-        let sorted = proposing == Proposing::Rows;
         let RowCertificate {
-            params: recorded_params,
-            solved,
-            taxis: old_taxis,
-            requests: old_requests,
+            frame,
             rows,
-            taxi_at,
-            request_at,
-            tested,
             scratch,
+            ..
         } = cert;
-
-        // Map the certified frame onto this one: `tested` lists the
-        // current taxis the certificate does not cover (new, moved,
-        // re-seated or matched), `request_at` the requests it does.
-        let certified = *solved && *recorded_params == Some(*params);
-        tested.clear();
-        request_at.clear();
-        if certified {
-            taxi_at.clear();
-            taxi_at.extend(old_taxis.iter().enumerate().map(|(i, t)| (t.id, i)));
-            for (i, t) in taxis.iter().enumerate() {
-                let covered = taxi_at.get(&t.id).is_some_and(|&oi| {
-                    let old = &old_taxis[oi];
-                    !old.matched && same_bits(old.location, t.location) && old.seats == t.seats
-                });
-                if !covered {
-                    tested.push((i, t.location));
-                }
-            }
-            request_at.extend(
-                old_requests
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| !r.matched)
-                    .map(|(j, r)| (r.id, j)),
-            );
-        }
-
-        let (tested, request_at, recorded) = (&*tested, &*request_at, &*old_requests);
+        frame.map(params, taxis);
         rows.fill(requests.len(), taxis.len(), scratch, |j, s, pairs| {
             let r = &requests[j];
-            if let Some(old) = request_at.get(&r.id).map(|&oj| &recorded[oj]) {
-                if same_bits(old.pickup, r.pickup)
-                    && same_bits(old.dropoff, r.dropoff)
-                    && old.party == r.passengers
-                {
-                    certified_row(metric, params, taxis, r, old.trip, tested, sorted, s, pairs);
-                    return old.trip;
+            match frame.trip(r) {
+                Some(trip) => {
+                    certified_row(metric, params, taxis, r, trip, &frame.tested, s, pairs);
+                    trip
                 }
+                None => fresh_row(metric, params, taxis, r, grid, s, pairs),
             }
-            fresh_row(metric, params, taxis, r, grid, sorted, s, pairs)
         });
-
-        // Record this frame, uncertified until its solve is recorded.
-        *solved = false;
-        *recorded_params = Some(*params);
-        old_taxis.clear();
-        old_taxis.extend(taxis.iter().map(|t| RecordedTaxi {
-            id: t.id,
-            location: t.location,
-            seats: t.seats,
-            matched: false,
-        }));
-        old_requests.clear();
-        old_requests.extend(
-            requests
-                .iter()
-                .zip(&rows.trips)
-                .map(|(r, &trip)| RecordedRequest {
-                    id: r.id,
-                    pickup: r.pickup,
-                    dropoff: r.dropoff,
-                    party: r.passengers,
-                    trip,
-                    matched: false,
-                }),
-        );
+        frame.record(params, taxis, requests, &rows.trips);
         rows
     }
 }
@@ -581,7 +515,7 @@ struct RowScratch {
     locations: Vec<Point>,
     /// Their metric pick-up distances.
     dists: Vec<f64>,
-    /// Admitted `(distance, taxi)` pairs, in hit order unless sorted.
+    /// Admitted `(distance, taxi)` pairs.
     admitted: Vec<(f64, usize)>,
 }
 
@@ -589,9 +523,8 @@ impl RowScratch {
     /// Measures every hit with the batched one-to-many kernel (the pickup
     /// as the shared origin; see [`PickupDistances::compute`]) and writes
     /// the mutually acceptable ones as one finished row of `pairs`, each
-    /// with its driver score `d − α·trip` — sorted by `(distance, taxi
-    /// index)`, the dense row order, when `sorted`.
-    #[allow(clippy::too_many_arguments)]
+    /// with its driver score `d − α·trip`, sorted by `(distance, taxi
+    /// index)` — the dense row order.
     fn admit_row<M: Metric>(
         &mut self,
         metric: &M,
@@ -599,7 +532,6 @@ impl RowScratch {
         taxis: &[Taxi],
         r: &Request,
         trip: f64,
-        sorted: bool,
         pairs: &mut KeyedCandidates,
     ) {
         self.dists.clear();
@@ -611,13 +543,11 @@ impl RowScratch {
                 self.admitted.push((d, i));
             }
         }
-        if sorted {
-            self.admitted.sort_unstable_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            });
-        }
+        self.admitted.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
         for &(d, i) in &self.admitted {
             pairs.push(i, d, d - params.alpha * trip);
         }
@@ -640,16 +570,14 @@ fn mutually_acceptable(
 }
 
 /// Writes one request's fresh candidate row into `pairs` — grid walk,
-/// exact metric distances, mutual filter, and the `(distance, index)`
-/// sort when `sorted` — and returns its trip.
-#[allow(clippy::too_many_arguments)]
+/// exact metric distances, mutual filter, `(distance, index)` sort — and
+/// returns its trip.
 fn fresh_row<M: Metric>(
     metric: &M,
     params: &PreferenceParams,
     taxis: &[Taxi],
     r: &Request,
     grid: &GridIndex<usize>,
-    sorted: bool,
     s: &mut RowScratch,
     pairs: &mut KeyedCandidates,
 ) -> f64 {
@@ -664,7 +592,7 @@ fn fresh_row<M: Metric>(
         s.hits.push(i);
         s.locations.push(taxis[i].location);
     });
-    s.admit_row(metric, params, taxis, r, trip, sorted, pairs);
+    s.admit_row(metric, params, taxis, r, trip, pairs);
     trip
 }
 
@@ -679,7 +607,6 @@ fn certified_row<M: Metric>(
     r: &Request,
     trip: f64,
     tested: &[(usize, Point)],
-    sorted: bool,
     s: &mut RowScratch,
     pairs: &mut KeyedCandidates,
 ) {
@@ -692,7 +619,470 @@ fn certified_row<M: Metric>(
             s.locations.push(pos);
         }
     }
-    s.admit_row(metric, params, taxis, r, trip, sorted, pairs);
+    s.admit_row(metric, params, taxis, r, trip, pairs);
+}
+
+/// One frame's inputs, as the taxi rows read them to evaluate a pair.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame<'a, M> {
+    pub(crate) metric: &'a M,
+    pub(crate) params: &'a PreferenceParams,
+    pub(crate) taxis: &'a [Taxi],
+    pub(crate) requests: &'a [Request],
+}
+
+/// How many of a taxi's hidden candidates its first band reveals; each
+/// later band reveals twice as many as the one before. Most taxis propose
+/// once or twice per frame, so the first band is small.
+const FIRST_BAND: u32 = 8;
+
+/// One candidate request of a taxi whose band has not yet made it final.
+#[derive(Debug, Clone, Copy)]
+struct Hidden {
+    /// Strictly below the driver score until measured (see [`Reach`]);
+    /// the score itself once measured.
+    key: f64,
+    /// The request index.
+    request: u32,
+    /// Where [`TaxiRows`] keeps the measured pick-up distance, or
+    /// [`UNMEASURED`].
+    dist: u32,
+}
+
+/// [`Hidden::dist`] of a candidate not yet measured.
+const UNMEASURED: u32 = u32::MAX;
+
+/// Request pick-ups laid out for taxis to scan, one slot per request,
+/// struct-of-arrays so the radius test runs branch-free over contiguous
+/// memory.
+///
+/// A slot holds the request's inclusive candidate radius
+/// ([`candidate_radius`]) as the squared-distance range `Point::within`
+/// decides from the squared distance alone: below `lo` is within, above
+/// `hi` is beyond, and in between (or when the radius squared leaves the
+/// safe range) the exact `hypot` test decides, so [`scan`](Self::scan)
+/// admits exactly the taxi–request pairs `Point::within` does.
+///
+/// Each admitted candidate gets a key `‖t − r^s‖·(1 − 1e-9) − shift`,
+/// with the distance from the square root of the squared distance (no
+/// `hypot`) and `shift = α·trip + 1e-9·(1 + |α·trip|)`. Euclidean distance
+/// lower-bounds the metric (the contract [`SparsePickupDistances`]
+/// documents), and the relative `1e-9` dwarfs the few ulps by which the
+/// square root, `hypot`, the metric and the subtractions may round apart,
+/// so the key is **strictly** below the score `D(t, r^s) − α·trip`. A
+/// key that would be NaN (infinite terms) is −∞ instead.
+#[derive(Debug, Clone, Default)]
+struct Reach {
+    request: Vec<u32>,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    radius: Vec<f64>,
+    shift: Vec<f64>,
+}
+
+impl Reach {
+    fn clear(&mut self) {
+        self.request.clear();
+        self.x.clear();
+        self.y.clear();
+        self.lo.clear();
+        self.hi.clear();
+        self.radius.clear();
+        self.shift.clear();
+    }
+
+    /// Adds request `j`, with pick-up `pickup` and trip `trip`.
+    fn push(&mut self, j: usize, pickup: Point, params: &PreferenceParams, trip: f64) {
+        let radius = candidate_radius(params, trip);
+        let r2 = radius * radius;
+        // `Point::within`'s fast path, and what its exact test answers
+        // when the fast path does not apply.
+        let (lo, hi) = if radius >= 0.0 && (1e-200..=f64::MAX).contains(&r2) {
+            (r2 * (1.0 - 1e-9), r2 * (1.0 + 1e-9))
+        } else if radius == f64::INFINITY {
+            (f64::INFINITY, f64::INFINITY)
+        } else if radius >= 0.0 {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        } else {
+            (f64::NEG_INFINITY, f64::NEG_INFINITY)
+        };
+        let alpha_trip = params.alpha * trip;
+        self.request.push(j as u32);
+        self.x.push(pickup.x);
+        self.y.push(pickup.y);
+        self.lo.push(lo);
+        self.hi.push(hi);
+        self.radius.push(radius);
+        self.shift
+            .push(alpha_trip + 1e-9 * (1.0 + alpha_trip.abs()));
+    }
+
+    /// Appends to `out` the request of every slot whose pick-up `at` is
+    /// within the request's radius of — `Point::within`'s decision — as a
+    /// hidden candidate of the taxi at `at`, keyed by the lower bound on
+    /// its score.
+    fn scan(&self, at: Point, scratch: &mut ScanScratch, out: &mut Vec<Hidden>) {
+        let n = self.request.len();
+        if n == 0 {
+            return;
+        }
+        let ScanScratch { inside, keys } = scratch;
+        inside.clear();
+        inside.resize(n, 0);
+        keys.clear();
+        keys.resize(n, 0.0);
+        // Branch-free over every slot: whether it is surely within, its
+        // key, and whether the fast test leaves any slot undecided.
+        let mut edge = false;
+        let slots = (self.x.iter().zip(&self.y)).zip(self.lo.iter().zip(&self.hi));
+        let out_slots = inside.iter_mut().zip(keys.iter_mut()).zip(&self.shift);
+        for (((&x, &y), (&lo, &hi)), ((inside, key), &shift)) in slots.zip(out_slots) {
+            let (dx, dy) = (at.x - x, at.y - y);
+            let sq = dx * dx + dy * dy;
+            let decided = (sq < lo) | (sq > hi);
+            *inside = u32::from(sq < lo);
+            edge |= !decided;
+            *key = sq.sqrt() * (1.0 - 1e-9) - shift;
+        }
+        // Compact the slots within, in place.
+        let mut m = 0;
+        for k in 0..n {
+            let within = inside[k];
+            inside[m] = k as u32;
+            m += within as usize;
+        }
+        inside.truncate(m);
+        if edge {
+            for k in 0..n {
+                let pickup = Point::new(self.x[k], self.y[k]);
+                let sq = at.euclidean_sq(pickup);
+                let decided = sq < self.lo[k] || sq > self.hi[k];
+                if !decided && at.euclidean(pickup) <= self.radius[k] {
+                    inside.push(k as u32);
+                }
+            }
+        }
+        out.extend(inside.iter().map(|&k| {
+            let k = k as usize;
+            match keys[k] {
+                // An overflowed square, or infinite terms: recompute.
+                key if key.is_nan() || key == f64::INFINITY => self.hidden(at, k),
+                key => Hidden {
+                    key,
+                    request: self.request[k],
+                    dist: UNMEASURED,
+                },
+            }
+        }));
+    }
+
+    /// Slot `k`'s request as a hidden candidate of the taxi at `at`, keyed
+    /// by the lower bound on its score.
+    fn hidden(&self, at: Point, k: usize) -> Hidden {
+        let pickup = Point::new(self.x[k], self.y[k]);
+        let sq = at.euclidean_sq(pickup);
+        let d = if sq.is_finite() {
+            sq.sqrt()
+        } else {
+            at.euclidean(pickup)
+        };
+        let key = d * (1.0 - 1e-9) - self.shift[k];
+        Hidden {
+            key: if key.is_nan() { f64::NEG_INFINITY } else { key },
+            request: self.request[k],
+            dist: UNMEASURED,
+        }
+    }
+}
+
+/// Working memory of [`Reach::scan`].
+#[derive(Debug, Clone, Default)]
+struct ScanScratch {
+    inside: Vec<u32>,
+    keys: Vec<f64>,
+}
+
+/// How far one taxi's row has been revealed: its hidden candidates are
+/// `pool[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    taxi: u32,
+    start: u32,
+    end: u32,
+    /// How many hidden candidates the next widening reveals.
+    width: u32,
+}
+
+/// An entry a widening made final: `(score, request, distance)`.
+type Final = (f64, u32, f64);
+
+/// NSTD-T's candidate rows: row `i` holds the requests taxi `i` is
+/// mutually acceptable with — request (`col`), driver score (`row_key`)
+/// and pick-up distance (`col_key`) — in `(score, request index)` order,
+/// the dense driver list, so keyed deferred acceptance runs with taxis
+/// proposing on them. A request keeps the proposal with the smallest
+/// `(distance, taxi index)`, its dense list's order.
+///
+/// A row is revealed in bands. A taxi's candidates are found from the
+/// stability certificate (see [`RowCertificate`]), each with a key that
+/// lies strictly below its score (see [`Reach`]); a band reveals the
+/// candidates with the smallest keys — a few at first, twice as many each
+/// time after — and measures each exactly. A measured entry is *final*
+/// once its score is below every key still hidden: no hidden candidate can
+/// then come before it, so the final entries are always a prefix of the
+/// full row. Measured entries that are not yet final go back among the
+/// hidden ones, keyed by their score. Deferred acceptance never reads a
+/// row past the proposal that matches its taxi, so after each solve only
+/// a taxi left unmatched with candidates still hidden widens its band and
+/// is woken ([`widen_unmatched`](Self::widen_unmatched)); by the order
+/// independence of deferred acceptance (see [`o2o_matching::KeyedMatch`])
+/// the matching, the proposals and the rejections equal one solve on the
+/// full rows.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TaxiRows {
+    /// The final entries, one row per taxi.
+    pairs: KeyedCandidates,
+    /// `trips[j]` = `D(r_j^s, r_j^d)`.
+    trips: Vec<f64>,
+    /// Every request, as a tested taxi scans them.
+    all: Reach,
+    /// The requests the certificate does not cover, as a covered taxi
+    /// scans them.
+    fresh: Reach,
+    /// The hidden candidates of every band not yet complete.
+    pool: Vec<Hidden>,
+    /// The pick-up distances measured for hidden candidates.
+    dists: Vec<f64>,
+    /// Working memory of the scans.
+    scan: ScanScratch,
+    /// The bands not yet complete, by taxi.
+    open: Vec<Band>,
+    /// The entries the last widening made final.
+    finals: Vec<Final>,
+    /// The taxis the last round of widenings woke.
+    woken: Vec<u32>,
+}
+
+impl TaxiRows {
+    /// The final entries so far: the keyed solver's input.
+    pub(crate) fn pairs(&self) -> &KeyedCandidates {
+        &self.pairs
+    }
+
+    /// Builds `f`'s rows, each with its first band that has a final entry.
+    ///
+    /// A covered request (see [`Recorded::trip`]) and a covered taxi are
+    /// never mutually acceptable, by the certificate's argument (see
+    /// [`SparsePickupDistances::compute_incremental`]), which is symmetric:
+    /// a covered taxi's candidates are among the requests the certificate
+    /// does not cover, and a tested taxi's among all requests. Both scans
+    /// admit what `Point::within(pickup, candidate_radius(params, trip))`
+    /// admits, so the rows hold exactly the mutually acceptable pairs of
+    /// a fresh build.
+    fn build<M: Metric>(&mut self, f: &Frame<M>, frame: &Recorded) {
+        self.pairs.reset(f.requests.len());
+        self.trips.clear();
+        self.all.clear();
+        self.fresh.clear();
+        self.pool.clear();
+        self.dists.clear();
+        self.open.clear();
+        for (j, r) in f.requests.iter().enumerate() {
+            let recorded = frame.trip(r);
+            let trip = recorded.unwrap_or_else(|| r.trip_distance(f.metric));
+            self.trips.push(trip);
+            self.all.push(j, r.pickup, f.params, trip);
+            if recorded.is_none() {
+                self.fresh.push(j, r.pickup, f.params, trip);
+            }
+        }
+        let mut tested = frame.tested.iter().map(|&(i, _)| i).peekable();
+        for (i, t) in f.taxis.iter().enumerate() {
+            let requests = if tested.next_if_eq(&i).is_some() {
+                &self.all
+            } else {
+                &self.fresh
+            };
+            let start = self.pool.len();
+            requests.scan(t.location, &mut self.scan, &mut self.pool);
+            if self.pool.len() > start {
+                let mut band = Band {
+                    taxi: i as u32,
+                    start: start as u32,
+                    end: self.pool.len() as u32,
+                    width: FIRST_BAND,
+                };
+                let (pool, dists) = (&mut self.pool, &mut self.dists);
+                grow(pool, dists, &mut band, &self.trips, f, &mut self.finals);
+                for &(score, j, d) in &self.finals {
+                    self.pairs.push(j as usize, score, d);
+                }
+                if band.start == band.end {
+                    self.pool.truncate(start);
+                } else {
+                    self.open.push(band);
+                }
+            }
+            self.pairs.finish_row();
+        }
+    }
+
+    /// Widens the band of every taxi `unmatched` says its solve left
+    /// unmatched while candidates remain hidden, until the band has new
+    /// final entries or is complete, and appends those entries to the
+    /// taxi's row. The taxis whose rows grew are then
+    /// [`woken`](Self::woken).
+    pub(crate) fn widen_unmatched<M: Metric>(
+        &mut self,
+        f: &Frame<M>,
+        unmatched: impl Fn(usize) -> bool,
+    ) {
+        let TaxiRows {
+            pairs,
+            trips,
+            pool,
+            dists,
+            open,
+            finals,
+            woken,
+            ..
+        } = self;
+        woken.clear();
+        open.retain_mut(|band| {
+            let i = band.taxi as usize;
+            if !unmatched(i) {
+                return true;
+            }
+            grow(pool, dists, band, trips, f, finals);
+            if !finals.is_empty() {
+                extend_row(pairs, i, finals);
+                woken.push(band.taxi);
+            }
+            band.start < band.end
+        });
+    }
+
+    /// The taxis whose rows the last [`widen_unmatched`](Self::widen_unmatched)
+    /// extended, for [`o2o_matching::KeyedMatch::resume_rows`] to wake.
+    pub(crate) fn woken(&self) -> &[u32] {
+        &self.woken
+    }
+
+    /// Reveals every band in full, so each row holds all its mutually
+    /// acceptable requests — the input requests can propose on, as
+    /// columns.
+    pub(crate) fn complete<M: Metric>(&mut self, f: &Frame<M>) {
+        for band in &mut self.open {
+            band.width = band.end - band.start;
+            self.finals.clear();
+            let (pool, dists) = (&mut self.pool, &mut self.dists);
+            widen(pool, dists, band, &self.trips, f, &mut self.finals);
+            extend_row(&mut self.pairs, band.taxi as usize, &self.finals);
+        }
+        self.open.clear();
+    }
+}
+
+/// Appends `finals` to finished row `i` of `pairs`.
+fn extend_row(pairs: &mut KeyedCandidates, i: usize, finals: &[Final]) {
+    pairs.reopen_row(i);
+    for &(score, j, d) in finals {
+        pairs.push(j as usize, score, d);
+    }
+    pairs.finish_row();
+}
+
+/// Widens `band` until it has final entries, or is complete; leaves those
+/// entries in `finals`, replacing its contents.
+fn grow<M: Metric>(
+    pool: &mut [Hidden],
+    dists: &mut Vec<f64>,
+    band: &mut Band,
+    trips: &[f64],
+    f: &Frame<M>,
+    finals: &mut Vec<Final>,
+) {
+    finals.clear();
+    while finals.is_empty() && band.start < band.end {
+        widen(pool, dists, band, trips, f, finals);
+    }
+}
+
+/// Reveals the `width` hidden candidates of `band` with the smallest keys
+/// — all of them when at most twice that many remain — and doubles the
+/// width. Measures each revealed candidate, drops it unless it is
+/// mutually acceptable, and appends it to `finals` if it is final: the
+/// band is now complete, or its score is below the smallest key still
+/// hidden. Every hidden key is a strict lower bound on its candidate's
+/// score, or that score itself, so no hidden candidate can come before a
+/// final entry, ties by request index included. The rest go back among
+/// the hidden candidates, keyed by their score, their distances kept in
+/// `dists`. The entries appended are sorted by `(score, request index)`.
+fn widen<M: Metric>(
+    pool: &mut [Hidden],
+    dists: &mut Vec<f64>,
+    band: &mut Band,
+    trips: &[f64],
+    f: &Frame<M>,
+    finals: &mut Vec<Final>,
+) {
+    let hidden = &mut pool[band.start as usize..band.end as usize];
+    let width = band.width as usize;
+    band.width = band.width.saturating_mul(2);
+    let (shown, cut) = if hidden.len() <= 2 * width {
+        (hidden.len(), f64::INFINITY)
+    } else {
+        hidden.select_nth_unstable_by(width, |a, b| a.key.total_cmp(&b.key));
+        (width, hidden[width].key)
+    };
+    let complete = shown == hidden.len();
+    let taxi = &f.taxis[band.taxi as usize];
+    let start = finals.len();
+    // The revealed candidates are `hidden[..shown]`; those that stay
+    // hidden are moved to its end, which becomes the new start.
+    let mut kept = shown;
+    for k in (0..shown).rev() {
+        let h = hidden[k];
+        let j = h.request as usize;
+        let (score, d) = if h.dist == UNMEASURED {
+            let r = &f.requests[j];
+            if taxi.seats < r.passengers {
+                continue;
+            }
+            let d = f.metric.distance(r.pickup, taxi.location);
+            if !mutually_acceptable(f.params, taxi, r, d, trips[j]) {
+                continue;
+            }
+            (d - f.params.alpha * trips[j], d)
+        } else {
+            (h.key, dists[h.dist as usize])
+        };
+        if complete || score < cut {
+            finals.push((score, h.request, d));
+        } else {
+            if h.dist == UNMEASURED {
+                dists.push(d);
+            }
+            kept -= 1;
+            hidden[kept] = Hidden {
+                key: score,
+                request: h.request,
+                dist: if h.dist == UNMEASURED {
+                    (dists.len() - 1) as u32
+                } else {
+                    h.dist
+                },
+            };
+        }
+    }
+    band.start += kept as u32;
+    finals[start..].sort_unstable_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.1.cmp(&b.1))
+    });
 }
 
 /// `true` when two points are bit-identical on both coordinates — the
@@ -725,19 +1115,10 @@ struct RecordedRequest {
     matched: bool,
 }
 
-/// The stability certificate a warm NSTD frame leaves for the next one
-/// (see [`SparsePickupDistances::compute_incremental`]): the last frame's
-/// taxis and requests, each request's trip, and which of them its
-/// deferred acceptance matched, plus the row buffer and working memory
-/// every frame reuses.
-///
-/// Owned by [`crate::IncrementalState`]. The certificate is valid only
-/// once the solve on the recorded frame's rows is recorded
-/// ([`record_solve`](Self::record_solve)); until then, or under
-/// different [`PreferenceParams`], every request takes the fresh grid
-/// path.
+/// The last frame built and what its solve matched, mapped onto the
+/// frame being built.
 #[derive(Debug, Clone, Default)]
-pub struct RowCertificate {
+struct Recorded {
     /// The params the recorded frame was built under.
     params: Option<PreferenceParams>,
     /// Whether the recorded frame's solve is recorded.
@@ -746,16 +1127,114 @@ pub struct RowCertificate {
     taxis: Vec<RecordedTaxi>,
     /// The recorded frame's requests, by index.
     requests: Vec<RecordedRequest>,
-    /// The rows of the last frame built.
-    rows: SparsePickupDistances,
     /// Recorded taxi id → recorded index.
     taxi_at: HashMap<TaxiId, usize>,
     /// Recorded id → recorded index of each request left unmatched.
     request_at: HashMap<RequestId, usize>,
-    /// Current taxis the certificate does not cover.
+    /// The current taxis the certificate does not cover, in index order.
     tested: Vec<(usize, Point)>,
-    /// Row-building scratch.
+}
+
+impl Recorded {
+    /// Maps the recorded frame onto `taxis`: `tested` lists the taxis the
+    /// certificate does not cover — new, moved, re-seated or matched, or
+    /// every taxi when the recorded frame is not certified under `params`
+    /// — and `request_at` the recorded requests it may cover.
+    fn map(&mut self, params: &PreferenceParams, taxis: &[Taxi]) {
+        self.tested.clear();
+        self.request_at.clear();
+        if !(self.solved && self.params == Some(*params)) {
+            self.tested
+                .extend(taxis.iter().enumerate().map(|(i, t)| (i, t.location)));
+            return;
+        }
+        self.taxi_at.clear();
+        self.taxi_at
+            .extend(self.taxis.iter().enumerate().map(|(i, t)| (t.id, i)));
+        for (i, t) in taxis.iter().enumerate() {
+            let covered = self.taxi_at.get(&t.id).is_some_and(|&oi| {
+                let old = &self.taxis[oi];
+                !old.matched && same_bits(old.location, t.location) && old.seats == t.seats
+            });
+            if !covered {
+                self.tested.push((i, t.location));
+            }
+        }
+        self.request_at.extend(
+            self.requests
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| !r.matched)
+                .map(|(j, r)| (r.id, j)),
+        );
+    }
+
+    /// The recorded trip of `r` if the certificate covers it: the
+    /// recorded frame held it unchanged (same id, bit-identical pickup
+    /// and drop-off, same party) and left it unmatched.
+    fn trip(&self, r: &Request) -> Option<f64> {
+        let old = &self.requests[*self.request_at.get(&r.id)?];
+        (same_bits(old.pickup, r.pickup)
+            && same_bits(old.dropoff, r.dropoff)
+            && old.party == r.passengers)
+            .then_some(old.trip)
+    }
+
+    /// Records this frame, uncertified until its solve is recorded.
+    fn record(
+        &mut self,
+        params: &PreferenceParams,
+        taxis: &[Taxi],
+        requests: &[Request],
+        trips: &[f64],
+    ) {
+        self.solved = false;
+        self.params = Some(*params);
+        self.taxis.clear();
+        self.taxis.extend(taxis.iter().map(|t| RecordedTaxi {
+            id: t.id,
+            location: t.location,
+            seats: t.seats,
+            matched: false,
+        }));
+        self.requests.clear();
+        self.requests.extend(
+            requests
+                .iter()
+                .zip(trips)
+                .map(|(r, &trip)| RecordedRequest {
+                    id: r.id,
+                    pickup: r.pickup,
+                    dropoff: r.dropoff,
+                    party: r.passengers,
+                    trip,
+                    matched: false,
+                }),
+        );
+    }
+}
+
+/// The stability certificate a warm NSTD frame leaves for the next one
+/// (see [`SparsePickupDistances::compute_incremental`]): the last frame's
+/// taxis and requests, each request's trip, and which of them its
+/// deferred acceptance matched, plus the row buffers and working memory
+/// every frame reuses — request rows for NSTD-P, taxi rows in bands for
+/// NSTD-T.
+///
+/// Owned by [`crate::IncrementalState`]. The certificate is valid only
+/// once the schedule solved on the recorded frame's rows is recorded;
+/// until then, or under different [`PreferenceParams`], every request
+/// and every taxi is built fresh.
+#[derive(Debug, Clone, Default)]
+pub struct RowCertificate {
+    /// The recorded frame.
+    frame: Recorded,
+    /// NSTD-P's rows of the last frame built.
+    rows: SparsePickupDistances,
+    /// NSTD-P's row-building scratch.
     scratch: RowScratch,
+    /// NSTD-T's rows of the last frame built.
+    taxi_rows: TaxiRows,
 }
 
 impl RowCertificate {
@@ -765,22 +1244,43 @@ impl RowCertificate {
         RowCertificate::default()
     }
 
-    /// Records which requests and taxis `solver` matched on the rows the
-    /// last [`SparsePickupDistances::compute_incremental`] call returned,
-    /// certifying that frame for the next one. `solver` must hold a
-    /// deferred-acceptance result on exactly those rows: any such result
-    /// is stable, whichever side proposed.
-    pub(crate) fn record_solve(&mut self, solver: &KeyedMatch) {
-        for (j, r) in self.requests.iter_mut().enumerate() {
-            r.matched = solver.row_entry(j).is_some();
-        }
-        for (i, t) in self.taxis.iter_mut().enumerate() {
-            t.matched = solver.col_entry(i).is_some();
-        }
-        self.solved = true;
+    /// This frame's rows for taxis to propose on (NSTD-T; see
+    /// [`TaxiRows`]), built from the certificate. The solve on them
+    /// certifies the next frame only once its schedule is recorded.
+    pub(crate) fn taxi_rows<M: Metric>(&mut self, f: &Frame<M>) -> &mut TaxiRows {
+        f.params.validate().expect("invalid preference parameters");
+        self.frame.map(f.params, f.taxis);
+        self.taxi_rows.build(f, &self.frame);
+        self.frame
+            .record(f.params, f.taxis, f.requests, &self.taxi_rows.trips);
+        &mut self.taxi_rows
     }
 
-    /// The rows of the last frame built.
+    /// Records which requests and taxis `schedule` matches, certifying the
+    /// last frame built for the next one. `schedule` must be a
+    /// deferred-acceptance result on that frame's rows: any such result
+    /// is stable, whichever side proposed, on whichever layout.
+    pub(crate) fn record_solve(&mut self, schedule: &Schedule) {
+        let Recorded {
+            solved,
+            taxis,
+            requests,
+            ..
+        } = &mut self.frame;
+        for t in taxis.iter_mut() {
+            t.matched = false;
+        }
+        for (j, r) in requests.iter_mut().enumerate() {
+            let taxi = schedule.taxi_index(j);
+            r.matched = taxi.is_some();
+            if let Some(i) = taxi {
+                taxis[i].matched = true;
+            }
+        }
+        *solved = true;
+    }
+
+    /// NSTD-P's rows of the last frame built.
     pub(crate) fn rows(&self) -> &SparsePickupDistances {
         &self.rows
     }
@@ -788,10 +1288,11 @@ impl RowCertificate {
     /// Forgets the recorded frame (the next frame takes the fresh path).
     /// Buffer capacity is kept.
     pub fn clear(&mut self) {
-        self.params = None;
-        self.solved = false;
-        self.taxis.clear();
-        self.requests.clear();
+        let frame = &mut self.frame;
+        frame.params = None;
+        frame.solved = false;
+        frame.taxis.clear();
+        frame.requests.clear();
     }
 }
 
@@ -799,7 +1300,10 @@ impl RowCertificate {
 mod tests {
     use super::*;
     use o2o_geo::{Euclidean, Point};
+    use o2o_matching::{KeyedMatch, Proposing};
     use o2o_trace::{RequestId, TaxiId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn taxi(id: u64, x: f64, y: f64) -> Taxi {
         Taxi::new(TaxiId(id), Point::new(x, y))
@@ -1099,11 +1603,22 @@ mod tests {
         assert!(rows.row(0).is_empty());
     }
 
-    /// Keyed deferred acceptance on `rows`, recorded in `cert`.
-    fn solve_and_record(cert: &mut RowCertificate, proposing: Proposing) {
+    /// Requests propose on the rows `cert` built last for `taxis` and
+    /// `requests`; the matching is recorded in `cert`.
+    fn solve_and_record(cert: &mut RowCertificate, taxis: &[Taxi], requests: &[Request]) {
         let mut solver = KeyedMatch::new();
-        solver.solve(cert.rows().pairs(), proposing);
-        cert.record_solve(&solver);
+        let pairs = cert.rows().pairs();
+        solver.solve(pairs, Proposing::Rows);
+        let schedule = Schedule::from_parts(
+            requests.iter().map(|r| r.id).collect(),
+            taxis.iter().map(|t| t.id).collect(),
+            (0..requests.len())
+                .map(|j| solver.row_entry(j).map(|e| pairs.entry(e).col as usize))
+                .collect(),
+            vec![None; requests.len()],
+            vec![None; taxis.len()],
+        );
+        cert.record_solve(&schedule);
     }
 
     /// A metric that counts its evaluations.
@@ -1140,28 +1655,16 @@ mod tests {
         let mut cert = RowCertificate::new();
         for call in 0..3 {
             let rows = SparsePickupDistances::compute_incremental(
-                &metric,
-                &params,
-                &taxis,
-                &requests,
-                &grid,
-                Proposing::Rows,
-                &mut cert,
+                &metric, &params, &taxis, &requests, &grid, &mut cert,
             );
             assert_eq!(rows, &fresh, "call {call}");
             assert_eq!(metric.take(), fresh_queries, "call {call} is not fresh");
         }
         // The control: once the solve is recorded, the same frame
         // queries less and still builds the same rows.
-        solve_and_record(&mut cert, Proposing::Rows);
+        solve_and_record(&mut cert, &taxis, &requests);
         let rows = SparsePickupDistances::compute_incremental(
-            &metric,
-            &params,
-            &taxis,
-            &requests,
-            &grid,
-            Proposing::Rows,
-            &mut cert,
+            &metric, &params, &taxis, &requests, &grid, &mut cert,
         );
         assert_eq!(rows, &fresh);
         assert!(metric.take() < fresh_queries);
@@ -1178,25 +1681,13 @@ mod tests {
         let a = PreferenceParams::paper();
         let b = PreferenceParams::paper().with_passenger_threshold(1.5);
         let _ = SparsePickupDistances::compute_incremental(
-            &Euclidean,
-            &a,
-            &taxis,
-            &requests,
-            &grid,
-            Proposing::Rows,
-            &mut cert,
+            &Euclidean, &a, &taxis, &requests, &grid, &mut cert,
         );
-        solve_and_record(&mut cert, Proposing::Rows);
+        solve_and_record(&mut cert, &taxis, &requests);
         // Same frame, different params: the certificate (recorded under
         // `a`'s rows) must not shape `b`'s rows.
         let rows = SparsePickupDistances::compute_incremental(
-            &Euclidean,
-            &b,
-            &taxis,
-            &requests,
-            &grid,
-            Proposing::Rows,
-            &mut cert,
+            &Euclidean, &b, &taxis, &requests, &grid, &mut cert,
         );
         let fresh = SparsePickupDistances::compute(&Euclidean, &b, &taxis, &requests, &grid);
         assert_eq!(rows, &fresh);
@@ -1223,13 +1714,7 @@ mod tests {
         let mut cert = RowCertificate::new();
         for frame in 0..4 {
             let spd = SparsePickupDistances::compute_incremental(
-                &Euclidean,
-                &params,
-                &taxis,
-                &requests,
-                &grid,
-                Proposing::Rows,
-                &mut cert,
+                &Euclidean, &params, &taxis, &requests, &grid, &mut cert,
             );
             let fresh =
                 SparsePickupDistances::compute(&Euclidean, &params, &taxis, &requests, &grid);
@@ -1248,7 +1733,7 @@ mod tests {
                     .windows(2)
                     .all(|w| (w[0].row_key, w[0].col) < (w[1].row_key, w[1].col)));
             }
-            solve_and_record(&mut cert, Proposing::Rows);
+            solve_and_record(&mut cert, &taxis, &requests);
             for t in &mut taxis {
                 t.seats = if t.seats == 4 { 2 } else { 4 };
             }
@@ -1264,5 +1749,319 @@ mod tests {
         assert_eq!(m.pickup[0].len(), 2);
         assert_eq!(m.score.len(), 2);
         assert_eq!(m.score[0].len(), 1);
+    }
+
+    /// An entry's fields, keys by their bits.
+    fn bits(e: &KeyedEntry) -> (u32, u32, u64, u64) {
+        (e.row, e.col, e.row_key.to_bits(), e.col_key.to_bits())
+    }
+
+    /// The full taxi rows a fresh request-major build implies: each taxi's
+    /// entries — request, score, distance — by `(score, request)`.
+    fn reference_taxi_rows<M: Metric>(
+        metric: &M,
+        params: &PreferenceParams,
+        taxis: &[Taxi],
+        requests: &[Request],
+    ) -> Vec<Vec<(u32, u32, u64, u64)>> {
+        let grid = build_taxi_grid(taxis);
+        let rows = SparsePickupDistances::compute(metric, params, taxis, requests, &grid);
+        let mut out = vec![Vec::new(); taxis.len()];
+        for j in 0..requests.len() {
+            for e in rows.row(j) {
+                out[e.col as usize].push(KeyedEntry {
+                    row: e.col,
+                    col: j as u32,
+                    row_key: e.col_key,
+                    col_key: e.row_key,
+                });
+            }
+        }
+        out.into_iter()
+            .map(|mut row| {
+                row.sort_by(|a, b| {
+                    a.row_key
+                        .partial_cmp(&b.row_key)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.col.cmp(&b.col))
+                });
+                row.iter().map(bits).collect()
+            })
+            .collect()
+    }
+
+    /// Builds fresh taxi rows and checks every band against the rows a
+    /// fresh request-major build implies: each row is a prefix of its
+    /// full row after the build and after every round of widening, and
+    /// the full row once no band widens further — and once
+    /// [`TaxiRows::complete`] reveals everything at once.
+    fn check_bands<M: Metric>(
+        metric: &M,
+        params: PreferenceParams,
+        taxis: &[Taxi],
+        requests: &[Request],
+    ) {
+        let reference = reference_taxi_rows(metric, &params, taxis, requests);
+        let f = Frame {
+            metric,
+            params: &params,
+            taxis,
+            requests,
+        };
+        let check = |rows: &TaxiRows, full: bool, stage: &str| {
+            assert_eq!(rows.pairs().rows(), taxis.len());
+            for (i, want) in reference.iter().enumerate() {
+                let got: Vec<_> = rows.pairs().row(i).iter().map(bits).collect();
+                if full {
+                    assert_eq!(&got, want, "taxi {i}, {stage}");
+                } else {
+                    assert!(
+                        want.starts_with(&got),
+                        "taxi {i}, {stage}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+        };
+        let mut cert = RowCertificate::new();
+        let rows = cert.taxi_rows(&f);
+        check(rows, false, "first bands");
+        for round in 0.. {
+            rows.widen_unmatched(&f, |_| true);
+            if rows.woken().is_empty() {
+                break;
+            }
+            check(rows, false, &format!("round {round}"));
+        }
+        check(rows, true, "widened in full");
+        let mut cert = RowCertificate::new();
+        let rows = cert.taxi_rows(&f);
+        rows.complete(&f);
+        check(rows, true, "completed");
+    }
+
+    /// NSTD-T on the taxi rows against the dense reference.
+    fn assert_taxi_optimal_is_dense<M: Metric + Clone>(
+        metric: &M,
+        params: PreferenceParams,
+        taxis: &[Taxi],
+        requests: &[Request],
+    ) {
+        let sparse = crate::NonSharingDispatcher::new(metric.clone(), params);
+        let dense = sparse
+            .clone()
+            .with_candidate_mode(crate::CandidateMode::Dense);
+        assert_eq!(
+            sparse.taxi_optimal(taxis, requests),
+            dense.taxi_optimal(taxis, requests)
+        );
+    }
+
+    /// `n` requests with pick-ups at `pickup(j)`, each with trip `trip`
+    /// along the x axis.
+    fn requests_at(n: usize, trip: f64, pickup: impl Fn(usize) -> Point) -> Vec<Request> {
+        (0..n)
+            .map(|j| {
+                let p = pickup(j);
+                Request::new(RequestId(j as u64), 0, p, Point::new(p.x + trip, p.y))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exact_score_ties_at_a_band_end_wait_for_the_whole_tie() {
+        // One taxi at the origin; pick-ups at exact distances 3 (6 of
+        // them), 5 (20, all tied on score 5 − 7) and 13 (10), each with
+        // trip 7. The first band ends inside the tie, and so does the
+        // second: no tied entry may become final before all of them.
+        let ring = |d: f64, k: usize| match (d as u32, k % 4) {
+            (3, q) => [
+                Point::new(3.0, 0.0),
+                Point::new(0.0, 3.0),
+                Point::new(-3.0, 0.0),
+                Point::new(0.0, -3.0),
+            ][q],
+            (5, q) => [
+                Point::new(3.0, 4.0),
+                Point::new(-4.0, 3.0),
+                Point::new(-3.0, -4.0),
+                Point::new(4.0, -3.0),
+            ][q],
+            (_, q) => [
+                Point::new(5.0, 12.0),
+                Point::new(-12.0, 5.0),
+                Point::new(-5.0, -12.0),
+                Point::new(12.0, -5.0),
+            ][q],
+        };
+        let layout: Vec<f64> = [5.0; 8]
+            .into_iter()
+            .chain([3.0; 6])
+            .chain([5.0; 12])
+            .chain([13.0; 10])
+            .collect();
+        let requests = requests_at(layout.len(), 7.0, |j| ring(layout[j], j));
+        let taxis = vec![taxi(0, 0.0, 0.0), taxi(1, 20.0, 0.0)];
+        for params in [PreferenceParams::unbounded(), PreferenceParams::paper()] {
+            check_bands(&Euclidean, params, &taxis, &requests);
+            assert_taxi_optimal_is_dense(&Euclidean, params, &taxis, &requests);
+        }
+    }
+
+    #[test]
+    fn square_root_and_hypot_a_last_bit_apart_at_a_band_end() {
+        // Offsets whose square-root distance rounds one bit above
+        // `hypot`, and whose `hypot` squares back to itself exactly.
+        let mut rng = StdRng::seed_from_u64(0xB175);
+        let mut offsets = Vec::new();
+        while offsets.len() < 6 {
+            let (dx, dy) = (rng.gen_range(0.75..2.0), rng.gen_range(0.75..2.0));
+            let h = f64::hypot(dx, dy);
+            if (dx * dx + dy * dy).sqrt() > h && (h * h).sqrt() == h {
+                offsets.push((dx, dy, h));
+            }
+        }
+        // α = 0, so the score is the distance. Request 0 sits at the
+        // offset (its bound rounds up to score + 1 ulp), request 8 on the
+        // x axis at the same distance: the two tie on score, and request
+        // 0 comes first. Seven nearer requests fill the first band with
+        // request 8, leaving request 0 the first hidden one; each nearer
+        // request has a taxi of its own on its pick-up, so the far taxi
+        // is refused by all seven and proposes to the tie.
+        let params = PreferenceParams::unbounded().with_alpha(0.0);
+        for (dx, dy, h) in offsets {
+            let pickup = |j: usize| match j {
+                0 => Point::new(dx, dy),
+                1..=7 => Point::new(0.09 * j as f64, 0.0),
+                8 => Point::new(h, 0.0),
+                _ => Point::new(10.0 + j as f64, 3.0),
+            };
+            let requests = requests_at(30, 0.0, pickup);
+            let mut taxis = vec![taxi(0, 0.0, 0.0)];
+            taxis.extend((1..=7).map(|j| taxi(j, 0.09 * j as f64, 0.0)));
+            check_bands(&Euclidean, params, &taxis, &requests);
+            assert_taxi_optimal_is_dense(&Euclidean, params, &taxis, &requests);
+            let s =
+                crate::NonSharingDispatcher::new(Euclidean, params).taxi_optimal(&taxis, &requests);
+            assert_eq!(s.request_of(TaxiId(0)), Some(RequestId(0)));
+        }
+    }
+
+    /// A saturated frame: few taxis, many requests, a box of `span` km.
+    fn saturated_frame(seed: u64, nt: usize, nr: usize, span: f64) -> (Vec<Taxi>, Vec<Request>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut point = || Point::new(rng.gen_range(-span..span), rng.gen_range(-span..span));
+        let taxis = (0..nt)
+            .map(|i| {
+                let mut t = Taxi::new(TaxiId(i as u64), point());
+                t.seats = 1 + (i % 4) as u8;
+                t
+            })
+            .collect();
+        let requests = (0..nr)
+            .map(|j| {
+                let mut r = Request::new(RequestId(j as u64), 0, point(), point());
+                r.passengers = 1 + (j % 3) as u8;
+                r
+            })
+            .collect();
+        (taxis, requests)
+    }
+
+    #[test]
+    fn bands_hold_for_zero_and_negative_alpha_and_a_manhattan_metric() {
+        let param_sets = [
+            PreferenceParams::paper().with_alpha(0.0),
+            PreferenceParams::unbounded().with_alpha(0.0),
+            PreferenceParams::paper()
+                .with_alpha(-0.5)
+                .with_taxi_threshold(9.0),
+            PreferenceParams::unbounded().with_alpha(-0.5),
+            PreferenceParams::paper().with_passenger_threshold(6.0),
+        ];
+        for seed in 0..6 {
+            let (taxis, requests) = saturated_frame(seed, 7, 90, 8.0);
+            for params in param_sets {
+                check_bands(&Euclidean, params, &taxis, &requests);
+                assert_taxi_optimal_is_dense(&Euclidean, params, &taxis, &requests);
+                // Manhattan distance exceeds the Euclidean bound off the
+                // axes, so measured entries often wait for a wider band.
+                check_bands(&o2o_geo::Manhattan, params, &taxis, &requests);
+                assert_taxi_optimal_is_dense(&o2o_geo::Manhattan, params, &taxis, &requests);
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_trips_are_handled_as_on_request_rows() {
+        // Drop-offs at infinity and NaN: an infinite trip makes every
+        // score −∞ under α > 0 and leaves the request out under α ≤ 0, a
+        // NaN trip leaves it out. The taxi rows hold what the request
+        // rows hold, and NSTD-T on them is the columns-proposing solve on
+        // the request rows.
+        let (taxis, mut requests) = saturated_frame(0x1F, 5, 60, 6.0);
+        for (j, r) in requests.iter_mut().enumerate() {
+            match j % 5 {
+                0 => r.dropoff = Point::new(f64::INFINITY, 0.0),
+                1 => r.dropoff = Point::new(f64::NAN, 0.0),
+                _ => {}
+            }
+        }
+        for params in [
+            PreferenceParams::paper(),
+            PreferenceParams::unbounded(),
+            PreferenceParams::unbounded().with_alpha(0.0),
+            PreferenceParams::unbounded().with_alpha(-1.0),
+        ] {
+            check_bands(&Euclidean, params, &taxis, &requests);
+            let rows = SparsePickupDistances::compute(
+                &Euclidean,
+                &params,
+                &taxis,
+                &requests,
+                &build_taxi_grid(&taxis),
+            );
+            let mut solver = KeyedMatch::new();
+            solver.solve(rows.pairs(), Proposing::Columns);
+            let s =
+                crate::NonSharingDispatcher::new(Euclidean, params).taxi_optimal(&taxis, &requests);
+            for (j, r) in requests.iter().enumerate() {
+                let want = solver
+                    .row_entry(j)
+                    .map(|e| taxis[rows.pairs().entry(e).col as usize].id);
+                assert_eq!(s.assignment_of(r.id).taxi(), want, "{params:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_saturated_frame_measures_only_the_first_bands() {
+        // Twenty taxis 1 km apart, each with a favourite request on its
+        // own spot and a long trip, among a thousand short-trip requests
+        // around them: every taxi proposes to its favourite first, and
+        // the favourite's nearest taxi is that taxi, so every taxi is
+        // accepted at its first proposal. Beyond one trip per request,
+        // each taxi may measure its first band only.
+        let taxis: Vec<Taxi> = (0..20).map(|i| taxi(i, i as f64, 0.0)).collect();
+        let mut requests: Vec<Request> = (0..20)
+            .map(|i| request(i, i as f64, 0.0, i as f64, 30.0))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x5A7);
+        requests.extend((20..1020).map(|j| {
+            let (x, y) = (rng.gen_range(-5.0..25.0), rng.gen_range(-5.0..5.0));
+            request(j, x, y, x + 0.5, y)
+        }));
+        let params = PreferenceParams::paper().with_taxi_threshold(4.0);
+        let d = crate::NonSharingDispatcher::new(Counting::default(), params);
+        let s = d.taxi_optimal(&taxis, &requests);
+        let measured = d.metric().take();
+        for i in 0..20 {
+            assert_eq!(s.request_of(TaxiId(i)), Some(RequestId(i)));
+        }
+        let cap = requests.len() + taxis.len() * 2 * FIRST_BAND as usize;
+        assert!(
+            measured <= cap,
+            "{measured} metric evaluations, more than the first bands' {cap}"
+        );
+        assert_taxi_optimal_is_dense(&Euclidean, params, &taxis, &requests);
     }
 }

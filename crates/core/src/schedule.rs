@@ -108,6 +108,11 @@ impl Schedule {
         }
     }
 
+    /// The index of the taxi serving the `j`-th request, if any.
+    pub(crate) fn taxi_index(&self, j: usize) -> Option<usize> {
+        self.request_to_taxi[j]
+    }
+
     /// The outcome for request `r`.
     ///
     /// # Panics

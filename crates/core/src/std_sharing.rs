@@ -440,7 +440,7 @@ impl<M: Metric> SharingDispatcher<M> {
     /// `requests`.
     ///
     /// Candidate pairs are pruned spatially before routing (see
-    /// [`may_join`]): a shared pair route visits the second pick-up while
+    /// `may_join`): a shared pair route visits the second pick-up while
     /// the first rider is on board, so that rider's ride bounds where the
     /// other pick-up can lie. One scan over the pairs tests it before any
     /// pair is routed.

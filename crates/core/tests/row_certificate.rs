@@ -13,11 +13,14 @@
 //! schedule not applied at all, and greedy frames, whose schedule is not
 //! stable and certifies nothing. Warm schedules and proposal counts must
 //! equal cold ones — `NonSharingDispatcher::dispatch` on a fresh state —
-//! on every frame.
+//! on every frame. A long-queue arm saturates the city — tens of taxis
+//! against hundreds to about two thousand pending requests — so NSTD-T's
+//! taxi rows outgrow their first bands and must widen, and checks every
+//! frame against `CandidateMode::Dense` too.
 
 use o2o_core::{
-    Degraded, DispatchTier, IncrementalState, NonSharingDispatcher, PreferenceParams, Proposing,
-    Schedule, TimeBudget, TimeBudgetSpec,
+    CandidateMode, Degraded, DispatchTier, IncrementalState, NonSharingDispatcher,
+    PreferenceParams, Proposing, Schedule, TimeBudget, TimeBudgetSpec,
 };
 use o2o_geo::{Euclidean, Metric, Point};
 use o2o_obs as obs;
@@ -104,6 +107,8 @@ struct Loop {
     /// `(frames left, taxi)` for dispatched taxis.
     busy: Vec<(u32, Taxi)>,
     next_request: u64,
+    /// Requests that arrive per frame: `arrivals.0..arrivals.1`.
+    arrivals: (u32, u32),
 }
 
 impl Loop {
@@ -115,6 +120,7 @@ impl Loop {
             pending: Vec::new(),
             busy: Vec::new(),
             next_request: 0,
+            arrivals: (0, 4),
         };
         let nt = l.rng.gen_range(1..14);
         for i in 0..nt {
@@ -125,6 +131,23 @@ impl Loop {
         for _ in 0..l.rng.gen_range(1..16) {
             l.arrive();
         }
+        l
+    }
+
+    /// A saturated city: 10–40 idle taxis, 300–2,000 pending requests and
+    /// a few dozen arrivals per frame, so a few taxis turn idle each
+    /// frame against a queue that stays long.
+    fn long_queue(seed: u64, span: f64) -> Self {
+        let mut l = Loop::new(seed, span);
+        for i in l.idle.len()..l.rng.gen_range(10..40) {
+            let mut t = Taxi::new(TaxiId(i as u64), l.point());
+            t.seats = l.rng.gen_range(1..=4);
+            l.idle.push(t);
+        }
+        for _ in 0..l.rng.gen_range(300..2000) {
+            l.arrive();
+        }
+        l.arrivals = (10, 40);
         l
     }
 
@@ -204,18 +227,26 @@ impl Loop {
             .collect();
         let mut it = expire.into_iter();
         self.pending.retain(|_| !it.next().unwrap_or(false));
-        for _ in 0..self.rng.gen_range(0..4) {
+        for _ in 0..self.rng.gen_range(self.arrivals.0..self.arrivals.1) {
             self.arrive();
         }
     }
 }
 
-/// Rolls `frames` frames of one side warm and cold, asserting equal
-/// schedules and counters on every frame.
-fn roll(seed: u64, frames: usize, params: PreferenceParams, side: Proposing) {
+/// Rolls `frames` frames of `city` with one side warm and cold, asserting
+/// equal schedules and counters on every frame, and, with `dense`, equal
+/// schedules to `CandidateMode::Dense`.
+fn roll(
+    mut city: Loop,
+    seed: u64,
+    frames: usize,
+    params: PreferenceParams,
+    side: Proposing,
+    dense: bool,
+) {
     let d = NonSharingDispatcher::new(Euclidean, params);
+    let reference = d.clone().with_candidate_mode(CandidateMode::Dense);
     let mut state = IncrementalState::new();
-    let mut city = Loop::new(seed, 8.0);
     let mut pick = StdRng::seed_from_u64(seed ^ 0xA11CE);
     let expired = TimeBudgetSpec::unlimited().with_deadline(Duration::ZERO);
     for frame in 0..frames {
@@ -248,6 +279,18 @@ fn roll(seed: u64, frames: usize, params: PreferenceParams, side: Proposing) {
             greedy
         );
         prop_assert_eq!(warm_counts, cold_counts, "frame {} counters", frame);
+        if dense && !greedy {
+            let mut fresh = IncrementalState::new();
+            let unlimited = TimeBudget::unlimited();
+            let ((dense, _), dense_counts) =
+                counted(|| dispatch(&reference, &taxis, &requests, &mut fresh, side, &unlimited));
+            prop_assert_eq!(&warm, &dense, "frame {} against dense ({:?})", frame, side);
+            // Where every pair is mutually acceptable the dense lists
+            // hold exactly the candidate pairs, so the counts agree too.
+            if params == PreferenceParams::unbounded() {
+                prop_assert_eq!(warm_counts, dense_counts, "frame {} dense counters", frame);
+            }
+        }
         let apply = match pick.gen_range(0..10) {
             0 => Apply::Nothing,
             1 | 2 => Apply::KeepRequest,
@@ -278,7 +321,22 @@ proptest! {
     fn applied_schedules_keep_warm_equal_to_cold(seed in any::<u64>()) {
         for params in param_grid() {
             for side in SIDES {
-                roll(seed, 12, params, side);
+                roll(Loop::new(seed, 8.0), seed, 12, params, side, false);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Tens of taxis against a long queue: the taxi rows widen their
+    /// bands, and warm == cold == dense on every frame, for both sides.
+    #[test]
+    fn long_queues_keep_warm_equal_to_cold_and_dense(seed in any::<u64>()) {
+        for params in [PreferenceParams::paper(), PreferenceParams::unbounded()] {
+            for side in SIDES {
+                roll(Loop::long_queue(seed, 8.0), seed, 6, params, side, true);
             }
         }
     }
@@ -336,14 +394,19 @@ impl Metric for Slow {
     }
 }
 
-/// The budgeted NSTD-T ladder builds rows for taxis to propose; when the
-/// deadline passes after that, it sorts them and steps down to NSTD-P.
-/// The step-down schedule is NSTD-P's, and its solve certifies the next
-/// frame like any other.
+/// The budgeted NSTD-T ladder builds each taxi's row in bands; when the
+/// deadline passes after that, it reveals every band in full and steps
+/// down to NSTD-P, with requests proposing on the taxi rows. Four taxis
+/// against sixty requests leave the bands incomplete when the deadline
+/// passes. The step-down schedule and counters are NSTD-P's, and its
+/// solve certifies the next frame like any other.
 #[test]
-fn ladder_step_down_sorts_rows_and_certifies_the_next_frame() {
+fn ladder_step_down_completes_the_bands_and_certifies_the_next_frame() {
     let mut city = Loop::new(0x1ADD, 8.0);
-    while city.pending.len() < 2 * city.idle.len() + 4 {
+    city.idle = (0..4)
+        .map(|i| Taxi::new(TaxiId(100 + i), city.point()))
+        .collect();
+    while city.pending.len() < 60 {
         city.arrive();
     }
     let d = NonSharingDispatcher::new(Slow, PreferenceParams::unbounded());
@@ -354,12 +417,14 @@ fn ladder_step_down_sorts_rows_and_certifies_the_next_frame() {
     for _ in 0..5 {
         let mut state = IncrementalState::new();
         let columns = Proposing::Columns;
-        let (stepped, degraded) =
-            dispatch(&d, &taxis, &requests, &mut state, columns, &spec.start());
+        let ((stepped, degraded), counts) =
+            counted(|| dispatch(&d, &taxis, &requests, &mut state, columns, &spec.start()));
         if degraded.map(|g| g.to) != Some(DispatchTier::NstdP) {
             continue;
         }
-        assert_eq!(stepped, cold(&d, &taxis, &requests, Proposing::Rows));
+        let (nstd_p, nstd_p_counts) = counted(|| cold(&d, &taxis, &requests, Proposing::Rows));
+        assert_eq!(stepped, nstd_p);
+        assert_eq!(counts, nstd_p_counts);
         city.advance(&stepped, Apply::All);
         let (idle, pending) = (&city.idle, &city.pending);
         let after = warm(&d, idle, pending, &mut state, columns);

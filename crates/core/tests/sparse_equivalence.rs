@@ -11,7 +11,8 @@
 //! computed with the identical float expressions, so the dispatch
 //! schedules must be **bit-identical** to the dense reference
 //! (`CandidateMode::Dense`) for every threshold setting, with a fresh
-//! state and with the state carried across frames.
+//! state and with the state carried across frames — on small frames and
+//! on saturated ones, where NSTD-T's taxi rows outgrow their first bands.
 
 use o2o_core::{
     build_taxi_grid, CandidateMode, IncrementalState, NonSharingDispatcher, PickupDistances,
@@ -229,4 +230,33 @@ fn sparse_matches_dense_at_paper_thresholds_wide_city() {
         spd.candidate_count() < taxis.len() * requests.len(),
         "expected pruning at paper thresholds over a 80×80 city"
     );
+}
+
+/// Saturated frames — tens of taxis against hundreds to two thousand
+/// requests — where each taxi's row is revealed in several bands: NSTD-P
+/// and NSTD-T agree with dense, fresh and carried over from a frame with
+/// a few requests fewer.
+#[test]
+fn saturated_frames_match_dense() {
+    for (seed, nt, nr) in [(1, 12, 400), (2, 30, 2000), (3, 50, 900)] {
+        let (taxis, requests) = random_frame(seed, nt, nr, 8.0);
+        let earlier = &requests[..nr - 20];
+        for params in param_grid() {
+            let sparse = NonSharingDispatcher::new(Euclidean, params);
+            for side in SIDES {
+                let want = dense_reference(params, &taxis, &requests, side);
+                let mut state = IncrementalState::new();
+                assert_eq!(
+                    dispatch(&sparse, &taxis, &requests, None, None, &mut state, side),
+                    want
+                );
+                let mut carried = IncrementalState::new();
+                let _ = dispatch(&sparse, &taxis, earlier, None, None, &mut carried, side);
+                assert_eq!(
+                    dispatch(&sparse, &taxis, &requests, None, None, &mut carried, side),
+                    want
+                );
+            }
+        }
+    }
 }

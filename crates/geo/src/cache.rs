@@ -77,7 +77,7 @@ impl CacheStats {
 
 /// A [`Metric`] that memoizes `distance` queries of an inner metric.
 ///
-/// Thread-safe: shards its map across [`SHARDS`] mutexes so parallel
+/// Thread-safe: shards its map across `SHARDS` mutexes so parallel
 /// pipeline stages can share one cache. Deterministic: a hit returns
 /// exactly the value the inner metric produced for that ordered pair of
 /// points, so results are bit-identical with and without the cache.

@@ -1,26 +1,31 @@
 //! Keyed deferred acceptance over a flat candidate set.
 //!
 //! The dispatch hot path knows both preference keys of every mutually
-//! acceptable pair: the *row* agent's key (a request's pick-up distance)
-//! and the *column* agent's key (a taxi's driver score). Every preference
-//! list in the frame is "ascending key, ties by partner index", so a rank
-//! comparison is a key comparison. Deferred acceptance only ever asks a
-//! reviewer whether a proposer beats its current holder, which this module
-//! answers from the keys directly — no [`crate::StableInstance`], no rank
-//! table, no sorted column lists and no role-swapped copy is built.
+//! acceptable pair: the *row* agent's key and the *column* agent's key.
+//! Every preference list in the frame is "ascending key, ties by partner
+//! index", so a rank comparison is a key comparison. Deferred acceptance
+//! only ever asks a reviewer whether a proposer beats its current holder,
+//! which this module answers from the keys directly — no
+//! [`crate::StableInstance`], no rank table, no sorted column lists and no
+//! role-swapped copy is built.
 //!
 //! [`KeyedCandidates`] is the flat row-major (CSR) pair set; [`KeyedMatch`]
 //! runs deferred acceptance with either side proposing:
 //!
-//! * **rows propose** (NSTD-P): each row walks its entries, which must be
-//!   sorted by `(row key, column)`; a column holds the proposal with the
-//!   smallest `(column key, row)`;
-//! * **columns propose** (NSTD-T): a counting-scatter transpose buckets
-//!   the entries by column in row order, and each column orders only as
-//!   much of its bucket as it actually proposes through (chunked
+//! * **rows propose**: each row walks its entries, which must be sorted by
+//!   `(row key, column)`; a column holds the proposal with the smallest
+//!   `(column key, row)`. The dispatch path puts the proposing side in
+//!   the rows: requests for NSTD-P (row key the pick-up distance, column
+//!   key the driver score), taxis for NSTD-T (the two keys swapped), and
+//!   request groups for STD-P;
+//! * **columns propose**: a counting-scatter transpose buckets the
+//!   entries by column in row order, and each column orders only as much
+//!   of its bucket as it actually proposes through (chunked
 //!   `select_nth_unstable_by`, then a sort of the chunk); a row holds the
 //!   proposal with the smallest `(row key, column)`, so its entries may
-//!   stand in any order.
+//!   stand in any order. STD-T runs this way (taxis are the columns), and
+//!   so does NSTD-T's step down to NSTD-P, with requests as the columns
+//!   of the taxi rows.
 //!
 //! The matching equals [`crate::StableInstance::propose`] /
 //! [`crate::StableInstance::reviewer_optimal`] on the lists the keys
@@ -36,7 +41,9 @@
 //! stands. That is deferred acceptance on the full rows with some
 //! proposers served later, so by the same order independence it ends in
 //! the same matching with the same proposals — as long as every row left
-//! unmatched at the end has been revealed in full.
+//! unmatched at the end has been revealed in full. STD-P's group rows and
+//! NSTD-T's taxi rows are revealed this way, in bands of a lower bound on
+//! the row key.
 
 use o2o_obs as obs;
 use std::cmp::Ordering;
@@ -86,11 +93,10 @@ fn key_less(a_key: f64, a_idx: u32, b_key: f64, b_idx: u32) -> bool {
 /// with [`reopen_row`](Self::reopen_row). No key may be NaN (the solver
 /// compares keys instead of reading ranks). Row order matters only when
 /// rows propose: [`Proposing::Rows`] needs every row in ascending
-/// `(row_key, col)` order ([`sort_rows`](Self::sort_rows) puts it there;
-/// debug builds check it), while [`Proposing::Columns`] compares keys and
-/// accepts any order. A column out of range or repeated within a row
-/// panics at `push` — the same lists a [`crate::StableInstance`]
-/// constructor would reject.
+/// `(row_key, col)` order (debug builds check it), while
+/// [`Proposing::Columns`] compares keys and accepts any order. A column
+/// out of range or repeated within a row panics at `push` — the same
+/// lists a [`crate::StableInstance`] constructor would reject.
 #[derive(Debug, Clone, Default)]
 pub struct KeyedCandidates {
     cols: usize,
@@ -198,7 +204,8 @@ impl KeyedCandidates {
     }
 
     /// Sorts every row by `(row_key, col)`, the order rows propose in.
-    pub fn sort_rows(&mut self) {
+    #[cfg(test)]
+    fn sort_rows(&mut self) {
         for &(start, end) in &self.spans {
             self.entries[start as usize..end as usize].sort_unstable_by(|a, b| {
                 a.row_key
@@ -254,9 +261,9 @@ impl KeyedCandidates {
 /// Which side of a [`KeyedCandidates`] set proposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Proposing {
-    /// Rows propose: the row-optimal stable matching (NSTD-P).
+    /// Rows propose: the row-optimal stable matching.
     Rows,
-    /// Columns propose: the column-optimal stable matching (NSTD-T).
+    /// Columns propose: the column-optimal stable matching.
     Columns,
 }
 

@@ -11,7 +11,7 @@
 //! # The manifest header
 //!
 //! The first record of every stream is a `meta` line carrying
-//! [`SCHEMA_VERSION`](crate::SCHEMA_VERSION) and, for fleet children,
+//! [`SCHEMA_VERSION`] and, for fleet children,
 //! the [`FleetMeta`] identity (run id, shard id, pid, seed,
 //! git-describe). Streams with an unknown schema version are rejected
 //! outright — the schema is self-describing, consumers never guess.

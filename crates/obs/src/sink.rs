@@ -23,7 +23,7 @@ pub trait EventSink {
 }
 
 /// In-memory sink for tests: stores every event; a cloneable
-/// [`MemoryHandle`] reads them back.
+/// `MemoryHandle` reads them back.
 #[derive(Debug)]
 pub struct MemorySink {
     events: Arc<Mutex<Vec<Event>>>,
@@ -213,7 +213,7 @@ impl JsonlSink {
 
     /// Flushes the write buffer to the underlying writer after every
     /// [`Event::FrameEnd`], so a crash loses at most the frame in
-    /// flight instead of up to [`BUF_CAPACITY`](Self::BUF_CAPACITY) of
+    /// flight instead of up to `BUF_CAPACITY` of
     /// buffered history. Costs one buffered-writer flush per frame;
     /// leave it off for throughput-bound runs that can afford to lose
     /// the tail on a kill.

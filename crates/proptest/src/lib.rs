@@ -161,7 +161,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Length bounds for [`vec`]: a fixed size or a (half-open or
+    /// Length bounds for [`vec()`]: a fixed size or a (half-open or
     /// inclusive) range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -198,7 +198,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -300,8 +300,9 @@ macro_rules! nstd_policy {
         /// policy keeps the [`IncrementalState`] that carries the stability
         /// certificate from frame to frame, and asks the engine for the
         /// per-frame input its dispatcher's [`CandidateMode`] reads: the
-        /// shared taxi grid when sparse (the default), the pick-up matrix
-        /// when dense. The schedules are bit-identical either way.
+        /// shared taxi grid for sparse NSTD-P (the default mode; sparse
+        /// NSTD-T's taxi rows read none), the pick-up matrix when dense.
+        /// The schedules are bit-identical either way.
         pub struct $struct_name<M> {
             inner: NonSharingDispatcher<M>,
             state: IncrementalState,
@@ -355,7 +356,7 @@ macro_rules! nstd_policy {
             }
 
             fn wants_taxi_grid(&self) -> bool {
-                self.inner.candidate_mode() == CandidateMode::Sparse
+                self.inner.candidate_mode() == CandidateMode::Sparse && $side == Proposing::Rows
             }
         }
     };
@@ -762,11 +763,12 @@ mod tests {
     #[test]
     fn nstd_policies_want_frame_inputs_by_candidate_mode() {
         let p = PreferenceParams::default();
-        // Sparse (the default): taxi grid in, pick-up matrix out.
+        // Sparse (the default): no pick-up matrix; the taxi grid for
+        // NSTD-P's request rows only, since NSTD-T's taxi rows read none.
         assert!(!nstd_p(Euclidean, p).wants_pickup_distances());
         assert!(!nstd_t(Euclidean, p).wants_pickup_distances());
         assert!(nstd_p(Euclidean, p).wants_taxi_grid());
-        assert!(nstd_t(Euclidean, p).wants_taxi_grid());
+        assert!(!nstd_t(Euclidean, p).wants_taxi_grid());
         // Dense: the original contract.
         let dense = NstdPPolicy::from_dispatcher(
             NonSharingDispatcher::new(Euclidean, p).with_candidate_mode(CandidateMode::Dense),
